@@ -19,7 +19,7 @@ from .signal import (
     make_grid,
     nudft,
 )
-from .stft import PhasePoint, Window, moyal_reconstruct, stft_at, stft_points, stft_slice
+from .stft import Window, moyal_reconstruct, stft_at, stft_points, stft_slice
 from .wavefront import (
     ComparisonResult,
     DecayProfile,
@@ -36,7 +36,6 @@ from .wavefront import (
     schwartz_direction_test,
 )
 from .symplectic import (
-    HamiltonMap,
     QuadraticHamiltonian,
     SingularSpace,
     flow_matrix,

@@ -48,13 +48,12 @@ def _fmt_dirs(dirs) -> str:
     return str([[round(float(c), 6) for c in d] for d in dirs])
 
 
-def _default_grid(name: str, args) -> sig.Grid:
-    dim = sig.ENTRY_DIMS[name]
-    n, length = GRID_DEFAULTS[dim]
-    if args.n is not None:
-        n = args.n
-    if args.length is not None:
-        length = args.length
+def _default_grid(name: str, n: int | None = None, length: float | None = None) -> sig.Grid:
+    dim = sig.CATALOG[name].dim
+    if n is None:
+        n = GRID_DEFAULTS[dim][0]
+    if length is None:
+        length = GRID_DEFAULTS[dim][1]
     return sig.make_grid(dim, n, length / 2.0)
 
 
@@ -64,15 +63,16 @@ def _entry_params(args) -> dict | None:
     return json.loads(args.params)
 
 
+def _entry_defaults(name: str):
+    """Default parameters, default grid and ground truth of a catalog entry."""
+    grid = _default_grid(name)
+    _, truth = sig.catalog_entry(name, None, grid)
+    return sig.CATALOG[name].defaults, grid, truth
+
+
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        rows = []
-        for name in sig.catalog_names():
-            dim = sig.ENTRY_DIMS[name]
-            n, length = GRID_DEFAULTS[dim]
-            grid = sig.make_grid(dim, n, length / 2.0)
-            _, truth = sig.catalog_entry(name, None, grid)
-            rows.append((name, sig.DEFAULT_PARAMS[name], grid, truth))
+        rows = [(name, *_entry_defaults(name)) for name in sig.catalog_names()]
         if args.json:
             payload = [sig.catalog_entry_json(n, p, g, t) for n, p, g, t in rows]
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -87,11 +87,7 @@ def cmd_catalog(args) -> int:
     if name not in sig.catalog_names():
         print(f"unknown catalog entry {name!r}", file=sys.stderr)
         return 2
-    dim = sig.ENTRY_DIMS[name]
-    n, length = GRID_DEFAULTS[dim]
-    grid = sig.make_grid(dim, n, length / 2.0)
-    _, truth = sig.catalog_entry(name, None, grid)
-    payload = sig.catalog_entry_json(name, sig.DEFAULT_PARAMS[name], grid, truth)
+    payload = sig.catalog_entry_json(name, *_entry_defaults(name))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -114,18 +110,24 @@ def _detector_samplings(grid: sig.Grid, args):
 
 def cmd_analyze(args) -> int:
     try:
-        grid = _default_grid(args.name, args)
+        grid = _default_grid(args.name, args.n, args.length)
         u, truth = sig.catalog_entry(args.name, _entry_params(args), grid)
         window = Window(args.lam, dim=grid.dim)
         phase, freq = _detector_samplings(grid, args)
         ang_tol = args.ang_tol if args.ang_tol is not None else 2 * phase.angular_step
+        # detector errors (a threshold out of range, too few radii for a
+        # fit) come from the options, so they are configuration errors too
+        gabor = estimate_gabor_wf(u, window, phase, args.n_thresh)
+        if truth.theorem_applicable:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sigma = estimate_sigma(u, freq, args.n_thresh)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    gabor = estimate_gabor_wf(u, window, phase, args.n_thresh)
     _write_json(out / f"{args.name}_gabor.json", report_to_json(gabor))
     (out / f"{args.name}_gabor_profiles.csv").write_text(profiles_to_csv(gabor))
     print(f"{args.name}: gabor singular dirs: {_fmt_dirs(gabor.singular_dirs)}")
@@ -133,9 +135,6 @@ def cmd_analyze(args) -> int:
     failed = False
     detected_sets = {"gabor": gabor.singular_dirs}
     if truth.theorem_applicable:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sigma = estimate_sigma(u, freq, args.n_thresh)
         _write_json(out / f"{args.name}_sigma.json", report_to_json(sigma))
         (out / f"{args.name}_sigma_profiles.csv").write_text(profiles_to_csv(sigma))
         print(f"{args.name}: frequency-cone singular dirs: {_fmt_dirs(sigma.singular_dirs)}")
@@ -172,17 +171,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_propagate(args) -> int:
     try:
-        grid = _default_grid(args.name, args)
+        grid = _default_grid(args.name, args.n, args.length)
         u, truth = sig.catalog_entry(args.name, _entry_params(args), grid)
         window = Window(args.lam, dim=grid.dim)
         n_max = args.n_max if args.n_max is not None else default_n_max(grid)
         basis = HermiteBasis.build(grid, n_max)
+        report = verify_propagation(
+            u, truth, args.t, window=window, n_thresh=args.n_thresh, ang_tol=args.ang_tol, basis=basis
+        )
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    report = verify_propagation(
-        u, truth, args.t, window=window, n_thresh=args.n_thresh, ang_tol=args.ang_tol, basis=basis
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / f"{args.name}_propagation_t{args.t:.10g}.json", report.to_json())

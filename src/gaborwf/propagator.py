@@ -18,15 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Grid, SampledDistribution, GroundTruth, _hermite_values
+from .signal import Grid, SampledDistribution, GroundTruth, _hermite_values, apply_per_axis, outer_per_axis
 from .stft import Window, _plateau
 from .symplectic import QuadraticHamiltonian, propagate_wf_set
 from .wavefront import (
     RaySampling,
     WavefrontReport,
     estimate_gabor_wf,
+    frequency_cap,
     hausdorff_angle,
     phase_space_rays,
+    position_cap,
     schwartz_direction_test,
     _json_num,
 )
@@ -81,11 +83,6 @@ class HermiteBasis:
             )
         return cls(grid, n_max, H)
 
-    @property
-    def phase_space_radius(self) -> float:
-        """Classical radius sqrt(2 n_max + dim) of the retained eigenspace."""
-        return float(np.sqrt(2 * self.n_max + self.grid.dim))
-
 
 @dataclass(frozen=True)
 class PropagatedState:
@@ -105,12 +102,8 @@ def hermite_coefficients(u: SampledDistribution, basis: HermiteBasis) -> tuple[n
         raise ValueError("basis was built for a different grid")
     g = u.grid
     H = basis.values
-    if g.dim == 1:
-        coeffs = g.spacing * (H.conj().T @ u.samples)
-        synth = H @ coeffs
-    else:
-        coeffs = g.cell_volume * (H.conj().T @ u.samples @ H.conj())
-        synth = H @ coeffs @ H.T
+    coeffs = g.cell_volume * apply_per_axis(H.conj().T, u.samples)
+    synth = apply_per_axis(H, coeffs)
     unorm = u.norm()
     if unorm == 0:
         return coeffs, 0.0
@@ -119,11 +112,7 @@ def hermite_coefficients(u: SampledDistribution, basis: HermiteBasis) -> tuple[n
 
 
 def _synthesize(basis: HermiteBasis, coeffs: np.ndarray, label: str) -> SampledDistribution:
-    H = basis.values
-    if basis.grid.dim == 1:
-        vals = H @ coeffs
-    else:
-        vals = H @ coeffs @ H.T
+    vals = apply_per_axis(basis.values, coeffs)
     return SampledDistribution(basis.grid, vals, kind="function", label=label)
 
 
@@ -143,10 +132,7 @@ def harmonic_propagate(
         )
     orders = np.arange(basis.n_max + 1)
     axis_phase = np.exp(-1j * t * (2 * orders + 1))
-    if u.grid.dim == 1:
-        rotated = coeffs * axis_phase
-    else:
-        rotated = coeffs * np.outer(axis_phase, axis_phase)
+    rotated = coeffs * outer_per_axis((axis_phase,) * u.grid.dim)
     state = _synthesize(basis, rotated, label=f"osc[t={t:g}]({u.label})")
     return PropagatedState(state, float(t), trunc)
 
@@ -168,10 +154,7 @@ def taper_expansion(u: SampledDistribution, basis: HermiteBasis, onset: float = 
     lo = onset * basis.n_max
     weight = _plateau(orders / basis.n_max, onset, 1.0) if basis.n_max > 0 else np.ones(1)
     weight[orders <= lo] = 1.0
-    if u.grid.dim == 1:
-        smooth = coeffs * weight
-    else:
-        smooth = coeffs * np.outer(weight, weight)
+    smooth = coeffs * outer_per_axis((weight,) * u.grid.dim)
     state = _synthesize(basis, smooth, label=f"taper[{u.label}]")
     unorm = u.norm()
     if unorm == 0:
@@ -199,9 +182,7 @@ def _fourier_on_same_grid(u: SampledDistribution) -> np.ndarray:
     g = u.grid
     x = g.axis()
     D = np.exp(-1j * np.outer(x, x)) * g.spacing
-    if g.dim == 1:
-        return D @ u.samples
-    return D @ u.samples @ D.T
+    return apply_per_axis(D, u.samples)
 
 
 def special_time_operator(u: SampledDistribution, k: int = 1, quarter: bool = False) -> SampledDistribution:
@@ -266,6 +247,8 @@ def verify_propagation(
     forecast avoids the pure-frequency sphere and the detection must report a
     smooth state.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     d = u0.grid.dim
     if basis is None:
         basis = HermiteBasis.build(u0.grid)
@@ -274,7 +257,7 @@ def verify_propagation(
     if sampling is None:
         # stay inside the phase-space disk retained below the spectral taper
         kept = np.sqrt(2 * 0.7 * basis.n_max + u0.grid.dim)
-        grid_cap = max(0.45 * u0.grid.length, 0.9 * np.pi / (2 * u0.grid.spacing))
+        grid_cap = max(position_cap(u0.grid), frequency_cap(u0.grid))
         sampling = phase_space_rays(u0.grid, r_max=min(0.8 * kept, grid_cap))
     if ang_tol is None:
         ang_tol = 2 * sampling.angular_step

@@ -13,9 +13,10 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,19 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def apply_per_axis(M: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``M`` applied along every axis of ``a``: ``M @ a``, then ``@ M.T`` in 2-D."""
+    out = M @ a
+    for _ in range(1, a.ndim):
+        out = out @ M.T
+    return out
+
+
+def outer_per_axis(vectors) -> np.ndarray:
+    """Tensor product of one vector per axis: the vector itself in 1-D."""
+    return functools.reduce(np.multiply.outer, vectors)
 
 
 @dataclass(frozen=True)
@@ -65,10 +79,7 @@ class Grid:
         return Grid(self.dim, self.n, np.pi / self.spacing)
 
     def meshes(self) -> tuple[np.ndarray, ...]:
-        x = self.axis()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis(),) * self.dim, indexing="ij"))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,6 +113,9 @@ class SampledDistribution:
         s = np.asarray(self.samples, dtype=np.complex128)
         if s.shape != self.grid.shape:
             raise ValueError(f"samples shape {s.shape} != grid shape {self.grid.shape}")
+        # a non-finite sample makes every decay fit NaN, which reads as regular
+        if not np.all(np.isfinite(s)):
+            raise ValueError("samples must be finite")
         if self.kind not in ("function", "singular-spike"):
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "samples", _as_readonly(s))
@@ -113,7 +127,7 @@ class SampledDistribution:
     def central_mass_fraction(self) -> float:
         """Fraction of the L2 mass inside the central box ``[-L/4, L/4]^d``."""
         inside = np.abs(self.grid.axis()) <= self.grid.half_width / 2
-        mask = inside if self.grid.dim == 1 else np.outer(inside, inside)
+        mask = outer_per_axis((inside,) * self.grid.dim)
         total = np.sum(np.abs(self.samples) ** 2)
         if total == 0:
             return 1.0
@@ -185,38 +199,53 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray], la
     Point sampling of discontinuous profiles leaves O(h) quadrature error in
     the transform; synthesizing from the exact spectrum removes it.
     """
-    xi = grid.dual_axis()
-    if grid.dim == 1:
-        spec = spectrum(xi)
-    else:
-        spec = spectrum(*np.meshgrid(xi, xi, indexing="ij"))
+    spec = spectrum(*np.meshgrid(*(grid.dual_axis(),) * grid.dim, indexing="ij"))
     vals = _centered_ifft(np.asarray(spec, dtype=np.complex128)) / grid.cell_volume
     return SampledDistribution(grid, vals, kind="function", label=label)
 
 
-def nudft(u: SampledDistribution, xi_points: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """``uhat`` at arbitrary frequency points: direct sums, no interpolation.
+def separable_sum(
+    u: SampledDistribution,
+    points: np.ndarray,
+    axis_factor: Callable[[np.ndarray, int], np.ndarray],
+    chunk: int,
+) -> np.ndarray:
+    """``sum_j u(x_j) prod_k F_k[p, j_k] h^d`` at every point ``p``.
 
-    ``xi_points`` has shape (P, dim).  In 2-D the separable exponential makes
-    this a pair of thin matrices around the sample array.
+    ``axis_factor(block, k)`` gives the (P, n) factor matrix ``F_k`` of axis
+    ``k`` for a block of points.  The first axis is contracted against the
+    sample array by a matmul, every further axis by a row-wise dot product, so
+    2-D sums never form an (n, n) kernel per point.  Fixed summation order
+    (ascending grid index) keeps results bit-identical across calls;
+    evaluation is chunked over points only.
     """
+    out = np.empty(len(points), dtype=np.complex128)
+    # factors stay referenced until the next chunk replaces them: freeing all
+    # large buffers at chunk end lets the heap shrink, and the next chunk pays
+    # page faults to grow it again (about 10% of a 1-D call)
+    factors = [None] * u.grid.dim
+    for lo in range(0, len(points), chunk):
+        block = points[lo : lo + chunk]
+        for k in range(u.grid.dim):
+            factors[k] = axis_factor(block, k)
+        t = factors[0] @ u.samples
+        for factor in factors[1:]:
+            t = np.einsum("pi,pi->p", t, factor)
+        out[lo : lo + chunk] = t
+    return out * u.grid.cell_volume
+
+
+def nudft(u: SampledDistribution, xi_points: np.ndarray, chunk: int = 2048) -> np.ndarray:
+    """``uhat`` at arbitrary frequency points, shape (P, dim): direct sums, no
+    interpolation."""
     g = u.grid
     pts = np.atleast_2d(np.asarray(xi_points, dtype=float))
     if pts.shape[1] != g.dim:
         raise ValueError(f"expected frequency points of dim {g.dim}")
     x = g.axis()
-    out = np.empty(len(pts), dtype=np.complex128)
-    if g.dim == 1:
-        for lo in range(0, len(pts), chunk):
-            block = pts[lo : lo + chunk, 0]
-            out[lo : lo + chunk] = np.exp(-1j * block[:, None] * x[None, :]) @ u.samples
-    else:
-        for lo in range(0, len(pts), chunk):
-            block = pts[lo : lo + chunk]
-            a = np.exp(-1j * block[:, 0][:, None] * x[None, :])
-            b = np.exp(-1j * block[:, 1][:, None] * x[None, :])
-            out[lo : lo + chunk] = np.einsum("pi,pi->p", a @ u.samples, b)
-    return out * g.cell_volume
+    return separable_sum(
+        u, pts, lambda block, k: np.exp(-1j * block[:, k][:, None] * x[None, :]), chunk
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +281,12 @@ def _hermite_values(x: np.ndarray, n_max: int) -> np.ndarray:
     return H
 
 
+def _box_axis_spectrum(xi: np.ndarray, a: float) -> np.ndarray:
+    """Transform of the indicator of [-a, a] along one axis, ``2 sin(a xi)/xi``."""
+    safe = np.where(xi == 0, 1.0, xi)
+    return np.where(xi == 0, 2.0 * a, 2.0 * np.sin(a * safe) / safe)
+
+
 def _require_dim(name: str, grid: Grid, dim: int):
     if grid.dim != dim:
         raise ValueError(f"catalog entry {name!r} requires a {dim}-D grid")
@@ -263,13 +298,6 @@ def _require_support(name: str, grid: Grid, radius: float):
             f"catalog entry {name!r}: support radius {radius} exceeds L/4 = {grid.half_width / 2}"
             " (periodization risk)"
         )
-
-
-def _spike(grid: Grid, label: str) -> SampledDistribution:
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    center = (grid.n // 2,) * grid.dim
-    vals[center] = 1.0 / grid.cell_volume
-    return SampledDistribution(grid, vals, kind="singular-spike", label=label)
 
 
 _FULL_CIRCLE_FAN = tuple(
@@ -285,7 +313,10 @@ def _entry_dirac(params: dict, grid: Grid):
         truth = GroundTruth(
             tuple((0.0, 0.0) + s for s in _FULL_CIRCLE_FAN), _FULL_CIRCLE_FAN, 0.0, False
         )
-    return _spike(grid, "dirac"), truth
+    vals = np.zeros(grid.shape, dtype=np.complex128)
+    center = (grid.n // 2,) * grid.dim
+    vals[center] = 1.0 / grid.cell_volume
+    return SampledDistribution(grid, vals, kind="singular-spike", label="dirac"), truth
 
 
 def _entry_dirac_derivative(params: dict, grid: Grid):
@@ -336,12 +367,7 @@ def _entry_box(params: dict, grid: Grid):
     _require_dim("box", grid, 1)
     a = float(params.get("a", 1.0))
     _require_support("box", grid, a)
-
-    def spectrum(xi):
-        safe = np.where(xi == 0, 1.0, xi)
-        return np.where(xi == 0, 2.0 * a, 2.0 * np.sin(a * safe) / safe)
-
-    dist = synthesize_from_spectrum(grid, spectrum, f"box({a:g})")
+    dist = synthesize_from_spectrum(grid, lambda xi: _box_axis_spectrum(xi, a), f"box({a:g})")
     truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), a, False)
     return dist, truth
 
@@ -400,12 +426,8 @@ def _entry_box2d(params: dict, grid: Grid):
     a = float(params.get("a", 0.5))
     _require_support("box2d", grid, a * np.sqrt(2.0))
 
-    def axis_spec(xi):
-        safe = np.where(xi == 0, 1.0, xi)
-        return np.where(xi == 0, 2.0 * a, 2.0 * np.sin(a * safe) / safe)
-
     def spectrum(xi1, xi2):
-        return axis_spec(xi1) * axis_spec(xi2)
+        return _box_axis_spectrum(xi1, a) * _box_axis_spectrum(xi2, a)
 
     dist = synthesize_from_spectrum(grid, spectrum, f"box2d({a:g})")
     normals = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
@@ -415,54 +437,38 @@ def _entry_box2d(params: dict, grid: Grid):
     return dist, truth
 
 
-_CATALOG: dict[str, Callable[[dict, Grid], tuple[SampledDistribution, GroundTruth]]] = {
-    "dirac": _entry_dirac,
-    "dirac_derivative": _entry_dirac_derivative,
-    "gaussian": _entry_gaussian,
-    "hermite": _entry_hermite,
-    "box": _entry_box,
-    "chirp": _entry_chirp,
-    "bump": _entry_bump,
-    "line_delta_2d": _entry_line_delta_2d,
-    "box2d": _entry_box2d,
-}
+class CatalogEntry(NamedTuple):
+    """Default grid dimension, default parameters and builder of one entry."""
 
-DEFAULT_PARAMS: dict[str, dict] = {
-    "dirac": {},
-    "dirac_derivative": {"k": 1},
-    "gaussian": {"sigma": 1.0},
-    "hermite": {"n": 3},
-    "box": {"a": 1.0},
-    "chirp": {"a": 1.0},
-    "bump": {"width": BUMP_DEFAULT_WIDTH},
-    "line_delta_2d": {"width": 3.0},
-    "box2d": {"a": 0.5},
-}
+    dim: int
+    defaults: dict
+    build: Callable[[dict, Grid], tuple[SampledDistribution, GroundTruth]]
 
-ENTRY_DIMS: dict[str, int] = {
-    "dirac": 1,
-    "dirac_derivative": 1,
-    "gaussian": 1,
-    "hermite": 1,
-    "box": 1,
-    "chirp": 1,
-    "bump": 1,
-    "line_delta_2d": 2,
-    "box2d": 2,
+
+CATALOG: dict[str, CatalogEntry] = {
+    "dirac": CatalogEntry(1, {}, _entry_dirac),
+    "dirac_derivative": CatalogEntry(1, {"k": 1}, _entry_dirac_derivative),
+    "gaussian": CatalogEntry(1, {"sigma": 1.0}, _entry_gaussian),
+    "hermite": CatalogEntry(1, {"n": 3}, _entry_hermite),
+    "box": CatalogEntry(1, {"a": 1.0}, _entry_box),
+    "chirp": CatalogEntry(1, {"a": 1.0}, _entry_chirp),
+    "bump": CatalogEntry(1, {"width": BUMP_DEFAULT_WIDTH}, _entry_bump),
+    "line_delta_2d": CatalogEntry(2, {"width": 3.0}, _entry_line_delta_2d),
+    "box2d": CatalogEntry(2, {"a": 0.5}, _entry_box2d),
 }
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_CATALOG)
+    return tuple(CATALOG)
 
 
 def catalog_entry(name: str, params: dict | None, grid: Grid) -> tuple[SampledDistribution, GroundTruth]:
     """Samples of a named test distribution together with its ground truth."""
-    if name not in _CATALOG:
-        raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(_CATALOG)}")
-    merged = dict(DEFAULT_PARAMS[name])
+    if name not in CATALOG:
+        raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG)}")
+    merged = dict(CATALOG[name].defaults)
     merged.update(params or {})
-    return _CATALOG[name](merged, grid)
+    return CATALOG[name].build(merged, grid)
 
 
 # ---------------------------------------------------------------------------

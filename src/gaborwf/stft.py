@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Grid, SampledDistribution, _centered_fft
+from .signal import Grid, SampledDistribution, _centered_fft, outer_per_axis, separable_sum
 
 STFT_FLOOR = 1e-14
 
@@ -52,10 +52,6 @@ class Window:
                 f"[{4 * grid.spacing}, {grid.length / 8}]"
             )
 
-    @property
-    def support_radius(self) -> float:
-        return np.inf if self.cutoff is None else self.cutoff[1] * self.lam
-
     def axis_values(self, y: np.ndarray) -> np.ndarray:
         """One-axis profile; the full window is the product over axes."""
         vals = (np.pi * self.lam**2) ** -0.25 * np.exp(-(y**2) / (2 * self.lam**2))
@@ -63,12 +59,6 @@ class Window:
             flat, support = self.cutoff
             vals = vals * _plateau(np.abs(y) / self.lam, flat, support)
         return vals
-
-    def values(self, *meshes: np.ndarray) -> np.ndarray:
-        out = self.axis_values(meshes[0])
-        for m in meshes[1:]:
-            out = out * self.axis_values(m)
-        return out
 
 
 def _plateau(t: np.ndarray, flat: float, support: float) -> np.ndarray:
@@ -78,34 +68,6 @@ def _plateau(t: np.ndarray, flat: float, support: float) -> np.ndarray:
         a = np.where(s > 0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
         b = np.where(s < 1, np.exp(-1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
     return b / (a + b)
-
-
-def _normalized_axis_profile(window: Window, grid: Grid) -> np.ndarray:
-    """Axis profile on the grid, renormalized when a cutoff perturbs the norm."""
-    y = grid.axis()
-    prof = window.axis_values(y)
-    if window.cutoff is not None:
-        norm = np.sqrt(np.sum(prof**2) * grid.spacing)
-        prof = prof / norm
-    return prof
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point z = (x, xi) of phase space."""
-
-    x: tuple[float, ...]
-    xi: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.x) != len(self.xi):
-            raise ValueError("x and xi must have the same dimension")
-        if not all(np.isfinite(self.x)) or not all(np.isfinite(self.xi)):
-            raise ValueError("phase point components must be finite")
-
-    @property
-    def dim(self) -> int:
-        return len(self.x)
 
 
 def _window_axis_at(window: Window, grid: Grid, y: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -120,39 +82,29 @@ def _window_axis_at(window: Window, grid: Grid, y: np.ndarray, centers: np.ndarr
 def stft_points(
     u: SampledDistribution, window: Window, points: np.ndarray, chunk: int = 1024
 ) -> np.ndarray:
-    """``V_psi u`` at arbitrary phase points, shape (P, 2*dim) -> (P,).
+    """``V_psi u`` at arbitrary phase points ``(x, xi)``, shape (P, 2*dim) -> (P,).
 
-    Fixed summation order (ascending grid index) keeps results bit-identical
-    across calls; evaluation is chunked over points only.
+    Axis k of the separable sum carries ``psi(y - x_k) exp(-i xi_k y)``.
     """
     g = u.grid
     window.validate_for(g)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2 * g.dim:
         raise ValueError(f"expected phase points of dim {2 * g.dim}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("phase point components must be finite")
     y = g.axis()
-    out = np.empty(len(pts), dtype=np.complex128)
-    if g.dim == 1:
-        for lo in range(0, len(pts), chunk):
-            xs = pts[lo : lo + chunk, 0]
-            xis = pts[lo : lo + chunk, 1]
-            kern = _window_axis_at(window, g, y, xs) * np.exp(-1j * xis[:, None] * y[None, :])
-            out[lo : lo + chunk] = kern @ u.samples
-    else:
-        for lo in range(0, len(pts), chunk):
-            blk = pts[lo : lo + chunk]
-            a = _window_axis_at(window, g, y, blk[:, 0]) * np.exp(-1j * blk[:, 2][:, None] * y[None, :])
-            b = _window_axis_at(window, g, y, blk[:, 1]) * np.exp(-1j * blk[:, 3][:, None] * y[None, :])
-            out[lo : lo + chunk] = np.einsum("pi,pi->p", a @ u.samples, b)
-    return out * g.cell_volume
+
+    def axis_factor(block, k):
+        window_k = _window_axis_at(window, g, y, block[:, k])
+        return window_k * np.exp(-1j * block[:, g.dim + k][:, None] * y[None, :])
+
+    return separable_sum(u, pts, axis_factor, chunk)
 
 
 def stft_at(u: SampledDistribution, window: Window, z) -> complex:
-    """``V_psi u(z)`` for a single phase point (PhasePoint or flat sequence)."""
-    if isinstance(z, PhasePoint):
-        flat = np.concatenate([z.x, z.xi])
-    else:
-        flat = np.asarray(z, dtype=float).ravel()
+    """``V_psi u(z)`` for a single phase point given as a flat sequence (x, xi)."""
+    flat = np.asarray(z, dtype=float).ravel()
     return complex(stft_points(u, window, flat[None, :])[0])
 
 
@@ -168,14 +120,8 @@ def stft_slice(u: SampledDistribution, window: Window, x) -> np.ndarray:
     if len(x) != g.dim:
         raise ValueError(f"expected a base point of dim {g.dim}")
     y = g.axis()
-    if g.dim == 1:
-        win = _window_axis_at(window, g, y, x[:1])[0]
-        prod = u.samples * np.conj(win)
-    else:
-        wa = _window_axis_at(window, g, y, x[:1])[0]
-        wb = _window_axis_at(window, g, y, x[1:])[0]
-        prod = u.samples * np.conj(np.outer(wa, wb))
-    return _centered_fft(prod) * g.cell_volume
+    win = outer_per_axis(_window_axis_at(window, g, y, x))
+    return _centered_fft(u.samples * np.conj(win)) * g.cell_volume
 
 
 def moyal_reconstruct(u: SampledDistribution, window: Window) -> SampledDistribution:
@@ -205,18 +151,3 @@ def moyal_reconstruct(u: SampledDistribution, window: Window) -> SampledDistribu
         gj = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(row))) * (g.n * dxi) / (2 * np.pi)
         recon += gj * shifted * g.spacing
     return SampledDistribution(g, recon, label=f"moyal[{u.label}]")
-
-
-def stft_grid_csv(
-    u: SampledDistribution, window: Window, x_values: np.ndarray, xi_values: np.ndarray
-) -> str:
-    """CSV of the transform on a rectangular phase-space grid (d = 1):
-    columns x, xi, re, im, abs."""
-    if u.grid.dim != 1:
-        raise ValueError("CSV dump is defined for 1-D grids")
-    pts = np.array([(x, xi) for x in x_values for xi in xi_values])
-    vals = stft_points(u, window, pts)
-    lines = ["x,xi,re,im,abs"]
-    for (x, xi), v in zip(pts, vals):
-        lines.append(f"{float(x)!r},{float(xi)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v))!r}")
-    return "\n".join(lines) + "\n"

@@ -66,26 +66,6 @@ class QuadraticHamiltonian:
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
         return cls(dim, re + 1j * im)
 
-    def quadratic_form(self, X: np.ndarray) -> complex:
-        X = np.asarray(X, dtype=np.complex128)
-        return complex(X @ self.Q @ X)
-
-
-@dataclass(frozen=True)
-class HamiltonMap:
-    """F = J Q together with its real and imaginary parts."""
-
-    dim: int
-    F: np.ndarray
-
-    @property
-    def re(self) -> np.ndarray:
-        return self.F.real
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.F.imag
-
 
 @dataclass(frozen=True)
 class SingularSpace:
@@ -107,9 +87,9 @@ class SingularSpace:
         return float(np.linalg.norm(v - self.basis @ (self.basis.T @ v)))
 
 
-def hamilton_map(q: QuadraticHamiltonian) -> HamiltonMap:
-    J = standard_symplectic_matrix(q.dim)
-    return HamiltonMap(q.dim, J @ q.Q)
+def hamilton_map(q: QuadraticHamiltonian) -> np.ndarray:
+    """The Hamilton map ``F = J Q``; callers use ``F.real`` and ``F.imag``."""
+    return standard_symplectic_matrix(q.dim) @ q.Q
 
 
 def _real_kernel(rows: list[np.ndarray], tol: float, size: int) -> np.ndarray:
@@ -129,13 +109,13 @@ def _real_kernel(rows: list[np.ndarray], tol: float, size: int) -> np.ndarray:
 
 def singular_space(q: QuadraticHamiltonian, tol: float = 1e-10) -> SingularSpace:
     """Common kernel of ``Re F (Im F)^j``, j = 0..2d-1, over real phase space."""
-    fmap = hamilton_map(q)
+    F = hamilton_map(q)
     d2 = 2 * q.dim
     rows = []
     power = np.eye(d2, dtype=np.complex128)
     for _ in range(d2):
-        rows.append(fmap.re @ power)
-        power = fmap.im @ power
+        rows.append(F.real @ power)
+        power = F.imag @ power
     basis = _real_kernel(rows, tol, d2)
     return SingularSpace(q.dim, basis, tol)
 
@@ -147,8 +127,8 @@ def ker_re_f(q: QuadraticHamiltonian, tol: float = 1e-10) -> SingularSpace:
     with its conjugate vanishes; callers should check
     ``poisson_bracket_vanishes`` first (a mismatch is not an error here).
     """
-    fmap = hamilton_map(q)
-    basis = _real_kernel([fmap.re.astype(np.complex128)], tol, 2 * q.dim)
+    F = hamilton_map(q)
+    basis = _real_kernel([F.real.astype(np.complex128)], tol, 2 * q.dim)
     return SingularSpace(q.dim, basis, tol)
 
 
@@ -186,8 +166,7 @@ def flow_matrix(q: QuadraticHamiltonian, t: float) -> np.ndarray:
         out[d:, :d] = -s * np.eye(d)
         out[d:, d:] = c * np.eye(d)
         return out
-    fmap = hamilton_map(q)
-    return expm(2.0 * t * fmap.im)
+    return expm(2.0 * t * hamilton_map(q).imag)
 
 
 def is_symplectic(M: np.ndarray, tol: float = 1e-10) -> bool:

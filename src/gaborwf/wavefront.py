@@ -27,6 +27,7 @@ from .stft import Window, stft_points, STFT_FLOOR
 
 DEFAULT_N_THRESH = 2.5
 DEFAULT_RHO = 1.15
+DEFAULT_RHO_2D = 1.08
 ARC_COLLAPSE_ANGLE = np.pi / 3  # arcs wider than this are true cones, not smear
 _EXTENT_SIZE_CAP = 64
 
@@ -113,8 +114,8 @@ def phase_space_rays(
     truncated per direction at estimate time by the position/frequency caps.
     """
     if rho is None:
-        rho = DEFAULT_RHO if grid.dim == 1 else 1.08
-    cap = max(0.45 * grid.length, 0.9 * np.pi / (2 * grid.spacing))
+        rho = DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D
+    cap = max(position_cap(grid), frequency_cap(grid))
     if r_max is None:
         r_max = cap
     elif r_max > cap + 1e-9:
@@ -193,7 +194,7 @@ def frequency_rays(
 ) -> RaySampling:
     """Directions on the frequency sphere S^{d-1}; the pair {-1, +1} in 1-D."""
     if rho is None:
-        rho = DEFAULT_RHO if grid.dim == 1 else 1.08
+        rho = DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D
     cap = frequency_cap(grid)
     if r_max is None:
         r_max = cap
@@ -456,8 +457,8 @@ def estimate_gabor_wf(
 ) -> WavefrontReport:
     """Phase-space wavefront detection: decay of ``|V_psi u|`` along rays of
     S^{2d-1}."""
-    if n_thresh <= 0:
-        raise ValueError("n_thresh must be positive")
+    if not 0 < n_thresh < np.inf:
+        raise ValueError(f"n_thresh must be finite and positive, got {n_thresh}")
     if sampling is None:
         sampling = phase_space_rays(u.grid)
     if sampling.space != "phase":
@@ -475,8 +476,8 @@ def estimate_sigma(
     n_thresh: float = DEFAULT_N_THRESH,
 ) -> WavefrontReport:
     """Frequency-cone detection: decay of ``|uhat|`` along rays of S^{d-1}."""
-    if n_thresh <= 0:
-        raise ValueError("n_thresh must be positive")
+    if not 0 < n_thresh < np.inf:
+        raise ValueError(f"n_thresh must be finite and positive, got {n_thresh}")
     if sampling is None:
         sampling = frequency_rays(u.grid)
     if sampling.space != "frequency":
@@ -507,8 +508,8 @@ def estimate_classical_wf(
     The window must be compactly supported (a cutoff Gaussian), otherwise
     distant singularities leak into the local spectrum.
     """
-    if n_thresh <= 0:
-        raise ValueError("n_thresh must be positive")
+    if not 0 < n_thresh < np.inf:
+        raise ValueError(f"n_thresh must be finite and positive, got {n_thresh}")
     if window.cutoff is None:
         raise ValueError("classical detection needs a compactly supported (cutoff) window")
     if sampling is None:

@@ -189,3 +189,22 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing entry name
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "gaussian", "--params", '{"sigma": NaN}'),
+        ("analyze", "dirac", "--n-thresh", "nan"),
+        ("propagate", "dirac", "--t", "nan"),
+        ("analyze", "dirac", "--r-max", "2"),
+    ],
+    ids=["nan-sample", "nan-threshold", "nan-time", "degenerate-fit"],
+)
+def test_bad_values_are_config_errors(tmp_path, capsys, argv):
+    # values argparse accepts but the detectors cannot use: exit 2 with a
+    # message, never a traceback or a verdict
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert "configuration error" in err
+    assert "Traceback" not in err

@@ -73,19 +73,19 @@ class TestCatalog:
             catalog_entry("bump", {"width": 15.0}, grid1)
 
     def test_all_entries_construct(self, grid1, grid2):
-        from gaborwf.signal import ENTRY_DIMS
+        from gaborwf.signal import CATALOG
 
         for name in catalog_names():
-            g = grid1 if ENTRY_DIMS[name] == 1 else grid2
+            g = grid1 if CATALOG[name].dim == 1 else grid2
             dist, truth = catalog_entry(name, None, g)
             assert dist.samples.shape == g.shape
             assert isinstance(truth, GroundTruth)
 
     def test_compact_truths_encode_main_identity(self, grid1, grid2):
-        from gaborwf.signal import ENTRY_DIMS
+        from gaborwf.signal import CATALOG
 
         for name in catalog_names():
-            g = grid1 if ENTRY_DIMS[name] == 1 else grid2
+            g = grid1 if CATALOG[name].dim == 1 else grid2
             _, truth = catalog_entry(name, None, g)
             if truth.support_radius == np.inf:
                 continue
@@ -120,6 +120,14 @@ class TestCatalog:
         f = np.sin(1.3 * x)
         pairing = np.sum(ddir.samples.real * f) * grid1.spacing
         assert np.isclose(pairing, -1.3, atol=1e-3)  # -f'(0), O(h^2) stencil
+
+    def test_non_finite_samples_rejected(self, grid1):
+        with pytest.raises(ValueError, match="finite"):
+            catalog_entry("gaussian", {"sigma": float("nan")}, grid1)
+        vals = np.zeros(grid1.n, dtype=complex)
+        vals[3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            SampledDistribution(grid1, vals)
 
     def test_chirp_rate_guard(self, grid1):
         with pytest.raises(ValueError, match="unresolvable"):
@@ -161,10 +169,10 @@ class TestFourierTransform:
         assert np.max(rel) < 1e-6
 
     def test_parseval(self, grid1, grid2):
-        from gaborwf.signal import ENTRY_DIMS
+        from gaborwf.signal import CATALOG
 
         for name in catalog_names():
-            g = grid1 if ENTRY_DIMS[name] == 1 else grid2
+            g = grid1 if CATALOG[name].dim == 1 else grid2
             u, _ = catalog_entry(name, None, g)
             if u.kind != "function":
                 continue
@@ -174,10 +182,10 @@ class TestFourierTransform:
             assert abs(lhs - rhs) <= 1e-8 * rhs, name
 
     def test_double_transform_is_scaled_reflection(self, grid1, grid2):
-        from gaborwf.signal import ENTRY_DIMS
+        from gaborwf.signal import CATALOG
 
         for name in ("gaussian", "hermite", "bump", "box2d"):
-            g = grid1 if ENTRY_DIMS[name] == 1 else grid2
+            g = grid1 if CATALOG[name].dim == 1 else grid2
             u, _ = catalog_entry(name, None, g)
             uhh = fourier_transform(fourier_transform(u))
             refl = u.samples

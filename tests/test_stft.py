@@ -3,15 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from gaborwf.signal import SampledDistribution, catalog_entry, make_grid
-from gaborwf.stft import (
-    PhasePoint,
-    Window,
-    moyal_reconstruct,
-    stft_at,
-    stft_grid_csv,
-    stft_points,
-    stft_slice,
-)
+from gaborwf.stft import Window, moyal_reconstruct, stft_at, stft_points, stft_slice
 
 
 def quad_stft(f, lam, x0, xi0, lo, hi):
@@ -51,11 +43,14 @@ class TestWindow:
         assert np.all(vals[np.abs(y) > 6 * 0.16] == 0.0)
         assert vals[grid1.n // 2] > 0
 
-    def test_phase_point_validation(self):
-        with pytest.raises(ValueError):
-            PhasePoint((0.0,), (0.0, 1.0))
-        with pytest.raises(ValueError):
-            PhasePoint((np.inf,), (0.0,))
+    def test_phase_point_validation(self, grid1):
+        u, _ = catalog_entry("gaussian", None, grid1)
+        with pytest.raises(ValueError, match="dim"):
+            stft_at(u, Window(1.0), (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            stft_at(u, Window(1.0), (np.inf, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            stft_points(u, Window(1.0), [[0.0, 1.0], [0.5, np.nan]])
 
 
 class TestStftAt:
@@ -93,11 +88,12 @@ class TestStftAt:
             assert abs(stft_at(u, w, (x, xi)) - oracle) < 1e-9
 
     def test_accepts_phase_point(self, grid1):
+        # a phase point is any flat (x, xi) sequence; stft_at is one row of stft_points
         u, _ = catalog_entry("gaussian", None, grid1)
         w = Window(1.0)
-        a = stft_at(u, w, PhasePoint((0.5,), (1.5,)))
+        a = stft_at(u, w, np.array([0.5, 1.5]))
         b = stft_at(u, w, (0.5, 1.5))
-        assert a == b
+        assert a == b == stft_points(u, w, [[0.5, 1.5]])[0]
 
 
 class TestStftSlice:
@@ -126,6 +122,39 @@ class TestStftSlice:
         assert far <= np.exp(-4.5) * peak
 
 
+class TestDenseOracle:
+    """``stft_points`` against the dense sum
+    ``sum_j u(y_j) psi(y_j - x) exp(-i<xi, y_j>) h^d`` with the window built
+    on the full grid."""
+
+    def test_2d_matches_dense_sum(self, grid2, rng):
+        lam = 0.8
+        u = SampledDistribution(grid2, rng.standard_normal(grid2.shape) + 1j * rng.standard_normal(grid2.shape))
+        pts = np.column_stack([rng.uniform(-4, 4, (12, 2)), rng.uniform(-15, 15, (12, 2))])
+        y1, y2 = grid2.meshes()
+        dense = []
+        for x1, x2, xi1, xi2 in pts:
+            psi = np.exp(-((y1 - x1) ** 2 + (y2 - x2) ** 2) / (2 * lam**2)) / (np.sqrt(np.pi) * lam)
+            dense.append(np.sum(u.samples * psi * np.exp(-1j * (xi1 * y1 + xi2 * y2))) * grid2.spacing**2)
+        got = stft_points(u, Window(lam, dim=2), pts)
+        assert np.max(np.abs(got - np.array(dense))) < 1e-12
+
+    def test_1d_cutoff_window_matches_dense_sum(self, grid1, rng):
+        w = Window(0.5, cutoff=(2.0, 4.0))
+        y = grid1.axis()
+        u = SampledDistribution(grid1, rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n))
+        # the cutoff window is renormalized to unit grid L2 norm
+        scale = np.sqrt(np.sum(w.axis_values(y) ** 2) * grid1.spacing)
+        assert abs(scale - 1.0) > 1e-6
+        pts = np.column_stack([rng.uniform(-6, 6, 40), rng.uniform(-30, 30, 40)])
+        dense = [
+            np.sum(u.samples * w.axis_values(y - x) / scale * np.exp(-1j * xi * y)) * grid1.spacing
+            for x, xi in pts
+        ]
+        got = stft_points(u, w, pts)
+        assert np.max(np.abs(got - np.array(dense))) < 1e-12
+
+
 class TestInvariances:
     def test_unimodular_invariance(self, grid1):
         u, _ = catalog_entry("hermite", None, grid1)
@@ -149,10 +178,10 @@ class TestInvariances:
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_growth_bound_order_two(self, grid1, grid2):
-        from gaborwf.signal import ENTRY_DIMS, catalog_names
+        from gaborwf.signal import CATALOG, catalog_names
 
         for name in catalog_names():
-            g = grid1 if ENTRY_DIMS[name] == 1 else grid2
+            g = grid1 if CATALOG[name].dim == 1 else grid2
             u, _ = catalog_entry(name, None, g)
             w = Window(1.0, dim=g.dim)
             box_r = g.half_width / 2
@@ -198,13 +227,3 @@ class TestMoyal:
         u, _ = catalog_entry("box2d", None, grid2)
         with pytest.raises(ValueError, match="dim 1"):
             moyal_reconstruct(u, Window(0.5, dim=2))
-
-
-def test_csv_dump_format(grid1):
-    u, _ = catalog_entry("gaussian", None, grid1)
-    text = stft_grid_csv(u, Window(1.0), np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,xi,re,im,abs"
-    assert len(lines) == 5
-    x, xi, re, im, mag = map(float, lines[1].split(","))
-    assert np.isclose(mag, abs(complex(re, im)))

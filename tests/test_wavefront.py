@@ -78,8 +78,11 @@ class TestSamplingValidation:
 
     def test_threshold_positive(self, grid1):
         u, _ = catalog_entry("dirac", None, grid1)
-        with pytest.raises(ValueError, match="n_thresh"):
-            estimate_gabor_wf(u, Window(0.5), n_thresh=0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="n_thresh"):
+                estimate_gabor_wf(u, Window(0.5), n_thresh=bad)
+            with pytest.raises(ValueError, match="n_thresh"):
+                estimate_sigma(u, n_thresh=bad)
 
 
 class TestGaborDetection:
