@@ -35,6 +35,7 @@ from .wavefront import (
     phase_space_rays,
     profiles_to_csv,
     report_to_json,
+    require_positive,
 )
 
 GRID_DEFAULTS = {1: (1024, 40.0), 2: (256, 20.0)}
@@ -115,6 +116,7 @@ def cmd_analyze(args) -> int:
         window = Window(args.lam, dim=grid.dim)
         phase, freq = _detector_samplings(grid, args)
         ang_tol = args.ang_tol if args.ang_tol is not None else 2 * phase.angular_step
+        require_positive("ang_tol", ang_tol)
         # detector errors (a threshold out of range, too few radii for a
         # fit) come from the options, so they are configuration errors too
         gabor = estimate_gabor_wf(u, window, phase, args.n_thresh)

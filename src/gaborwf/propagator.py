@@ -29,6 +29,7 @@ from .wavefront import (
     hausdorff_angle,
     phase_space_rays,
     position_cap,
+    require_positive,
     schwartz_direction_test,
     _json_num,
 )
@@ -261,6 +262,7 @@ def verify_propagation(
         sampling = phase_space_rays(u0.grid, r_max=min(0.8 * kept, grid_cap))
     if ang_tol is None:
         ang_tol = 2 * sampling.angular_step
+    require_positive("ang_tol", ang_tol)
 
     half_periods = t / (np.pi / 2)
     if abs(half_periods - round(half_periods)) < 1e-9:

@@ -57,14 +57,15 @@ class RaySampling:
 
     ``space`` is ``"phase"`` (directions in R^{2d}) or ``"frequency"``
     (directions in R^d).  ``neighbors`` is the adjacency of the angular grid
-    used for arc merging; ``angular_step`` is the pitch of the finest circle.
+    used for arc merging: an ``(E, 2)`` array of index pairs ``a < b`` in
+    ascending order.  ``angular_step`` is the pitch of the finest circle.
     Rays are truncated per direction so position components stay within the
     central box and frequency components within the alias-free band.
     """
 
     directions: np.ndarray
     radii: np.ndarray
-    neighbors: tuple[tuple[int, int], ...]
+    neighbors: np.ndarray
     angular_step: float
     space: str
     n_dirs: int
@@ -75,13 +76,21 @@ class RaySampling:
     def __post_init__(self):
         d = np.ascontiguousarray(np.asarray(self.directions, dtype=float))
         r = np.ascontiguousarray(np.asarray(self.radii, dtype=float))
-        d.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "radii", r)
+        e = np.ascontiguousarray(np.asarray(self.neighbors, dtype=np.intp).reshape(-1, 2))
+        for name, a in (("directions", d), ("radii", r), ("neighbors", e)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
-def _geometric_radii(r_min: float, r_max: float, rho: float) -> np.ndarray:
+def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str):
+    """Geometric radii ``r_min * rho**k`` up to ``r_max`` (default ``cap``);
+    returns the radii with the resolved ``r_max`` and ``rho``."""
+    if rho is None:
+        rho = DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D
+    if r_max is None:
+        r_max = cap
+    elif r_max > cap + 1e-9:
+        raise ValueError(f"r_max {r_max} exceeds the {what} {cap}")
     if r_min < 1.0:
         raise ValueError("r_min must be at least 1")
     if rho <= 1.0:
@@ -89,12 +98,24 @@ def _geometric_radii(r_min: float, r_max: float, rho: float) -> np.ndarray:
     if r_max <= r_min:
         raise ValueError("r_max must exceed r_min")
     count = int(np.floor(np.log(r_max / r_min) / np.log(rho))) + 1
-    return r_min * rho ** np.arange(count)
+    return r_min * rho ** np.arange(count), float(r_max), rho
 
 
 def _circle(n: int) -> np.ndarray:
     ang = 2 * np.pi * np.arange(n) / n
     return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
+    k = np.arange(n)
+    return k, (k + 1) % n
+
+
+def _adjacency(*pairs) -> np.ndarray:
+    """Sorted ``(E, 2)`` edge array from pairs of equally shaped index arrays."""
+    a = np.concatenate([np.ravel(p) for p, _ in pairs])
+    b = np.concatenate([np.ravel(q) for _, q in pairs])
+    return np.unique(np.sort(np.column_stack([a, b]), axis=1), axis=0)
 
 
 def phase_space_rays(
@@ -113,76 +134,46 @@ def phase_space_rays(
     pure-frequency fibers appear once each.  The shared radius ladder is
     truncated per direction at estimate time by the position/frequency caps.
     """
-    if rho is None:
-        rho = DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D
     cap = max(position_cap(grid), frequency_cap(grid))
-    if r_max is None:
-        r_max = cap
-    elif r_max > cap + 1e-9:
-        raise ValueError(f"r_max {r_max} exceeds the resolvable phase-space radius {cap}")
-    radii = _geometric_radii(r_min, r_max, rho)
+    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, "resolvable phase-space radius")
     if grid.dim == 1:
         if n_dirs is None:
             n_dirs = 256
         if n_dirs < 64 or n_dirs % 4:
             raise ValueError("need n_dirs >= 64, divisible by 4, for the phase-space circle")
         dirs = _circle(n_dirs)
-        neighbors = tuple((k, (k + 1) % n_dirs) for k in range(n_dirs))
         step = 2 * np.pi / n_dirs
-        return RaySampling(dirs, radii, neighbors, step, "phase", n_dirs, r_min, float(r_max), rho)
+        neighbors = _adjacency(_ring(n_dirs))
+        return RaySampling(dirs, radii, neighbors, step, "phase", n_dirs, r_min, r_max, rho)
     if n_dirs is None:
         n_dirs = 32
     if n_dirs < 32 or n_dirs % 4:
         raise ValueError("need n_dirs >= 32 per circle, divisible by 4, in 2-D")
     if tilt_count < 3:
         raise ValueError("need at least 3 tilt levels")
-    circ = _circle(n_dirs)
-    tilts = np.pi / 2 * np.arange(tilt_count) / (tilt_count - 1)
-    dirs: list[np.ndarray] = []
-    index: dict[tuple[int, int, int], int] = {}
-    for ti, tau in enumerate(tilts):
-        c, s = np.cos(tau), np.sin(tau)
-        if ti == 0:
-            for i in range(n_dirs):
-                index[(ti, i, -1)] = len(dirs)
-                dirs.append(np.array([circ[i, 0], circ[i, 1], 0.0, 0.0]))
-        elif ti == tilt_count - 1:
-            for j in range(n_dirs):
-                index[(ti, -1, j)] = len(dirs)
-                dirs.append(np.array([0.0, 0.0, circ[j, 0], circ[j, 1]]))
-        else:
-            for i in range(n_dirs):
-                for j in range(n_dirs):
-                    index[(ti, i, j)] = len(dirs)
-                    dirs.append(np.array([c * circ[i, 0], c * circ[i, 1], s * circ[j, 0], s * circ[j, 1]]))
-    pairs: set[tuple[int, int]] = set()
-
-    def link(a: int, b: int):
-        pairs.add((min(a, b), max(a, b)))
-
-    for (ti, i, j), a in index.items():
-        if ti == 0:
-            link(a, index[(0, (i + 1) % n_dirs, -1)])
-            for jj in range(n_dirs):
-                key = (1, i, jj)
-                if key in index:
-                    link(a, index[key])
-        elif ti == tilt_count - 1:
-            link(a, index[(ti, -1, (j + 1) % n_dirs)])
-            for ii in range(n_dirs):
-                key = (ti - 1, ii, j)
-                if key in index:
-                    link(a, index[key])
-        else:
-            link(a, index[(ti, (i + 1) % n_dirs, j)])
-            link(a, index[(ti, i, (j + 1) % n_dirs)])
-            key = (ti + 1, i, j)
-            if key in index:
-                link(a, index[key])
-    step = 2 * np.pi / n_dirs
-    return RaySampling(
-        np.array(dirs), radii, tuple(sorted(pairs)), step, "phase", n_dirs, r_min, float(r_max), rho
+    n = n_dirs
+    circ = _circle(n)
+    zeros = np.zeros_like(circ)
+    # inner tilt t holds the torus (cos t * u_i, sin t * v_j), i major
+    inner = (np.pi / 2 * np.arange(tilt_count) / (tilt_count - 1))[1:-1, None, None, None]
+    torus = np.concatenate(
+        np.broadcast_arrays(np.cos(inner) * circ[:, None], np.sin(inner) * circ[None, :]), axis=-1
     )
+    dirs = np.vstack([np.hstack([circ, zeros]), torus.reshape(-1, 4), np.hstack([zeros, circ])])
+    k, k1 = _ring(n)
+    mid = np.arange(n, n + (tilt_count - 2) * n * n).reshape(-1, n, n)  # index of torus point [t, i, j]
+    last = n + mid.size + k
+    neighbors = _adjacency(
+        (k, k1),  # position circle
+        (last, last[k1]),  # frequency circle
+        (mid, np.roll(mid, -1, axis=1)),  # i + 1 on each torus
+        (mid, np.roll(mid, -1, axis=2)),  # j + 1 on each torus
+        (mid[:-1], mid[1:]),  # same (i, j) on the next torus
+        (np.repeat(k, n), mid[0]),  # position point i to every (i, j) of the first torus
+        (mid[-1], np.tile(last, n)),  # every (i, j) of the last torus to frequency point j
+    )
+    step = 2 * np.pi / n_dirs
+    return RaySampling(dirs, radii, neighbors, step, "phase", n_dirs, r_min, r_max, rho)
 
 
 def frequency_rays(
@@ -193,25 +184,19 @@ def frequency_rays(
     rho: float | None = None,
 ) -> RaySampling:
     """Directions on the frequency sphere S^{d-1}; the pair {-1, +1} in 1-D."""
-    if rho is None:
-        rho = DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D
     cap = frequency_cap(grid)
-    if r_max is None:
-        r_max = cap
-    elif r_max > cap + 1e-9:
-        raise ValueError(f"r_max {r_max} exceeds the alias-free frequency radius {cap}")
-    radii = _geometric_radii(r_min, r_max, rho)
+    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, "alias-free frequency radius")
     if grid.dim == 1:
         dirs = np.array([[1.0], [-1.0]])
-        return RaySampling(dirs, radii, (), np.pi, "frequency", 2, r_min, float(r_max), rho)
+        return RaySampling(dirs, radii, (), np.pi, "frequency", 2, r_min, r_max, rho)
     if n_dirs is None:
         n_dirs = 32
     if n_dirs < 32 or n_dirs % 4:
         raise ValueError("need n_dirs >= 32, divisible by 4, on the frequency circle")
     dirs = _circle(n_dirs)
-    neighbors = tuple((k, (k + 1) % n_dirs) for k in range(n_dirs))
     step = 2 * np.pi / n_dirs
-    return RaySampling(dirs, radii, neighbors, step, "frequency", n_dirs, r_min, float(r_max), rho)
+    neighbors = _adjacency(_ring(n_dirs))
+    return RaySampling(dirs, radii, neighbors, step, "frequency", n_dirs, r_min, r_max, rho)
 
 
 @dataclass(frozen=True)
@@ -229,13 +214,18 @@ class DecayProfile:
     floor_hit: bool
 
 
+def _flags(profiles, n_thresh: float) -> np.ndarray:
+    return np.array([(not p.floor_hit) and p.slope <= n_thresh for p in profiles], dtype=bool)
+
+
 @dataclass(frozen=True)
 class WavefrontReport:
     """Detected singular directions plus all per-ray evidence.
 
     ``singular_dirs`` holds cone generators (arc representatives or sampled
     members of extended cones), ``isolated`` the suspect single-direction
-    flags, ``rays`` the (radius, |V|) samples behind each profile.
+    flags.  ``samples`` is the read-only ``(P, 2)`` array of (radius, |V|)
+    behind the profiles: ray ``i`` is rows ``offsets[i]:offsets[i + 1]``.
     """
 
     kind: str
@@ -243,14 +233,23 @@ class WavefrontReport:
     isolated: tuple[tuple[float, ...], ...]
     profiles: tuple[DecayProfile, ...]
     params: dict
-    rays: tuple[tuple[tuple[float, float], ...], ...]
+    samples: np.ndarray
+    offsets: np.ndarray
     base_point: tuple[float, ...] | None = None
 
+    @property
+    def rays(self) -> tuple[np.ndarray, ...]:
+        """Per-ray ``(k, 2)`` views of ``samples``."""
+        return tuple(np.split(self.samples, self.offsets[1:-1]))
+
     def flagged_indices(self) -> tuple[int, ...]:
-        t = self.params["n_thresh"]
-        return tuple(
-            i for i, p in enumerate(self.profiles) if (not p.floor_hit) and p.slope <= t
-        )
+        return tuple(np.flatnonzero(_flags(self.profiles, self.params["n_thresh"])).tolist())
+
+
+def require_positive(name: str, value: float) -> None:
+    """Reject a threshold or tolerance that is not finite and positive."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def angular_distance(a, b) -> float:
@@ -273,11 +272,10 @@ def hausdorff_angle(a_set, b_set) -> float:
     return max(directed_hausdorff_angle(a_set, b_set), directed_hausdorff_angle(b_set, a_set))
 
 
-def _fit_profile(radii: np.ndarray, values: np.ndarray) -> tuple[float, float, bool]:
-    """Least-squares decay order over the top half of a ray; one (slope,
-    residual, floor_hit) triple."""
-    k = len(radii) // 2
-    rr, vv = radii[k:], values[k:]
+def _fit_profile(ray: np.ndarray) -> tuple[float, float, bool]:
+    """Least-squares decay order over the top half of one ``(k, 2)`` ray of
+    (radius, |V|) rows; one (slope, residual, floor_hit) triple."""
+    rr, vv = ray[len(ray) // 2 :].T
     if len(rr) < 4:
         raise ValueError("degenerate fit: fewer than 4 usable radii in the fit window")
     if np.min(vv) < STFT_FLOOR:
@@ -289,9 +287,10 @@ def _fit_profile(radii: np.ndarray, values: np.ndarray) -> tuple[float, float, b
     return float(-sol[0]), float(np.sqrt(np.mean(resid**2))), False
 
 
-def _components(flagged: np.ndarray, neighbors) -> list[list[int]]:
-    idx = np.nonzero(flagged)[0]
-    parent = {int(i): int(i) for i in idx}
+def _components(flagged: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
+    """Connected flagged directions, each component ascending, components in
+    order of their smallest member."""
+    parent = list(range(len(flagged)))
 
     def find(i):
         while parent[i] != i:
@@ -299,15 +298,14 @@ def _components(flagged: np.ndarray, neighbors) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for a, b in neighbors:
-        if flagged[a] and flagged[b]:
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    for a, b in neighbors[flagged[neighbors].all(axis=1)].tolist():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[int]] = {}
-    for i in idx:
-        groups.setdefault(find(int(i)), []).append(int(i))
-    return [sorted(g) for g in sorted(groups.values(), key=min)]
+    for i in np.flatnonzero(flagged).tolist():
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def _component_extent(members: list[int], dirs: np.ndarray) -> float:
@@ -323,7 +321,8 @@ def _component_extent(members: list[int], dirs: np.ndarray) -> float:
 def _component_axis(
     members: list[int],
     dirs: np.ndarray,
-    rays: list[tuple[np.ndarray, np.ndarray]],
+    samples: np.ndarray,
+    offsets: np.ndarray,
     n_thresh: float,
 ) -> int:
     """Representative of a point-cone component.
@@ -335,12 +334,9 @@ def _component_axis(
     snapped to the nearest member: stable against both oscillatory slope
     jitter and asymmetric arc boundaries.
     """
-    common = min(len(rays[i][0]) for i in members)
+    common = int(np.diff(offsets)[members].min())
     if common // 2 >= 4:
-        scores = {}
-        for i in members:
-            rr, vv = rays[i][0][:common], rays[i][1][:common]
-            scores[i] = _fit_profile(rr, vv)[0]
+        scores = {i: _fit_profile(samples[offsets[i] : offsets[i] + common])[0] for i in members}
     else:
         scores = {i: 0.0 for i in members}
     s_min = min(scores.values())
@@ -356,27 +352,53 @@ def _component_axis(
     return min(members, key=lambda i: (round(angular_distance(dirs[i], axis), 12), i))
 
 
-def _assemble_report(
+def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = np.inf):
+    """Take ``|evaluate(points)|`` at every usable (radius, direction) point in
+    one call; returns the read-only ``(P, 2)`` (radius, |V|) samples and the
+    ray offsets into them, one more than there are directions.
+
+    A ray keeps the radii up to its cap: the frequency cap over the norm of
+    the direction's frequency part and, in phase space, the position cap over
+    the norm of its position part.
+    """
+    d, w = grid.dim, sampling.directions
+    with np.errstate(divide="ignore"):
+        cap = frequency_cap(grid) / np.linalg.norm(w[:, -d:], axis=1)
+        if sampling.space == "phase":
+            cap = np.minimum(cap, pos_cap / np.linalg.norm(w[:, :d], axis=1))
+    counts = np.searchsorted(sampling.radii, cap + 1e-12, side="right")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    r = sampling.radii[np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)]
+    samples = np.column_stack([r, np.abs(evaluate(r[:, None] * np.repeat(w, counts, axis=0)))])
+    samples.flags.writeable = False
+    offsets.flags.writeable = False
+    return samples, offsets
+
+
+def _fit_rays(sampling: RaySampling, samples: np.ndarray, offsets: np.ndarray) -> tuple[DecayProfile, ...]:
+    rays = np.split(samples, offsets[1:-1])
+    return tuple(DecayProfile(tuple(w), *_fit_profile(ray)) for w, ray in zip(sampling.directions, rays))
+
+
+def _report(
     kind: str,
     sampling: RaySampling,
-    per_dir: list[tuple[np.ndarray, np.ndarray]],
+    profiles: tuple[DecayProfile, ...],
+    samples: np.ndarray,
+    offsets: np.ndarray,
     n_thresh: float,
     params: dict,
     base_point=None,
 ) -> WavefrontReport:
+    """Flag the fitted profiles at ``n_thresh`` and merge the flags along the
+    sampling adjacency into singular and isolated directions."""
     dirs = sampling.directions
-    profiles = []
-    rays = []
-    for i, (rr, vv) in enumerate(per_dir):
-        slope, resid, floor = _fit_profile(rr, vv)
-        profiles.append(DecayProfile(tuple(dirs[i]), slope, resid, floor))
-        rays.append(tuple((float(r), float(v)) for r, v in zip(rr, vv)))
-    flagged = np.array([(not p.floor_hit) and p.slope <= n_thresh for p in profiles])
+    flagged = _flags(profiles, n_thresh)
     singular: list[tuple[float, ...]] = []
     isolated: list[tuple[float, ...]] = []
-    if not sampling.neighbors:
+    if not len(sampling.neighbors):
         # S^0: no angular smoothing possible, every flag stands by itself
-        singular = [tuple(dirs[i]) for i in np.nonzero(flagged)[0]]
+        singular = [tuple(dirs[i]) for i in np.flatnonzero(flagged)]
     else:
         for comp in _components(flagged, sampling.neighbors):
             if len(comp) == 1:
@@ -388,7 +410,7 @@ def _assemble_report(
                 singular.append(tuple(dirs[comp[0]]))
                 continue
             if _component_extent(comp, dirs) <= ARC_COLLAPSE_ANGLE:
-                singular.append(tuple(dirs[_component_axis(comp, dirs, per_dir, n_thresh)]))
+                singular.append(tuple(dirs[_component_axis(comp, dirs, samples, offsets, n_thresh)]))
             else:
                 singular.extend(tuple(dirs[i]) for i in comp)
     full_params = {
@@ -405,48 +427,12 @@ def _assemble_report(
         kind,
         tuple(singular),
         tuple(isolated),
-        tuple(profiles),
+        profiles,
         full_params,
-        tuple(rays),
+        samples,
+        offsets,
         None if base_point is None else tuple(np.atleast_1d(base_point).astype(float)),
     )
-
-
-def _usable_radii(
-    sampling: RaySampling,
-    grid: Grid,
-    pos_cap: float | None = None,
-) -> list[np.ndarray]:
-    """Per-direction radius ladders truncated by the anisotropic caps."""
-    radii = sampling.radii
-    out = []
-    d = grid.dim
-    f_cap = frequency_cap(grid)
-    for w in sampling.directions:
-        if sampling.space == "frequency" or pos_cap is None:
-            cap = f_cap / max(np.linalg.norm(w[-d:]), 1e-300)
-        else:
-            nx = np.linalg.norm(w[:d])
-            nxi = np.linalg.norm(w[d:])
-            cap = min(
-                pos_cap / nx if nx > 1e-300 else np.inf,
-                f_cap / nxi if nxi > 1e-300 else np.inf,
-            )
-        out.append(radii[radii <= cap + 1e-12])
-    return out
-
-
-def _evaluate_rays(sampling, grid, usable, evaluate) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flatten all (direction, radius) pairs, evaluate once, scatter back."""
-    pts = []
-    slices = []
-    start = 0
-    for w, rr in zip(sampling.directions, usable):
-        pts.append(rr[:, None] * w[None, :])
-        slices.append((start, start + len(rr)))
-        start += len(rr)
-    values = np.abs(evaluate(np.vstack(pts)))
-    return [(usable[i], values[a:b]) for i, (a, b) in enumerate(slices)]
 
 
 def estimate_gabor_wf(
@@ -457,17 +443,17 @@ def estimate_gabor_wf(
 ) -> WavefrontReport:
     """Phase-space wavefront detection: decay of ``|V_psi u|`` along rays of
     S^{2d-1}."""
-    if not 0 < n_thresh < np.inf:
-        raise ValueError(f"n_thresh must be finite and positive, got {n_thresh}")
+    require_positive("n_thresh", n_thresh)
     if sampling is None:
         sampling = phase_space_rays(u.grid)
     if sampling.space != "phase":
         raise ValueError("estimate_gabor_wf needs a phase-space sampling")
     window.validate_for(u.grid)
     compact = u.central_mass_fraction() >= 0.999
-    usable = _usable_radii(sampling, u.grid, position_cap(u.grid, window.lam, compact))
-    per_dir = _evaluate_rays(sampling, u.grid, usable, lambda p: stft_points(u, window, p))
-    return _assemble_report("gabor", sampling, per_dir, n_thresh, {"lambda": window.lam})
+    pos_cap = position_cap(u.grid, window.lam, compact)
+    samples, offsets = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
+    profiles = _fit_rays(sampling, samples, offsets)
+    return _report("gabor", sampling, profiles, samples, offsets, n_thresh, {"lambda": window.lam})
 
 
 def estimate_sigma(
@@ -476,8 +462,7 @@ def estimate_sigma(
     n_thresh: float = DEFAULT_N_THRESH,
 ) -> WavefrontReport:
     """Frequency-cone detection: decay of ``|uhat|`` along rays of S^{d-1}."""
-    if not 0 < n_thresh < np.inf:
-        raise ValueError(f"n_thresh must be finite and positive, got {n_thresh}")
+    require_positive("n_thresh", n_thresh)
     if sampling is None:
         sampling = frequency_rays(u.grid)
     if sampling.space != "frequency":
@@ -490,9 +475,9 @@ def estimate_sigma(
             "the frequency cone of a non compactly supported input is not defined",
             stacklevel=2,
         )
-    usable = _usable_radii(sampling, u.grid)
-    per_dir = _evaluate_rays(sampling, u.grid, usable, lambda p: nudft(u, p))
-    return _assemble_report("sigma", sampling, per_dir, n_thresh, {"lambda": None})
+    samples, offsets = _sample_rays(sampling, u.grid, lambda p: nudft(u, p))
+    profiles = _fit_rays(sampling, samples, offsets)
+    return _report("sigma", sampling, profiles, samples, offsets, n_thresh, {"lambda": None})
 
 
 def estimate_classical_wf(
@@ -508,8 +493,7 @@ def estimate_classical_wf(
     The window must be compactly supported (a cutoff Gaussian), otherwise
     distant singularities leak into the local spectrum.
     """
-    if not 0 < n_thresh < np.inf:
-        raise ValueError(f"n_thresh must be finite and positive, got {n_thresh}")
+    require_positive("n_thresh", n_thresh)
     if window.cutoff is None:
         raise ValueError("classical detection needs a compactly supported (cutoff) window")
     if sampling is None:
@@ -520,30 +504,35 @@ def estimate_classical_wf(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if len(x0) != u.grid.dim:
         raise ValueError("base point dimension mismatch")
-    usable = _usable_radii(sampling, u.grid)
 
     def evaluate(freq_pts):
         phase_pts = np.hstack([np.tile(x0, (len(freq_pts), 1)), freq_pts])
         return stft_points(u, window, phase_pts)
 
-    report = _assemble_report(
-        "classical",
-        sampling,
-        _evaluate_rays(sampling, u.grid, usable, evaluate),
-        n_thresh,
-        {"lambda": window.lam},
-        base_point=x0,
-    )
-    return report
+    samples, offsets = _sample_rays(sampling, u.grid, evaluate)
+    profiles = _fit_rays(sampling, samples, offsets)
+    return _report("classical", sampling, profiles, samples, offsets, n_thresh, {"lambda": window.lam}, x0)
 
 
 def rethreshold(report: WavefrontReport, sampling: RaySampling, n_thresh: float) -> WavefrontReport:
-    """Re-flag an existing report at a different threshold without re-sampling."""
-    per_dir = [
-        (np.array([r for r, _ in ray]), np.array([v for _, v in ray])) for ray in report.rays
-    ]
+    """Re-flag an existing report at a different threshold.  The stored
+    profiles and samples are reused: nothing is sampled or fitted again."""
+    require_positive("n_thresh", n_thresh)
+    if len(sampling.directions) != len(report.profiles):
+        raise ValueError(
+            f"sampling has {len(sampling.directions)} directions, the report {len(report.profiles)}"
+        )
     extra = {k: report.params[k] for k in ("lambda",) if k in report.params}
-    return _assemble_report(report.kind, sampling, per_dir, n_thresh, extra, report.base_point)
+    return _report(
+        report.kind,
+        sampling,
+        report.profiles,
+        report.samples,
+        report.offsets,
+        n_thresh,
+        extra,
+        report.base_point,
+    )
 
 
 @dataclass(frozen=True)
@@ -582,6 +571,7 @@ def check_main_theorem(
         )
     if sigma_report.kind != "sigma":
         raise ValueError("second report must be a frequency-cone detection")
+    require_positive("ang_tol", ang_tol)
     max_x = 0.0
     xi_parts = []
     for z in gabor_report.singular_dirs:
@@ -649,8 +639,6 @@ def report_to_json(report: WavefrontReport) -> dict:
 
 
 def profiles_to_csv(report: WavefrontReport) -> str:
-    lines = ["dir_index,r,abs_V"]
-    for i, ray in enumerate(report.rays):
-        for r, v in ray:
-            lines.append(f"{i},{r!r},{v!r}")
-    return "\n".join(lines) + "\n"
+    index = np.repeat(np.arange(len(report.profiles)), np.diff(report.offsets)).tolist()
+    r, v = report.samples.T.tolist()
+    return "\n".join(["dir_index,r,abs_V", *(f"{i},{a!r},{b!r}" for i, a, b in zip(index, r, v))]) + "\n"

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a pass line.
+"""Acceptance suite: one test per criterion, each printing a pass line, plus
+checks that reuse the same cached detection runs.
 
 Desk scale: 1-D on n = 1024, L = 40; 2-D on n = 256, L = 20.  Detection runs
 are cached module-wide since the detectors are deterministic.
@@ -37,8 +38,10 @@ from gaborwf.wavefront import (
     directed_hausdorff_angle,
     estimate_gabor_wf,
     estimate_sigma,
+    frequency_rays,
     hausdorff_angle,
     phase_space_rays,
+    profiles_to_csv,
     report_to_json,
     rethreshold,
 )
@@ -291,3 +294,16 @@ def test_criterion_10_determinism_and_monotonicity():
                 prev_dirs = dirs_of(lowered)
     print("[PASS] criterion 10: repeated runs byte-identical; lowering the decay "
           "threshold never flags new directions or grows the reported cones")
+
+
+def test_rethreshold_at_report_threshold_is_identity():
+    # re-flagging at the report's own threshold reproduces both written outputs
+    for name in catalog_names():
+        dim = CATALOG[name].dim
+        pairs = [(gabor_report(name, 0.5), phase_space_rays(GRID[dim]))]
+        if name in COMPACT_ENTRIES:
+            pairs.append((sigma_report(name), frequency_rays(GRID[dim])))
+        for rep, sampling in pairs:
+            again = rethreshold(rep, sampling, rep.params["n_thresh"])
+            assert report_to_json(again) == report_to_json(rep), (name, rep.kind)
+            assert profiles_to_csv(again) == profiles_to_csv(rep), (name, rep.kind)

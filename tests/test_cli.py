@@ -198,8 +198,19 @@ def test_usage_error_exits_two(capsys):
         ("analyze", "dirac", "--n-thresh", "nan"),
         ("propagate", "dirac", "--t", "nan"),
         ("analyze", "dirac", "--r-max", "2"),
+        ("analyze", "dirac", "--ang-tol", "nan"),
+        ("analyze", "dirac", "--ang-tol", "-1"),
+        ("propagate", "dirac", "--t", "0.3927", "--ang-tol", "nan"),
     ],
-    ids=["nan-sample", "nan-threshold", "nan-time", "degenerate-fit"],
+    ids=[
+        "nan-sample",
+        "nan-threshold",
+        "nan-time",
+        "degenerate-fit",
+        "nan-ang-tol",
+        "negative-ang-tol",
+        "nan-ang-tol-propagate",
+    ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv):
     # values argparse accepts but the detectors cannot use: exit 2 with a

@@ -2,18 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaborwf.signal import SampledDistribution, catalog_entry, fourier_transform, make_grid
+from gaborwf.signal import CATALOG, SampledDistribution, catalog_entry, catalog_names, fourier_transform
 from gaborwf.stft import Window
 from gaborwf.wavefront import (
+    _components,
+    _sample_rays,
     check_main_theorem,
     directed_hausdorff_angle,
     estimate_classical_wf,
     estimate_gabor_wf,
     estimate_sigma,
+    frequency_cap,
     frequency_rays,
     hausdorff_angle,
     phase_space_rays,
+    position_cap,
     profiles_to_csv,
     report_to_json,
     rethreshold,
@@ -76,13 +81,56 @@ class TestSamplingValidation:
         with pytest.raises(ValueError, match="degenerate fit"):
             estimate_gabor_wf(u, Window(0.5), tight)
 
-    def test_threshold_positive(self, grid1):
+    def test_threshold_positive(self, grid1, reports):
         u, _ = catalog_entry("dirac", None, grid1)
+        rep, sampling = reports("dirac", 0.5), phase_space_rays(grid1)
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="n_thresh"):
                 estimate_gabor_wf(u, Window(0.5), n_thresh=bad)
             with pytest.raises(ValueError, match="n_thresh"):
                 estimate_sigma(u, n_thresh=bad)
+            with pytest.raises(ValueError, match="n_thresh"):
+                rethreshold(rep, sampling, bad)
+
+    def test_rethreshold_needs_the_report_directions(self, grid1, reports):
+        with pytest.raises(ValueError, match="directions"):
+            rethreshold(reports("dirac", 0.5), phase_space_rays(grid1, n_dirs=512), 1.0)
+
+
+class TestRayLayout:
+    def test_ray_radii_match_per_direction_caps(self, grid1, grid2):
+        # reference: each direction's ladder cut at its own cap, one at a time
+        for grid, sampling in (
+            (grid1, phase_space_rays(grid1)),
+            (grid2, phase_space_rays(grid2)),
+            (grid1, frequency_rays(grid1)),
+            (grid2, frequency_rays(grid2)),
+        ):
+            d, radii = grid.dim, sampling.radii
+            pos_cap = position_cap(grid, 1.0, compact=False)
+            samples, offsets = _sample_rays(sampling, grid, lambda p: np.ones(len(p)), pos_cap)
+            assert offsets[0] == 0 and offsets[-1] == len(samples)
+            for i, w in enumerate(sampling.directions):
+                nx, nxi = np.linalg.norm(w[:-d]), np.linalg.norm(w[-d:])
+                cap = frequency_cap(grid) / nxi if nxi > 0 else np.inf
+                if sampling.space == "phase" and nx > 0:
+                    cap = min(cap, pos_cap / nx)
+                expected = radii[radii <= cap + 1e-12]
+                assert np.array_equal(samples[offsets[i] : offsets[i + 1], 0], expected), (grid.dim, i)
+
+    @pytest.mark.parametrize("tilt_count, edges", [(3, 4160), (5, 10304)])
+    def test_2d_phase_space(self, grid2, tilt_count, edges):
+        sampling = phase_space_rays(grid2, tilt_count=tilt_count)
+        n, e = sampling.n_dirs, sampling.neighbors
+        assert len(e) == 2 * n + (3 * tilt_count - 5) * n * n == edges
+        assert np.all(e[:, 0] < e[:, 1])
+        assert np.array_equal(e, np.unique(e, axis=0))  # ascending, no repeats
+        # an edge is one step on a circle or one step between tilt levels
+        bound = max(sampling.angular_step, np.pi / 2 / (tilt_count - 1))
+        ends = sampling.directions[e]
+        angles = np.arccos(np.clip(np.sum(ends[:, 0] * ends[:, 1], axis=1), -1.0, 1.0))
+        assert np.all(angles <= bound + 1e-9)
+        assert len(_components(np.ones(len(sampling.directions), dtype=bool), e)) == 1
 
 
 class TestGaborDetection:
@@ -216,6 +264,13 @@ class TestMainTheorem:
         with pytest.raises(ValueError, match="phase-space"):
             check_main_theorem(sigma, sigma, 2 * STEP1)
 
+    def test_tolerance_positive(self, reports, grid1):
+        u, _ = catalog_entry("dirac", None, grid1)
+        sigma = estimate_sigma(u)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ang_tol"):
+                check_main_theorem(reports("dirac", 0.5), sigma, bad)
+
 
 class TestSchwartzDirectionTest:
     def test_dirac_fails(self, reports):
@@ -244,7 +299,8 @@ class TestDetectorProperties:
         assert json.dumps(report_to_json(a), sort_keys=True) == json.dumps(
             report_to_json(b), sort_keys=True
         )
-        assert a.rays == b.rays
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.offsets, b.offsets)
 
     def test_monotonicity_in_threshold(self, reports, grid1):
         # per-direction flags are nested as the threshold drops; reported
@@ -264,6 +320,20 @@ class TestDetectorProperties:
                 prev_flagged = cur
                 if lowered.singular_dirs:
                     prev_singular = dirs_of(lowered)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.lists(st.floats(0.0, 2.5, exclude_min=True), min_size=2, max_size=2))
+    def test_flagged_sets_nested(self, reports, grid1, thresholds):
+        # flags only drop as the threshold drops, and every reported
+        # direction is a flagged one
+        low, high = sorted(thresholds)
+        sampling = phase_space_rays(grid1)
+        for name in (n for n in catalog_names() if CATALOG[n].dim == 1):
+            rep = reports(name, 0.5)
+            lowered, raised = rethreshold(rep, sampling, low), rethreshold(rep, sampling, high)
+            assert set(lowered.flagged_indices()) <= set(raised.flagged_indices()), name
+            flagged = {rep.profiles[i].direction for i in lowered.flagged_indices()}
+            assert set(lowered.singular_dirs) | set(lowered.isolated) <= flagged, name
 
     def test_window_stability_1d(self, reports):
         for name in ("dirac", "dirac_derivative", "gaussian", "hermite", "box", "bump", "chirp"):
