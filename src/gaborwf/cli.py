@@ -61,7 +61,10 @@ def _default_grid(name: str, n: int | None = None, length: float | None = None) 
 def _entry_params(args) -> dict | None:
     if args.params is None:
         return None
-    return json.loads(args.params)
+    params = json.loads(args.params)
+    if not isinstance(params, dict):
+        raise ValueError(f"--params must be a JSON object, got {args.params}")
+    return params
 
 
 def _entry_defaults(name: str):

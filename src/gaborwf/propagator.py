@@ -13,6 +13,7 @@ Fourier transforms and reflections, implemented exactly for cross-checks.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,6 +73,8 @@ class HermiteBasis:
     def build(cls, grid: Grid, n_max: int | None = None) -> "HermiteBasis":
         if n_max is None:
             n_max = default_n_max(grid)
+        if n_max < 0:
+            raise ValueError(f"n_max must be non-negative, got {n_max}")
         if n_max > grid.n // 4:
             raise ValueError(f"n_max {n_max} exceeds the resolvable bound n/4 = {grid.n // 4}")
         H = _hermite_values(grid.axis(), n_max)
@@ -264,20 +267,24 @@ def verify_propagation(
         ang_tol = 2 * sampling.angular_step
     require_positive("ang_tol", ang_tol)
 
-    half_periods = t / (np.pi / 2)
+    # the evolution and the flow are 2 pi periodic: one reduced angle (exact,
+    # and t itself when |t| < 2 pi) serves the lattice test, the evolution and
+    # the forecast, also where t / (pi / 2) has no fractional bits left
+    angle = math.fmod(t, 2 * np.pi)
+    half_periods = angle / (np.pi / 2)
     if abs(half_periods - round(half_periods)) < 1e-9:
         # at lattice times the evolution is exactly the identity/reflection;
         # using it sidesteps the truncated spike's basis artifacts entirely
-        moved = PropagatedState(special_time_operator(u0, k=int(round(half_periods))), t, 0.0)
+        moved = PropagatedState(special_time_operator(u0, k=int(round(half_periods))), angle, 0.0)
     else:
         smoothed = taper_expansion(u0, basis)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            evolved = harmonic_propagate(smoothed.state, t, basis)
+            evolved = harmonic_propagate(smoothed.state, angle, basis)
         moved = PropagatedState(evolved.state, evolved.t, smoothed.truncation_error)
     oscillator = QuadraticHamiltonian(d, 1j * np.eye(2 * d))
     truth_dirs = np.array(ground_truth.gabor_wf_dirs, dtype=float).reshape(-1, 2 * d)
-    predicted = propagate_wf_set(oscillator, t, truth_dirs) if len(truth_dirs) else np.zeros((0, 2 * d))
+    predicted = propagate_wf_set(oscillator, angle, truth_dirs) if len(truth_dirs) else np.zeros((0, 2 * d))
 
     report: WavefrontReport = estimate_gabor_wf(moved.state, window, sampling, n_thresh)
     detected = [np.array(z) for z in report.singular_dirs]

@@ -204,11 +204,14 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray], la
     return SampledDistribution(grid, vals, kind="function", label=label)
 
 
+# factor entries per axis and chunk: 1,024 points at n = 256, 256 at n = 1,024
+SUM_CHUNK_ELEMENTS = 2**18
+
+
 def separable_sum(
     u: SampledDistribution,
     points: np.ndarray,
     axis_factor: Callable[[np.ndarray, int], np.ndarray],
-    chunk: int,
 ) -> np.ndarray:
     """``sum_j u(x_j) prod_k F_k[p, j_k] h^d`` at every point ``p``.
 
@@ -217,8 +220,10 @@ def separable_sum(
     sample array by a matmul, every further axis by a row-wise dot product, so
     2-D sums never form an (n, n) kernel per point.  Fixed summation order
     (ascending grid index) keeps results bit-identical across calls;
-    evaluation is chunked over points only.
+    evaluation is chunked over points only, ``SUM_CHUNK_ELEMENTS`` factor
+    entries per axis and chunk.
     """
+    chunk = max(1, SUM_CHUNK_ELEMENTS // u.grid.n)
     out = np.empty(len(points), dtype=np.complex128)
     # factors stay referenced until the next chunk replaces them: freeing all
     # large buffers at chunk end lets the heap shrink, and the next chunk pays
@@ -235,7 +240,7 @@ def separable_sum(
     return out * u.grid.cell_volume
 
 
-def nudft(u: SampledDistribution, xi_points: np.ndarray, chunk: int = 2048) -> np.ndarray:
+def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     """``uhat`` at arbitrary frequency points, shape (P, dim): direct sums, no
     interpolation."""
     g = u.grid
@@ -243,9 +248,7 @@ def nudft(u: SampledDistribution, xi_points: np.ndarray, chunk: int = 2048) -> n
     if pts.shape[1] != g.dim:
         raise ValueError(f"expected frequency points of dim {g.dim}")
     x = g.axis()
-    return separable_sum(
-        u, pts, lambda block, k: np.exp(-1j * block[:, k][:, None] * x[None, :]), chunk
-    )
+    return separable_sum(u, pts, lambda block, k: np.exp(-1j * block[:, k][:, None] * x[None, :]))
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,15 @@ def _window_axis_at(window: Window, grid: Grid, y: np.ndarray, centers: np.ndarr
     return vals
 
 
-def stft_points(
-    u: SampledDistribution, window: Window, points: np.ndarray, chunk: int = 1024
-) -> np.ndarray:
+def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> np.ndarray:
     """``V_psi u`` at arbitrary phase points ``(x, xi)``, shape (P, 2*dim) -> (P,).
 
-    Axis k of the separable sum carries ``psi(y - x_k) exp(-i xi_k y)``.
+    Axis k of the separable sum carries ``psi(y - x_k) exp(-i xi_k y)``.  Its
+    window part depends on ``x_k`` only and its phase part on ``xi_k`` only,
+    so each chunk builds one table row per distinct ``x_k`` and per distinct
+    ``xi_k`` and gathers the factor rows from them; the values are those of
+    the per-point product.  Points that share coordinates (a radius shell of
+    a ray sampling) share table rows when they are passed next to each other.
     """
     g = u.grid
     window.validate_for(g)
@@ -96,10 +99,13 @@ def stft_points(
     y = g.axis()
 
     def axis_factor(block, k):
-        window_k = _window_axis_at(window, g, y, block[:, k])
-        return window_k * np.exp(-1j * block[:, g.dim + k][:, None] * y[None, :])
+        xs, ix = np.unique(block[:, k], return_inverse=True)
+        xis, ixi = np.unique(block[:, g.dim + k], return_inverse=True)
+        factor = np.exp(-1j * xis[:, None] * y[None, :])[ixi]
+        factor *= _window_axis_at(window, g, y, xs)[ix]
+        return factor
 
-    return separable_sum(u, pts, axis_factor, chunk)
+    return separable_sum(u, pts, axis_factor)
 
 
 def stft_at(u: SampledDistribution, window: Window, z) -> complex:

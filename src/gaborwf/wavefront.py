@@ -368,8 +368,15 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
             cap = np.minimum(cap, pos_cap / np.linalg.norm(w[:, :d], axis=1))
     counts = np.searchsorted(sampling.radii, cap + 1e-12, side="right")
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    r = sampling.radii[np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)]
-    samples = np.column_stack([r, np.abs(evaluate(r[:, None] * np.repeat(w, counts, axis=0)))])
+    rung = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+    r = sampling.radii[rung]
+    points = r[:, None] * np.repeat(w, counts, axis=0)
+    # evaluate radius by radius: points of one radius share most coordinates,
+    # which the kernel tabulates once per chunk
+    order = np.argsort(rung, kind="stable")
+    values = np.empty(len(r))
+    values[order] = np.abs(evaluate(points[order]))
+    samples = np.column_stack([r, values])
     samples.flags.writeable = False
     offsets.flags.writeable = False
     return samples, offsets

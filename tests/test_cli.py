@@ -119,6 +119,13 @@ class TestPropagate:
         assert code == 0
         assert "PASS" in out
 
+    def test_huge_time_passes(self, tmp_path, capsys):
+        # 1e300 is reduced modulo the period 2 pi before both the evolution
+        # and the forecast, so no FAIL is made up from rounding
+        code, out, _ = run(capsys, "propagate", "dirac", "--t", "1e300", "--out", str(tmp_path))
+        assert code == 0
+        assert "PASS" in out
+
     def test_bad_n_max_is_config_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "propagate", "dirac", "--t", "0.1", "--n-max", "500", "--out", str(tmp_path)
@@ -201,6 +208,9 @@ def test_usage_error_exits_two(capsys):
         ("analyze", "dirac", "--ang-tol", "nan"),
         ("analyze", "dirac", "--ang-tol", "-1"),
         ("propagate", "dirac", "--t", "0.3927", "--ang-tol", "nan"),
+        ("propagate", "dirac", "--t", "0.3", "--n-max", "-1"),
+        ("analyze", "dirac", "--params", "[1]"),
+        ("analyze", "dirac", "--params", "5"),
     ],
     ids=[
         "nan-sample",
@@ -210,6 +220,9 @@ def test_usage_error_exits_two(capsys):
         "nan-ang-tol",
         "negative-ang-tol",
         "nan-ang-tol-propagate",
+        "negative-n-max",
+        "params-not-object-list",
+        "params-not-object-number",
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv):

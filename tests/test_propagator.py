@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +50,10 @@ class TestBasis:
     def test_rejects_order_beyond_band(self, grid1):
         with pytest.raises(ValueError, match="n/4"):
             HermiteBasis.build(grid1, 300)
+
+    def test_rejects_negative_order(self, grid1):
+        with pytest.raises(ValueError, match="non-negative"):
+            HermiteBasis.build(grid1, -1)
 
     def test_rejects_order_spilling_out_of_box(self):
         g = make_grid(1, 1024, 10.0)  # box edge at 10: order 100 turns at 14.2
@@ -227,6 +232,19 @@ class TestVerifyPropagation:
         report = verify_propagation(u, truth, t)
         assert report.passed
         assert report.hausdorff_angle <= report.ang_tol
+
+    @pytest.mark.parametrize("t", [1e300, -1e20, 4 * np.pi + 0.3])
+    def test_time_reduced_modulo_period(self, grid1, t):
+        # the state and the forecast move by the same reduced angle; at
+        # t = 1e300, t / (pi / 2) is a whole number in floating point though
+        # t is no lattice time
+        u, truth = catalog_entry("dirac", None, grid1)
+        report = verify_propagation(u, truth, t)
+        reduced = verify_propagation(u, truth, math.fmod(t, 2 * np.pi))
+        assert report.passed and reduced.passed
+        assert report.t == t
+        assert report.predicted_dirs == reduced.predicted_dirs
+        assert report.detected_dirs == reduced.detected_dirs
 
     def test_rotation_rate_is_twice_time(self, grid1):
         # two full phase-space revolutions per period pi

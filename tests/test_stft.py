@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gaborwf.signal import SampledDistribution, catalog_entry, make_grid
-from gaborwf.stft import Window, moyal_reconstruct, stft_at, stft_points, stft_slice
+from gaborwf.signal import SUM_CHUNK_ELEMENTS, SampledDistribution, catalog_entry, make_grid, separable_sum
+from gaborwf.stft import Window, _window_axis_at, moyal_reconstruct, stft_at, stft_points, stft_slice
+from gaborwf.wavefront import _sample_rays, phase_space_rays
 
 
 def quad_stft(f, lam, x0, xi0, lo, hi):
@@ -153,6 +154,57 @@ class TestDenseOracle:
         ]
         got = stft_points(u, w, pts)
         assert np.max(np.abs(got - np.array(dense))) < 1e-12
+
+
+def per_point_stft(u, window, pts):
+    """Oracle: the separable sum with each point's factor built on its own,
+    ``psi(y - x_k) * exp(-i xi_k y)`` row by row."""
+    g, y = u.grid, u.grid.axis()
+
+    def axis_factor(block, k):
+        window_k = _window_axis_at(window, g, y, block[:, k])
+        return window_k * np.exp(-1j * block[:, g.dim + k][:, None] * y[None, :])
+
+    return separable_sum(u, pts, axis_factor)
+
+
+def ray_major_points(grid, rho):
+    """The phase-space ray points of ``grid`` in ray order: every radius of
+    direction 0, then of direction 1, ..."""
+    sampling = phase_space_rays(grid, rho=rho)
+    samples, offsets = _sample_rays(sampling, grid, lambda p: np.zeros(len(p)))
+    return samples[:, :1] * np.repeat(sampling.directions, np.diff(offsets), axis=0)
+
+
+class TestSharedFactorTables:
+    """``stft_points`` tabulates window and phase factors per distinct
+    coordinate; every value must equal the per-point product bit for bit,
+    whatever the order of the points and however the chunks split them."""
+
+    @pytest.fixture(scope="class")
+    def rays_2d(self, rng):
+        # a coarse grid and ladder keep the full ray set cheap
+        g = make_grid(2, 64, 10.0)
+        u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        pts = ray_major_points(g, rho=1.3)
+        assert len(pts) % (SUM_CHUNK_ELEMENTS // g.n)
+        return u, Window(1.5, dim=2), pts
+
+    def test_2d_ray_major(self, rays_2d):
+        u, w, pts = rays_2d
+        assert np.array_equal(stft_points(u, w, pts), per_point_stft(u, w, pts))
+
+    def test_2d_shuffled(self, rays_2d, rng):
+        u, w, pts = rays_2d
+        pts = pts[rng.permutation(len(pts))]
+        assert np.array_equal(stft_points(u, w, pts), per_point_stft(u, w, pts))
+
+    def test_1d_cutoff_window(self, grid1, rng):
+        u = SampledDistribution(grid1, rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n))
+        w = Window(0.5, cutoff=(2.0, 4.0))
+        pts = ray_major_points(grid1, rho=1.15)[:2001]
+        assert len(pts) % (SUM_CHUNK_ELEMENTS // grid1.n)
+        assert np.array_equal(stft_points(u, w, pts), per_point_stft(u, w, pts))
 
 
 class TestInvariances:
