@@ -96,28 +96,13 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _detector_samplings(grid: sig.Grid, args):
-    kw = {}
-    if args.n_dirs is not None:
-        kw["n_dirs"] = args.n_dirs
-    if args.r_min is not None:
-        kw["r_min"] = args.r_min
-    if args.r_max is not None:
-        kw["r_max"] = args.r_max
-    if args.rho is not None:
-        kw["rho"] = args.rho
-    phase = phase_space_rays(grid, **kw)
-    kw.pop("n_dirs", None)
-    freq = frequency_rays(grid, **kw)
-    return phase, freq
-
-
 def cmd_analyze(args) -> int:
     try:
         grid = _default_grid(args.name, args.n, args.length)
         u, truth = sig.catalog_entry(args.name, _entry_params(args), grid)
         window = Window(args.lam, dim=grid.dim)
-        phase, freq = _detector_samplings(grid, args)
+        phase = phase_space_rays(grid, args.n_dirs, args.r_min, args.r_max, args.rho)
+        freq = frequency_rays(grid, r_min=args.r_min, r_max=args.r_max, rho=args.rho)
         ang_tol = args.ang_tol if args.ang_tol is not None else 2 * phase.angular_step
         require_positive("ang_tol", ang_tol)
         # detector errors (a threshold out of range, too few radii for a
@@ -258,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="wavefront detection + main-theorem check")
     add_common(ana)
     ana.add_argument("--n-dirs", type=int, default=None)
-    ana.add_argument("--r-min", type=float, default=None)
+    ana.add_argument("--r-min", type=float, default=1.0)
     ana.add_argument("--r-max", type=float, default=None)
     ana.add_argument("--rho", type=float, default=None)
     ana.add_argument("--dump-samples", action="store_true")

@@ -14,6 +14,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -296,6 +297,8 @@ def _require_dim(name: str, grid: Grid, dim: int):
 
 
 def _require_support(name: str, grid: Grid, radius: float):
+    if not radius > 0:
+        raise ValueError(f"catalog entry {name!r}: support radius must be positive, got {radius}")
     if radius > grid.half_width / 2:
         raise ValueError(
             f"catalog entry {name!r}: support radius {radius} exceeds L/4 = {grid.half_width / 2}"
@@ -326,7 +329,7 @@ def _entry_dirac_derivative(params: dict, grid: Grid):
     # Central-difference stencil; pairing sum u f h = (-1)^k f^(k)(0) + O(h^2).
     # uhat(xi) = (i sin(h xi)/h)^k grows: both frequency poles stay singular.
     _require_dim("dirac_derivative", grid, 1)
-    k = int(params.get("k", 1))
+    k = params["k"]
     if k < 1 or k > 2:
         raise ValueError("dirac_derivative supports k in {1, 2}")
     h = grid.spacing
@@ -343,7 +346,7 @@ def _entry_dirac_derivative(params: dict, grid: Grid):
 
 
 def _entry_gaussian(params: dict, grid: Grid):
-    sigma = float(params.get("sigma", 1.0))
+    sigma = params["sigma"]
     if sigma <= 0:
         raise ValueError("gaussian requires sigma > 0")
     meshes = grid.meshes()
@@ -355,7 +358,7 @@ def _entry_gaussian(params: dict, grid: Grid):
 
 def _entry_hermite(params: dict, grid: Grid):
     _require_dim("hermite", grid, 1)
-    order = int(params.get("n", 3))
+    order = params["n"]
     if order < 0 or order > grid.n // 4:
         raise ValueError("hermite order out of resolvable range")
     vals = _hermite_values(grid.axis(), order)[:, order]
@@ -368,7 +371,7 @@ def _entry_box(params: dict, grid: Grid):
     # so both frequency poles are singular.  Band-limited synthesis keeps the
     # grid transform exact at dual frequencies.
     _require_dim("box", grid, 1)
-    a = float(params.get("a", 1.0))
+    a = params["a"]
     _require_support("box", grid, a)
     dist = synthesize_from_spectrum(grid, lambda xi: _box_axis_spectrum(xi, a), f"box({a:g})")
     truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), a, False)
@@ -379,7 +382,7 @@ def _entry_chirp(params: dict, grid: Grid):
     # u = exp(i A x^2 / 2) concentrates on the phase-space line xi = A x.
     # Not compactly supported: the frequency cone is left undefined.
     _require_dim("chirp", grid, 1)
-    a = float(params.get("a", 1.0))
+    a = params["a"]
     if abs(a) * grid.half_width >= np.pi / grid.spacing:
         raise ValueError("chirp rate unresolvable: instantaneous frequency exceeds the dual band")
     x = grid.axis()
@@ -393,7 +396,7 @@ def _entry_chirp(params: dict, grid: Grid):
 def _entry_bump(params: dict, grid: Grid):
     # Smooth and compactly supported, hence Schwartz: both cones are empty.
     _require_dim("bump", grid, 1)
-    w = float(params.get("width", BUMP_DEFAULT_WIDTH))
+    w = params["width"]
     _require_support("bump", grid, w)
     vals = _bump_profile(grid.axis(), w)
     truth = GroundTruth((), (), w, True)
@@ -404,7 +407,7 @@ def _entry_line_delta_2d(params: dict, grid: Grid):
     # u = delta(x1) (x) bump(x2): uhat(xi) = bumphat(xi2), rapid decay except
     # near the xi1 axis, so the frequency cone is generated by (+-1, 0).
     _require_dim("line_delta_2d", grid, 2)
-    w = float(params.get("width", 3.0))
+    w = params["width"]
     _require_support("line_delta_2d", grid, w)
     profile = _bump_profile(grid.axis(), w)
     vals = np.zeros(grid.shape, dtype=np.complex128)
@@ -426,7 +429,7 @@ def _entry_box2d(params: dict, grid: Grid):
     # order-2 corner directions sit at the decay-order classification
     # threshold on desk-scale grids and are deliberately not stored.
     _require_dim("box2d", grid, 2)
-    a = float(params.get("a", 0.5))
+    a = params["a"]
     _require_support("box2d", grid, a * np.sqrt(2.0))
 
     def spectrum(xi1, xi2):
@@ -469,9 +472,32 @@ def catalog_entry(name: str, params: dict | None, grid: Grid) -> tuple[SampledDi
     """Samples of a named test distribution together with its ground truth."""
     if name not in CATALOG:
         raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG)}")
-    merged = dict(CATALOG[name].defaults)
-    merged.update(params or {})
+    defaults = CATALOG[name].defaults
+    merged = dict(defaults)
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            known = ", ".join(defaults) or "none"
+            raise ValueError(f"catalog entry {name!r} has no parameter {key!r}; known: {known}")
+        merged[key] = _parameter_value(name, key, value, defaults[key])
     return CATALOG[name].build(merged, grid)
+
+
+def _parameter_value(name: str, key: str, value, default):
+    """``value`` in the type of ``default`` (3.0 reads as 3 for an order); a
+    bool, a string, a non-finite number or, where the default is an integer,
+    a non-integral one is rejected."""
+    kind = type(default)
+    number = math.nan if isinstance(value, bool) or not isinstance(value, (int, float)) else value
+    if kind is int and isinstance(number, int):
+        return number
+    try:
+        number = float(number)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if math.isfinite(number) and (kind is float or number.is_integer()):
+        return kind(number)
+    want = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"catalog parameter {key!r} of {name!r} must be {want}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ separately.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -208,7 +208,6 @@ class DecayProfile:
     window dipped under the numeric floor, which forces the direction regular.
     """
 
-    direction: tuple[float, ...]
     slope: float
     residual: float
     floor_hit: bool
@@ -218,24 +217,55 @@ def _flags(profiles, n_thresh: float) -> np.ndarray:
     return np.array([(not p.floor_hit) and p.slope <= n_thresh for p in profiles], dtype=bool)
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a threshold or tolerance that is not finite and positive."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class WavefrontReport:
-    """Detected singular directions plus all per-ray evidence.
+    """Per-ray evidence measured on ``sampling`` and the verdict it gives at
+    ``n_thresh``.
 
+    Profile ``i`` belongs to ``sampling.directions[i]``; ``samples`` is the
+    read-only ``(P, 2)`` array of (radius, |V|) behind the profiles: ray ``i``
+    is rows ``offsets[i]:offsets[i + 1]``.  Derived on construction:
     ``singular_dirs`` holds cone generators (arc representatives or sampled
-    members of extended cones), ``isolated`` the suspect single-direction
-    flags.  ``samples`` is the read-only ``(P, 2)`` array of (radius, |V|)
-    behind the profiles: ray ``i`` is rows ``offsets[i]:offsets[i + 1]``.
+    members of extended cones), ``isolated`` the suspect single flags.
     """
 
     kind: str
-    singular_dirs: tuple[tuple[float, ...], ...]
-    isolated: tuple[tuple[float, ...], ...]
+    sampling: RaySampling
     profiles: tuple[DecayProfile, ...]
-    params: dict
     samples: np.ndarray
     offsets: np.ndarray
+    n_thresh: float
+    lam: float | None
     base_point: tuple[float, ...] | None = None
+    singular_dirs: tuple[tuple[float, ...], ...] = field(init=False)
+    isolated: tuple[tuple[float, ...], ...] = field(init=False)
+
+    def __post_init__(self):
+        require_positive("n_thresh", self.n_thresh)
+        singular, isolated = _merge(self)
+        object.__setattr__(self, "singular_dirs", singular)
+        object.__setattr__(self, "isolated", isolated)
+
+    @property
+    def params(self) -> dict:
+        """The sampling and detection settings, as written to the JSON report."""
+        s = self.sampling
+        return {
+            "n_dirs": s.n_dirs,
+            "r_min": s.r_min,
+            "r_max": s.r_max,
+            "rho": s.rho,
+            "n_thresh": float(self.n_thresh),
+            "angular_step": s.angular_step,
+            "floor": STFT_FLOOR,
+            "lambda": self.lam,
+        }
 
     @property
     def rays(self) -> tuple[np.ndarray, ...]:
@@ -243,13 +273,7 @@ class WavefrontReport:
         return tuple(np.split(self.samples, self.offsets[1:-1]))
 
     def flagged_indices(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(_flags(self.profiles, self.params["n_thresh"])).tolist())
-
-
-def require_positive(name: str, value: float) -> None:
-    """Reject a threshold or tolerance that is not finite and positive."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+        return tuple(np.flatnonzero(_flags(self.profiles, self.n_thresh)).tolist())
 
 
 def angular_distance(a, b) -> float:
@@ -318,13 +342,7 @@ def _component_extent(members: list[int], dirs: np.ndarray) -> float:
     return worst
 
 
-def _component_axis(
-    members: list[int],
-    dirs: np.ndarray,
-    samples: np.ndarray,
-    offsets: np.ndarray,
-    n_thresh: float,
-) -> int:
+def _component_axis(members: list[int], report: WavefrontReport) -> int:
     """Representative of a point-cone component.
 
     Members whose rays were truncated by different caps carry incomparable
@@ -334,13 +352,14 @@ def _component_axis(
     snapped to the nearest member: stable against both oscillatory slope
     jitter and asymmetric arc boundaries.
     """
+    dirs, samples, offsets = report.sampling.directions, report.samples, report.offsets
     common = int(np.diff(offsets)[members].min())
     if common // 2 >= 4:
         scores = {i: _fit_profile(samples[offsets[i] : offsets[i] + common])[0] for i in members}
     else:
         scores = {i: 0.0 for i in members}
     s_min = min(scores.values())
-    margin = 0.25 * max(n_thresh - s_min, 1e-6)
+    margin = 0.25 * max(report.n_thresh - s_min, 1e-6)
     core = [i for i in members if scores[i] <= s_min + margin]
     axis = np.zeros(dirs.shape[1])
     for i in core:
@@ -350,6 +369,11 @@ def _component_axis(
         return members[len(members) // 2]
     axis /= norm
     return min(members, key=lambda i: (round(angular_distance(dirs[i], axis), 12), i))
+
+
+def _ladder_index(offsets: np.ndarray) -> np.ndarray:
+    """Index of each sample's radius on the ladder: its row within its ray."""
+    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
 def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = np.inf):
@@ -368,7 +392,7 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
             cap = np.minimum(cap, pos_cap / np.linalg.norm(w[:, :d], axis=1))
     counts = np.searchsorted(sampling.radii, cap + 1e-12, side="right")
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    rung = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+    rung = _ladder_index(offsets)
     r = sampling.radii[rung]
     points = r[:, None] * np.repeat(w, counts, axis=0)
     # evaluate radius by radius: points of one radius share most coordinates,
@@ -382,23 +406,19 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     return samples, offsets
 
 
-def _fit_rays(sampling: RaySampling, samples: np.ndarray, offsets: np.ndarray) -> tuple[DecayProfile, ...]:
-    rays = np.split(samples, offsets[1:-1])
-    return tuple(DecayProfile(tuple(w), *_fit_profile(ray)) for w, ray in zip(sampling.directions, rays))
-
-
-def _report(
-    kind: str,
-    sampling: RaySampling,
-    profiles: tuple[DecayProfile, ...],
-    samples: np.ndarray,
-    offsets: np.ndarray,
-    n_thresh: float,
-    params: dict,
-    base_point=None,
+def _detect(
+    kind, sampling: RaySampling, grid: Grid, evaluate, n_thresh: float, lam, pos_cap=np.inf, base_point=None
 ) -> WavefrontReport:
-    """Flag the fitted profiles at ``n_thresh`` and merge the flags along the
-    sampling adjacency into singular and isolated directions."""
+    """Sample every ray, fit its decay order and build the report."""
+    samples, offsets = _sample_rays(sampling, grid, evaluate, pos_cap)
+    profiles = tuple(DecayProfile(*_fit_profile(ray)) for ray in np.split(samples, offsets[1:-1]))
+    return WavefrontReport(kind, sampling, profiles, samples, offsets, n_thresh, lam, base_point)
+
+
+def _merge(report: WavefrontReport) -> tuple[tuple, tuple]:
+    """Flag the fitted profiles at the report's threshold and merge the flags
+    along the sampling adjacency into (singular, isolated) directions."""
+    sampling, profiles, n_thresh = report.sampling, report.profiles, report.n_thresh
     dirs = sampling.directions
     flagged = _flags(profiles, n_thresh)
     singular: list[tuple[float, ...]] = []
@@ -417,29 +437,10 @@ def _report(
                 singular.append(tuple(dirs[comp[0]]))
                 continue
             if _component_extent(comp, dirs) <= ARC_COLLAPSE_ANGLE:
-                singular.append(tuple(dirs[_component_axis(comp, dirs, samples, offsets, n_thresh)]))
+                singular.append(tuple(dirs[_component_axis(comp, report)]))
             else:
                 singular.extend(tuple(dirs[i]) for i in comp)
-    full_params = {
-        "n_dirs": sampling.n_dirs,
-        "r_min": sampling.r_min,
-        "r_max": sampling.r_max,
-        "rho": sampling.rho,
-        "n_thresh": float(n_thresh),
-        "angular_step": sampling.angular_step,
-        "floor": STFT_FLOOR,
-    }
-    full_params.update(params)
-    return WavefrontReport(
-        kind,
-        tuple(singular),
-        tuple(isolated),
-        profiles,
-        full_params,
-        samples,
-        offsets,
-        None if base_point is None else tuple(np.atleast_1d(base_point).astype(float)),
-    )
+    return tuple(singular), tuple(isolated)
 
 
 def estimate_gabor_wf(
@@ -458,9 +459,9 @@ def estimate_gabor_wf(
     window.validate_for(u.grid)
     compact = u.central_mass_fraction() >= 0.999
     pos_cap = position_cap(u.grid, window.lam, compact)
-    samples, offsets = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
-    profiles = _fit_rays(sampling, samples, offsets)
-    return _report("gabor", sampling, profiles, samples, offsets, n_thresh, {"lambda": window.lam})
+    return _detect(
+        "gabor", sampling, u.grid, lambda p: stft_points(u, window, p), n_thresh, window.lam, pos_cap
+    )
 
 
 def estimate_sigma(
@@ -482,9 +483,7 @@ def estimate_sigma(
             "the frequency cone of a non compactly supported input is not defined",
             stacklevel=2,
         )
-    samples, offsets = _sample_rays(sampling, u.grid, lambda p: nudft(u, p))
-    profiles = _fit_rays(sampling, samples, offsets)
-    return _report("sigma", sampling, profiles, samples, offsets, n_thresh, {"lambda": None})
+    return _detect("sigma", sampling, u.grid, lambda p: nudft(u, p), n_thresh, None)
 
 
 def estimate_classical_wf(
@@ -516,30 +515,13 @@ def estimate_classical_wf(
         phase_pts = np.hstack([np.tile(x0, (len(freq_pts), 1)), freq_pts])
         return stft_points(u, window, phase_pts)
 
-    samples, offsets = _sample_rays(sampling, u.grid, evaluate)
-    profiles = _fit_rays(sampling, samples, offsets)
-    return _report("classical", sampling, profiles, samples, offsets, n_thresh, {"lambda": window.lam}, x0)
+    return _detect("classical", sampling, u.grid, evaluate, n_thresh, window.lam, base_point=tuple(x0))
 
 
-def rethreshold(report: WavefrontReport, sampling: RaySampling, n_thresh: float) -> WavefrontReport:
+def rethreshold(report: WavefrontReport, n_thresh: float) -> WavefrontReport:
     """Re-flag an existing report at a different threshold.  The stored
     profiles and samples are reused: nothing is sampled or fitted again."""
-    require_positive("n_thresh", n_thresh)
-    if len(sampling.directions) != len(report.profiles):
-        raise ValueError(
-            f"sampling has {len(sampling.directions)} directions, the report {len(report.profiles)}"
-        )
-    extra = {k: report.params[k] for k in ("lambda",) if k in report.params}
-    return _report(
-        report.kind,
-        sampling,
-        report.profiles,
-        report.samples,
-        report.offsets,
-        n_thresh,
-        extra,
-        report.base_point,
-    )
+    return replace(report, n_thresh=n_thresh)
 
 
 @dataclass(frozen=True)
@@ -602,7 +584,7 @@ def schwartz_direction_test(report: WavefrontReport, ang_tol: float | None = Non
     if report.kind != "gabor":
         raise ValueError("smoothness test needs a phase-space report")
     if ang_tol is None:
-        ang_tol = 2 * report.params["angular_step"]
+        ang_tol = 2 * report.sampling.angular_step
     for z in report.singular_dirs:
         d = len(z) // 2
         xi_norm = float(np.linalg.norm(z[d:]))
@@ -630,12 +612,12 @@ def report_to_json(report: WavefrontReport) -> dict:
         "params": params,
         "profiles": [
             {
-                "dir": list(p.direction),
+                "dir": w,
                 "slope": _json_num(p.slope),
                 "residual": p.residual,
                 "floor_hit": p.floor_hit,
             }
-            for p in report.profiles
+            for w, p in zip(report.sampling.directions.tolist(), report.profiles)
         ],
         "singular_dirs": [list(d) for d in report.singular_dirs],
         "isolated": [list(d) for d in report.isolated],
@@ -646,6 +628,9 @@ def report_to_json(report: WavefrontReport) -> dict:
 
 
 def profiles_to_csv(report: WavefrontReport) -> str:
+    # a row's radius is its ray's ladder rung: format the ladder once
+    radii = [repr(r) for r in report.sampling.radii.tolist()]
     index = np.repeat(np.arange(len(report.profiles)), np.diff(report.offsets)).tolist()
-    r, v = report.samples.T.tolist()
-    return "\n".join(["dir_index,r,abs_V", *(f"{i},{a!r},{b!r}" for i, a, b in zip(index, r, v))]) + "\n"
+    rung = _ladder_index(report.offsets).tolist()
+    rows = (f"{i},{radii[k]},{v!r}" for i, k, v in zip(index, rung, report.samples[:, 1].tolist()))
+    return "\n".join(["dir_index,r,abs_V", *rows]) + "\n"

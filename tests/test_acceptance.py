@@ -38,9 +38,7 @@ from gaborwf.wavefront import (
     directed_hausdorff_angle,
     estimate_gabor_wf,
     estimate_sigma,
-    frequency_rays,
     hausdorff_angle,
-    phase_space_rays,
     profiles_to_csv,
     report_to_json,
     rethreshold,
@@ -278,11 +276,10 @@ def test_criterion_10_determinism_and_monotonicity():
     for name in catalog_names():
         dim = CATALOG[name].dim
         rep = gabor_report(name, 0.5)
-        sampling = phase_space_rays(GRID[dim])
         prev_flagged = set(rep.flagged_indices())
         prev_dirs = dirs_of(rep)
         for thresh in (1.5, 0.75, 0.3):
-            lowered = rethreshold(rep, sampling, thresh)
+            lowered = rethreshold(rep, thresh)
             cur = set(lowered.flagged_indices())
             assert cur <= prev_flagged, (name, thresh)
             if lowered.singular_dirs and prev_dirs:
@@ -299,11 +296,10 @@ def test_criterion_10_determinism_and_monotonicity():
 def test_rethreshold_at_report_threshold_is_identity():
     # re-flagging at the report's own threshold reproduces both written outputs
     for name in catalog_names():
-        dim = CATALOG[name].dim
-        pairs = [(gabor_report(name, 0.5), phase_space_rays(GRID[dim]))]
+        reps = [gabor_report(name, 0.5)]
         if name in COMPACT_ENTRIES:
-            pairs.append((sigma_report(name), frequency_rays(GRID[dim])))
-        for rep, sampling in pairs:
-            again = rethreshold(rep, sampling, rep.params["n_thresh"])
+            reps.append(sigma_report(name))
+        for rep in reps:
+            again = rethreshold(rep, rep.n_thresh)
             assert report_to_json(again) == report_to_json(rep), (name, rep.kind)
             assert profiles_to_csv(again) == profiles_to_csv(rep), (name, rep.kind)

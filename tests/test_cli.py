@@ -211,6 +211,10 @@ def test_usage_error_exits_two(capsys):
         ("propagate", "dirac", "--t", "0.3", "--n-max", "-1"),
         ("analyze", "dirac", "--params", "[1]"),
         ("analyze", "dirac", "--params", "5"),
+        ("analyze", "dirac", "--params", '{"foo": 1}'),
+        ("analyze", "hermite", "--params", '{"n": 1.5}'),
+        ("analyze", "box", "--params", '{"a": -1}'),
+        ("analyze", "box", "--params", '{"a": "1"}'),
     ],
     ids=[
         "nan-sample",
@@ -223,6 +227,10 @@ def test_usage_error_exits_two(capsys):
         "negative-n-max",
         "params-not-object-list",
         "params-not-object-number",
+        "params-unknown-key",
+        "params-non-integral-order",
+        "params-negative-support",
+        "params-string-value",
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv):

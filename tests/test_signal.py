@@ -71,6 +71,27 @@ class TestCatalog:
             catalog_entry("box", {"a": 11.0}, grid1)
         with pytest.raises(ValueError, match="support radius"):
             catalog_entry("bump", {"width": 15.0}, grid1)
+        for name, key in (("box", "a"), ("bump", "width")):
+            for bad in (-1.0, 0.0):
+                with pytest.raises(ValueError, match="must be positive"):
+                    catalog_entry(name, {key: bad}, grid1)
+
+    def test_parameters_checked_against_defaults(self, grid1):
+        with pytest.raises(ValueError, match="no parameter 'foo'"):
+            catalog_entry("dirac", {"foo": 1}, grid1)
+        for name, params in (
+            ("hermite", {"n": 1.5}),
+            ("hermite", {"n": True}),
+            ("box", {"a": "1"}),
+            ("box", {"a": None}),
+            ("box", {"a": float("inf")}),
+            ("box", {"a": 10**400}),
+        ):
+            with pytest.raises(ValueError, match="must be an integer|must be a finite number"):
+                catalog_entry(name, params, grid1)
+        # an integral value reads as the default's type
+        assert catalog_entry("hermite", {"n": 3.0}, grid1)[0].label == "hermite(3)"
+        assert catalog_entry("box", {"a": 1}, grid1)[1].support_radius == 1.0
 
     def test_all_entries_construct(self, grid1, grid2):
         from gaborwf.signal import CATALOG

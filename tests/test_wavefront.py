@@ -83,18 +83,14 @@ class TestSamplingValidation:
 
     def test_threshold_positive(self, grid1, reports):
         u, _ = catalog_entry("dirac", None, grid1)
-        rep, sampling = reports("dirac", 0.5), phase_space_rays(grid1)
+        rep = reports("dirac", 0.5)
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="n_thresh"):
                 estimate_gabor_wf(u, Window(0.5), n_thresh=bad)
             with pytest.raises(ValueError, match="n_thresh"):
                 estimate_sigma(u, n_thresh=bad)
             with pytest.raises(ValueError, match="n_thresh"):
-                rethreshold(rep, sampling, bad)
-
-    def test_rethreshold_needs_the_report_directions(self, grid1, reports):
-        with pytest.raises(ValueError, match="directions"):
-            rethreshold(reports("dirac", 0.5), phase_space_rays(grid1, n_dirs=512), 1.0)
+                rethreshold(rep, bad)
 
 
 class TestRayLayout:
@@ -142,11 +138,13 @@ class TestGaborDetection:
         # derived from |V| = gaussian in x, constant in xi
         rep = reports("dirac", 1.0)
         for i in rep.flagged_indices():
-            assert abs(rep.profiles[i].direction[0]) < np.sin(np.radians(10.0))
+            assert abs(rep.sampling.directions[i][0]) < np.sin(np.radians(10.0))
 
     def test_dirac_pole_profile_flat(self, reports):
         rep = reports("dirac", 1.0)
-        pole = next(p for p in rep.profiles if abs(p.direction[0]) < 1e-12 and p.direction[1] > 0)
+        pole = next(
+            p for p, w in zip(rep.profiles, rep.sampling.directions) if abs(w[0]) < 1e-12 and w[1] > 0
+        )
         assert abs(pole.slope) < 1e-6
         assert not pole.floor_hit
 
@@ -305,13 +303,12 @@ class TestDetectorProperties:
     def test_monotonicity_in_threshold(self, reports, grid1):
         # per-direction flags are nested as the threshold drops; reported
         # cone axes may shift inside a shrinking arc but never leave it
-        sampling = phase_space_rays(grid1)
         for name in ("dirac", "box", "gaussian", "chirp", "bump"):
             rep = reports(name, 0.5)
             prev_flagged = set(rep.flagged_indices())
             prev_singular = dirs_of(rep)
             for thresh in (1.5, 0.75, 0.3):
-                lowered = rethreshold(rep, sampling, thresh)
+                lowered = rethreshold(rep, thresh)
                 cur = set(lowered.flagged_indices())
                 assert cur <= prev_flagged, (name, thresh)
                 if lowered.singular_dirs:
@@ -327,12 +324,11 @@ class TestDetectorProperties:
         # flags only drop as the threshold drops, and every reported
         # direction is a flagged one
         low, high = sorted(thresholds)
-        sampling = phase_space_rays(grid1)
         for name in (n for n in catalog_names() if CATALOG[n].dim == 1):
             rep = reports(name, 0.5)
-            lowered, raised = rethreshold(rep, sampling, low), rethreshold(rep, sampling, high)
+            lowered, raised = rethreshold(rep, low), rethreshold(rep, high)
             assert set(lowered.flagged_indices()) <= set(raised.flagged_indices()), name
-            flagged = {rep.profiles[i].direction for i in lowered.flagged_indices()}
+            flagged = {tuple(rep.sampling.directions[i]) for i in lowered.flagged_indices()}
             assert set(lowered.singular_dirs) | set(lowered.isolated) <= flagged, name
 
     def test_window_stability_1d(self, reports):
@@ -379,21 +375,32 @@ class TestDetectorProperties:
         vals = rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n)
         u = SampledDistribution(grid1, vals, label="noise")
         rep = estimate_gabor_wf(u, Window(1.0))
-        sampling = phase_space_rays(grid1)
         slopes = [p.slope for p in rep.profiles]
         target = None
         for i, s in enumerate(slopes):
             if not np.isfinite(s) or s <= 0:
                 continue
-            neighbors = [j for a, b in sampling.neighbors if i in (a, b) for j in (a, b) if j != i]
+            neighbors = [j for a, b in rep.sampling.neighbors if i in (a, b) for j in (a, b) if j != i]
             if all(slopes[j] > s * 1.05 for j in neighbors):
                 target = s * 1.05
                 break
         assert target is not None
-        forced = rethreshold(rep, sampling, target)
+        forced = rethreshold(rep, target)
         assert forced.isolated
         for d in forced.isolated:
             assert d not in forced.singular_dirs
+
+
+class TestRethreshold:
+    @pytest.mark.parametrize("thresh", [1.5, 0.75])
+    def test_reflagging_equals_detecting_afresh(self, reports, thresh):
+        # stored evidence re-flagged at a threshold writes what a detection
+        # run at that threshold writes
+        for name, kind in (("dirac", "gabor"), ("box", "gabor"), ("chirp", "gabor"), ("box", "sigma")):
+            again = rethreshold(reports(name, 0.5, kind), thresh)
+            fresh = reports(name, 0.5, kind, n_thresh=thresh)
+            assert report_to_json(again) == report_to_json(fresh), (name, kind)
+            assert profiles_to_csv(again) == profiles_to_csv(fresh), (name, kind)
 
 
 class TestReportSerialization:

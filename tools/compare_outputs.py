@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 54 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 70 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and compares, per invocation,
 the exit code, the stdout and the sha256 of every file written.  Each
 mismatch is printed; the exit code is 0 when everything is identical and 1
@@ -10,6 +10,8 @@ otherwise.  The invocations:
 
 * ``analyze --dump-samples`` on all nine catalog entries at the default grids,
   and with ``--lam 0.5`` and ``--lam 2`` on the seven 1-D entries;
+* ``analyze`` with ``--n-thresh 1.5`` and ``--n-thresh 0.75`` on the seven
+  1-D entries and with ``--n-thresh 1.5`` on the two 2-D entries;
 * ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2;
 * ``catalog list``, ``catalog list --json`` and ``catalog show`` on every entry;
 * ``singular-space`` on Q = iI in 1-D and 2-D.
@@ -52,6 +54,8 @@ def _q_files(directory: Path) -> list[Path]:
 def invocations(q_files: list[Path]) -> list[list[str]]:
     runs = [["analyze", name, "--dump-samples"] for name in ENTRIES_1D + ENTRIES_2D]
     runs += [["analyze", name, "--dump-samples", "--lam", lam] for lam in ("0.5", "2") for name in ENTRIES_1D]
+    runs += [["analyze", name, "--n-thresh", t] for t in ("1.5", "0.75") for name in ENTRIES_1D]
+    runs += [["analyze", name, "--n-thresh", "1.5"] for name in ENTRIES_2D]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
     runs += [["catalog", "list"], ["catalog", "list", "--json"]]
     runs += [["catalog", "show", name] for name in ENTRIES_1D + ENTRIES_2D]
