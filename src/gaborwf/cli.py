@@ -147,9 +147,7 @@ def cmd_analyze(args) -> int:
     for kind, expected in truth_sets.items():
         if expected is None:
             continue
-        miss = directed_hausdorff_angle(
-            [np.array(e) for e in expected], [np.array(d) for d in detected_sets[kind]]
-        )
+        miss = directed_hausdorff_angle(np.array(expected, dtype=float), detected_sets[kind])
         if miss > ang_tol:
             print(f"{args.name}: {kind} detection missed ground-truth directions (gap {miss:.4f})")
             failed = True
@@ -198,17 +196,14 @@ def cmd_singular_space(args) -> int:
         "dim": q.dim,
         "tol": args.tol,
         "subspace_dim": space.subspace_dim,
-        "basis": [list(map(float, v)) for v in space.basis.T],
+        "basis": space.basis.T.tolist(),
         "poisson_bracket_vanishes": bracket,
     }
     if bracket:
         kernel = ker_re_f(q, args.tol)
-        resid = 0.0
-        for v in space.basis.T:
-            resid = max(resid, kernel.distance(v))
-        for v in kernel.basis.T:
-            resid = max(resid, space.distance(v))
-        payload["ker_re_f_basis"] = [list(map(float, v)) for v in kernel.basis.T]
+        dists = [kernel.distance(v) for v in space.basis.T] + [space.distance(v) for v in kernel.basis.T]
+        resid = max([0.0, *dists])
+        payload["ker_re_f_basis"] = kernel.basis.T.tolist()
         payload["ker_re_f_projection_residual"] = resid
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal import Grid, SampledDistribution, GroundTruth, _hermite_values, apply_per_axis, outer_per_axis
+from .signal import _as_readonly
 from .stft import Window, _plateau
 from .symplectic import QuadraticHamiltonian, propagate_wf_set
 from .wavefront import (
@@ -27,6 +28,7 @@ from .wavefront import (
     WavefrontReport,
     estimate_gabor_wf,
     frequency_cap,
+    frequency_gap,
     hausdorff_angle,
     phase_space_rays,
     position_cap,
@@ -36,6 +38,7 @@ from .wavefront import (
 )
 
 GRAM_TOL = 1e-8
+TAPER_ONSET = 0.7  # fraction of n_max where the spectral roll-off begins
 
 
 def default_n_max(grid: Grid) -> int:
@@ -65,9 +68,7 @@ class HermiteBasis:
     values: np.ndarray  # (n, n_max+1) axis table
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _as_readonly(self.values))
 
     @classmethod
     def build(cls, grid: Grid, n_max: int | None = None) -> "HermiteBasis":
@@ -141,22 +142,22 @@ def harmonic_propagate(
     return PropagatedState(state, float(t), trunc)
 
 
-def taper_expansion(u: SampledDistribution, basis: HermiteBasis, onset: float = 0.7) -> PropagatedState:
+def taper_expansion(u: SampledDistribution, basis: HermiteBasis) -> PropagatedState:
     """Projection onto the basis with a smooth spectral roll-off on the top
     orders.
 
     A sharp cutoff at n_max acts like a hard phase-space aperture: its kernel
     rings at the 1e-3 level across the whole classical disk and fakes slow
     decay along position directions.  Rolling the coefficients off smoothly
-    between ``onset * n_max`` and ``n_max`` pushes that leakage below the
+    between ``TAPER_ONSET * n_max`` and ``n_max`` pushes that leakage below the
     detector floor while leaving the represented singularity structure (radii
     within the retained disk) unchanged.  The reported truncation error is
     relative to the original state.
     """
     coeffs, _ = hermite_coefficients(u, basis)
     orders = np.arange(basis.n_max + 1)
-    lo = onset * basis.n_max
-    weight = _plateau(orders / basis.n_max, onset, 1.0) if basis.n_max > 0 else np.ones(1)
+    lo = TAPER_ONSET * basis.n_max
+    weight = _plateau(orders / basis.n_max, TAPER_ONSET, 1.0) if basis.n_max > 0 else np.ones(1)
     weight[orders <= lo] = 1.0
     smooth = coeffs * outer_per_axis((weight,) * u.grid.dim)
     state = _synthesize(basis, smooth, label=f"taper[{u.label}]")
@@ -172,11 +173,8 @@ def taper_expansion(u: SampledDistribution, basis: HermiteBasis, onset: float = 
 
 def _reflect(samples: np.ndarray) -> np.ndarray:
     # x_j -> -x_j is index j -> (n - j) mod n on the centered periodic grid
-    out = samples
-    for axis in range(samples.ndim):
-        idx = (-np.arange(samples.shape[axis])) % samples.shape[axis]
-        out = np.take(out, idx, axis=axis)
-    return out
+    axes = tuple(range(samples.ndim))
+    return np.roll(np.flip(samples, axes), 1, axes)
 
 
 def _fourier_on_same_grid(u: SampledDistribution) -> np.ndarray:
@@ -207,11 +205,11 @@ def special_time_operator(u: SampledDistribution, k: int = 1, quarter: bool = Fa
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Side-by-side comparison of forecast and detection after evolution."""
+    """Forecast and detection after evolution; directions are read-only (k, 2d) arrays."""
 
     t: float
-    predicted_dirs: tuple[tuple[float, ...], ...]
-    detected_dirs: tuple[tuple[float, ...], ...]
+    predicted_dirs: np.ndarray
+    detected_dirs: np.ndarray
     hausdorff_angle: float
     smooth_expected: bool
     smooth_detected: bool
@@ -222,8 +220,8 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "t": self.t,
-            "predicted_dirs": [list(d) for d in self.predicted_dirs],
-            "detected_dirs": [list(d) for d in self.detected_dirs],
+            "predicted_dirs": self.predicted_dirs.tolist(),
+            "detected_dirs": self.detected_dirs.tolist(),
             "hausdorff_angle": _json_num(self.hausdorff_angle),
             "smooth_expected": self.smooth_expected,
             "smooth_detected": self.smooth_detected,
@@ -260,7 +258,7 @@ def verify_propagation(
         window = Window(0.5, dim=d)
     if sampling is None:
         # stay inside the phase-space disk retained below the spectral taper
-        kept = np.sqrt(2 * 0.7 * basis.n_max + u0.grid.dim)
+        kept = np.sqrt(2 * TAPER_ONSET * basis.n_max + u0.grid.dim)
         grid_cap = max(position_cap(u0.grid), frequency_cap(u0.grid))
         sampling = phase_space_rays(u0.grid, r_max=min(0.8 * kept, grid_cap))
     if ang_tol is None:
@@ -283,23 +281,19 @@ def verify_propagation(
             evolved = harmonic_propagate(smoothed.state, angle, basis)
         moved = PropagatedState(evolved.state, evolved.t, smoothed.truncation_error)
     oscillator = QuadraticHamiltonian(d, 1j * np.eye(2 * d))
-    truth_dirs = np.array(ground_truth.gabor_wf_dirs, dtype=float).reshape(-1, 2 * d)
-    predicted = propagate_wf_set(oscillator, angle, truth_dirs) if len(truth_dirs) else np.zeros((0, 2 * d))
+    truth_dirs = np.reshape(ground_truth.gabor_wf_dirs, (-1, 2 * d))
+    predicted = _as_readonly(propagate_wf_set(oscillator, angle, truth_dirs))
 
     report: WavefrontReport = estimate_gabor_wf(moved.state, window, sampling, n_thresh)
-    detected = [np.array(z) for z in report.singular_dirs]
-    dist = hausdorff_angle([p for p in predicted], detected)
-    freq_gap = min(
-        (np.arccos(np.clip(np.linalg.norm(p[d:]), -1, 1)) for p in predicted), default=np.inf
-    )
-    smooth_expected = bool(freq_gap > ang_tol)
+    dist = hausdorff_angle(predicted, report.singular_dirs)
+    smooth_expected = bool(frequency_gap(predicted) > ang_tol)
     smooth_detected = schwartz_direction_test(report, ang_tol)
     passed = bool(dist <= ang_tol and smooth_expected == smooth_detected)
     return VerificationReport(
         float(t),
-        tuple(tuple(p) for p in predicted),
-        tuple(report.singular_dirs),
-        float(dist),
+        predicted,
+        report.singular_dirs,
+        dist,
         smooth_expected,
         smooth_detected,
         moved.truncation_error,

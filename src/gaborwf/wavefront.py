@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .signal import SampledDistribution, Grid, nudft
+from .signal import SampledDistribution, Grid, _as_readonly, nudft
 from .stft import Window, stft_points, STFT_FLOOR
 
 DEFAULT_N_THRESH = 2.5
@@ -74,12 +74,10 @@ class RaySampling:
     rho: float
 
     def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.directions, dtype=float))
-        r = np.ascontiguousarray(np.asarray(self.radii, dtype=float))
-        e = np.ascontiguousarray(np.asarray(self.neighbors, dtype=np.intp).reshape(-1, 2))
+        d, r = np.asarray(self.directions, dtype=float), np.asarray(self.radii, dtype=float)
+        e = np.asarray(self.neighbors, dtype=np.intp).reshape(-1, 2)
         for name, a in (("directions", d), ("radii", r), ("neighbors", e)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _as_readonly(a))
 
 
 def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str):
@@ -91,12 +89,13 @@ def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str):
         r_max = cap
     elif r_max > cap + 1e-9:
         raise ValueError(f"r_max {r_max} exceeds the {what} {cap}")
-    if r_min < 1.0:
-        raise ValueError("r_min must be at least 1")
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    if r_max <= r_min:
-        raise ValueError("r_max must exceed r_min")
+    # chained comparisons so that NaN fails each check by name
+    if not 1.0 <= r_min < np.inf:
+        raise ValueError(f"r_min must be finite and at least 1, got {r_min}")
+    if not 1.0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and exceed 1, got {rho}")
+    if not r_max > r_min:
+        raise ValueError(f"r_max must exceed r_min = {r_min}, got {r_max}")
     count = int(np.floor(np.log(r_max / r_min) / np.log(rho))) + 1
     return r_min * rho ** np.arange(count), float(r_max), rho
 
@@ -232,7 +231,8 @@ class WavefrontReport:
     read-only ``(P, 2)`` array of (radius, |V|) behind the profiles: ray ``i``
     is rows ``offsets[i]:offsets[i + 1]``.  Derived on construction:
     ``singular_dirs`` holds cone generators (arc representatives or sampled
-    members of extended cones), ``isolated`` the suspect single flags.
+    members of extended cones), ``isolated`` the suspect single flags, both
+    as read-only arrays of rows of ``sampling.directions``.
     """
 
     kind: str
@@ -243,14 +243,13 @@ class WavefrontReport:
     n_thresh: float
     lam: float | None
     base_point: tuple[float, ...] | None = None
-    singular_dirs: tuple[tuple[float, ...], ...] = field(init=False)
-    isolated: tuple[tuple[float, ...], ...] = field(init=False)
+    singular_dirs: np.ndarray = field(init=False)
+    isolated: np.ndarray = field(init=False)
 
     def __post_init__(self):
         require_positive("n_thresh", self.n_thresh)
-        singular, isolated = _merge(self)
-        object.__setattr__(self, "singular_dirs", singular)
-        object.__setattr__(self, "isolated", isolated)
+        for name, dirs in zip(("singular_dirs", "isolated"), _merge(self)):
+            object.__setattr__(self, name, _as_readonly(dirs))
 
     @property
     def params(self) -> dict:
@@ -276,20 +275,26 @@ class WavefrontReport:
         return tuple(np.flatnonzero(_flags(self.profiles, self.n_thresh)).tolist())
 
 
-def angular_distance(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.arccos(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)))
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(len(a), len(b))`` angles between rows.  ``vecdot`` rounds like a
+    per-pair ``np.dot`` (``einsum`` and BLAS products need not), which decides
+    pairs exactly at ``ARC_COLLAPSE_ANGLE``."""
+    cos = np.vecdot(a[:, None], b[None]) / (_norms(a)[:, None] * _norms(b))
+    return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 def directed_hausdorff_angle(a_set, b_set) -> float:
     """max over a of the angle to the nearest b; 0 for empty a, inf for empty b."""
-    a_set, b_set = list(a_set), list(b_set)
-    if not a_set:
+    a, b = np.asarray(a_set, dtype=float), np.asarray(b_set, dtype=float)
+    if not len(a):
         return 0.0
-    if not b_set:
+    if not len(b):
         return np.inf
-    return max(min(angular_distance(a, b) for b in b_set) for a in a_set)
+    return float(_angles(a, b).min(axis=1).max())
 
 
 def hausdorff_angle(a_set, b_set) -> float:
@@ -335,11 +340,7 @@ def _components(flagged: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
 def _component_extent(members: list[int], dirs: np.ndarray) -> float:
     if len(members) > _EXTENT_SIZE_CAP:
         return np.pi
-    worst = 0.0
-    for ii in range(len(members)):
-        for jj in range(ii + 1, len(members)):
-            worst = max(worst, angular_distance(dirs[members[ii]], dirs[members[jj]]))
-    return worst
+    return float(np.triu(_angles(dirs[members], dirs[members]), 1).max())
 
 
 def _component_axis(members: list[int], report: WavefrontReport) -> int:
@@ -368,7 +369,9 @@ def _component_axis(members: list[int], report: WavefrontReport) -> int:
     if norm < 1e-12:
         return members[len(members) // 2]
     axis /= norm
-    return min(members, key=lambda i: (round(angular_distance(dirs[i], axis), 12), i))
+    # members ascend, so the first of equally near members is the smallest
+    angles = _angles(dirs[members], axis[None])[:, 0].tolist()
+    return members[int(np.argmin([round(a, 12) for a in angles]))]
 
 
 def _ladder_index(offsets: np.ndarray) -> np.ndarray:
@@ -400,10 +403,7 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     order = np.argsort(rung, kind="stable")
     values = np.empty(len(r))
     values[order] = np.abs(evaluate(points[order]))
-    samples = np.column_stack([r, values])
-    samples.flags.writeable = False
-    offsets.flags.writeable = False
-    return samples, offsets
+    return _as_readonly(np.column_stack([r, values])), _as_readonly(offsets)
 
 
 def _detect(
@@ -415,32 +415,27 @@ def _detect(
     return WavefrontReport(kind, sampling, profiles, samples, offsets, n_thresh, lam, base_point)
 
 
-def _merge(report: WavefrontReport) -> tuple[tuple, tuple]:
+def _merge(report: WavefrontReport) -> tuple[np.ndarray, np.ndarray]:
     """Flag the fitted profiles at the report's threshold and merge the flags
     along the sampling adjacency into (singular, isolated) directions."""
     sampling, profiles, n_thresh = report.sampling, report.profiles, report.n_thresh
     dirs = sampling.directions
     flagged = _flags(profiles, n_thresh)
-    singular: list[tuple[float, ...]] = []
-    isolated: list[tuple[float, ...]] = []
     if not len(sampling.neighbors):
         # S^0: no angular smoothing possible, every flag stands by itself
-        singular = [tuple(dirs[i]) for i in np.flatnonzero(flagged)]
-    else:
-        for comp in _components(flagged, sampling.neighbors):
-            if len(comp) == 1:
-                # a lone flag near the threshold is jitter; one far below it
-                # is a sharply resolved generator
-                if profiles[comp[0]].slope > 0.75 * n_thresh:
-                    isolated.append(tuple(dirs[comp[0]]))
-                    continue
-                singular.append(tuple(dirs[comp[0]]))
-                continue
-            if _component_extent(comp, dirs) <= ARC_COLLAPSE_ANGLE:
-                singular.append(tuple(dirs[_component_axis(comp, report)]))
-            else:
-                singular.extend(tuple(dirs[i]) for i in comp)
-    return tuple(singular), tuple(isolated)
+        return dirs[flagged], dirs[:0]
+    singular, isolated = [], []
+    for comp in _components(flagged, sampling.neighbors):
+        if len(comp) == 1:
+            # a lone flag near the threshold is jitter; one far below it is a
+            # sharply resolved generator
+            jitter = profiles[comp[0]].slope > 0.75 * n_thresh
+            (isolated if jitter else singular).append(comp[0])
+        elif _component_extent(comp, dirs) <= ARC_COLLAPSE_ANGLE:
+            singular.append(_component_axis(comp, report))
+        else:
+            singular.extend(comp)
+    return dirs[singular], dirs[isolated]
 
 
 def estimate_gabor_wf(
@@ -561,20 +556,21 @@ def check_main_theorem(
     if sigma_report.kind != "sigma":
         raise ValueError("second report must be a frequency-cone detection")
     require_positive("ang_tol", ang_tol)
-    max_x = 0.0
-    xi_parts = []
-    for z in gabor_report.singular_dirs:
-        d = len(z) // 2
-        x_part, xi_part = np.array(z[:d]), np.array(z[d:])
-        max_x = max(max_x, float(np.linalg.norm(x_part)))
-        if np.linalg.norm(xi_part) > 1e-9:
-            xi_parts.append(xi_part / np.linalg.norm(xi_part))
-    sig = [np.array(s) for s in sigma_report.singular_dirs]
-    both_empty = not xi_parts and not sig
-    d_gs = 0.0 if both_empty else directed_hausdorff_angle(xi_parts, sig)
-    d_sg = 0.0 if both_empty else directed_hausdorff_angle(sig, xi_parts)
+    x, xi = np.hsplit(gabor_report.singular_dirs, 2)
+    max_x = float(_norms(x).max(initial=0.0))
+    xi_norm = _norms(xi)
+    xi_parts = xi[xi_norm > 1e-9] / xi_norm[xi_norm > 1e-9, None]
+    d_gs = directed_hausdorff_angle(xi_parts, sigma_report.singular_dirs)
+    d_sg = directed_hausdorff_angle(sigma_report.singular_dirs, xi_parts)
     ok = max_x <= np.sin(ang_tol) + 1e-12 and d_gs <= ang_tol and d_sg <= ang_tol
-    return ComparisonResult(bool(ok), max_x, float(d_gs), float(d_sg), float(ang_tol))
+    return ComparisonResult(bool(ok), max_x, d_gs, d_sg, float(ang_tol))
+
+
+def frequency_gap(dirs: np.ndarray) -> float:
+    """Smallest angle from the unit rows ``(x, xi)`` of ``dirs`` to the
+    pure-frequency sphere {0} x S^{d-1}; inf for no rows."""
+    d = dirs.shape[1] // 2
+    return float(np.arccos(np.clip(_norms(dirs[:, d:]), -1.0, 1.0)).min(initial=np.inf))
 
 
 def schwartz_direction_test(report: WavefrontReport, ang_tol: float | None = None) -> bool:
@@ -585,12 +581,7 @@ def schwartz_direction_test(report: WavefrontReport, ang_tol: float | None = Non
         raise ValueError("smoothness test needs a phase-space report")
     if ang_tol is None:
         ang_tol = 2 * report.sampling.angular_step
-    for z in report.singular_dirs:
-        d = len(z) // 2
-        xi_norm = float(np.linalg.norm(z[d:]))
-        if np.arccos(np.clip(xi_norm, -1.0, 1.0)) <= ang_tol:
-            return False
-    return True
+    return bool(frequency_gap(report.singular_dirs) > ang_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +610,8 @@ def report_to_json(report: WavefrontReport) -> dict:
             }
             for w, p in zip(report.sampling.directions.tolist(), report.profiles)
         ],
-        "singular_dirs": [list(d) for d in report.singular_dirs],
-        "isolated": [list(d) for d in report.isolated],
+        "singular_dirs": report.singular_dirs.tolist(),
+        "isolated": report.isolated.tolist(),
     }
     if report.base_point is not None:
         out["base_point"] = list(report.base_point)

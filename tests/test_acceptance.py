@@ -282,12 +282,12 @@ def test_criterion_10_determinism_and_monotonicity():
             lowered = rethreshold(rep, thresh)
             cur = set(lowered.flagged_indices())
             assert cur <= prev_flagged, (name, thresh)
-            if lowered.singular_dirs and prev_dirs:
+            if len(lowered.singular_dirs) and prev_dirs:
                 gap = directed_hausdorff_angle(dirs_of(lowered), prev_dirs)
                 assert gap <= STEP[dim] + 1e-9, (name, thresh)
-            assert not (lowered.singular_dirs and not prev_dirs), (name, thresh)
+            assert not (len(lowered.singular_dirs) and not prev_dirs), (name, thresh)
             prev_flagged = cur
-            if lowered.singular_dirs:
+            if len(lowered.singular_dirs):
                 prev_dirs = dirs_of(lowered)
     print("[PASS] criterion 10: repeated runs byte-identical; lowering the decay "
           "threshold never flags new directions or grows the reported cones")

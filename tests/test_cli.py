@@ -199,22 +199,26 @@ def test_usage_error_exits_two(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ("analyze", "gaussian", "--params", '{"sigma": NaN}'),
-        ("analyze", "dirac", "--n-thresh", "nan"),
-        ("propagate", "dirac", "--t", "nan"),
-        ("analyze", "dirac", "--r-max", "2"),
-        ("analyze", "dirac", "--ang-tol", "nan"),
-        ("analyze", "dirac", "--ang-tol", "-1"),
-        ("propagate", "dirac", "--t", "0.3927", "--ang-tol", "nan"),
-        ("propagate", "dirac", "--t", "0.3", "--n-max", "-1"),
-        ("analyze", "dirac", "--params", "[1]"),
-        ("analyze", "dirac", "--params", "5"),
-        ("analyze", "dirac", "--params", '{"foo": 1}'),
-        ("analyze", "hermite", "--params", '{"n": 1.5}'),
-        ("analyze", "box", "--params", '{"a": -1}'),
-        ("analyze", "box", "--params", '{"a": "1"}'),
+        (("analyze", "gaussian", "--params", '{"sigma": NaN}'), None),
+        (("analyze", "dirac", "--n-thresh", "nan"), None),
+        (("propagate", "dirac", "--t", "nan"), None),
+        (("analyze", "dirac", "--r-max", "2"), None),
+        (("analyze", "dirac", "--ang-tol", "nan"), None),
+        (("analyze", "dirac", "--ang-tol", "-1"), None),
+        (("propagate", "dirac", "--t", "0.3927", "--ang-tol", "nan"), None),
+        (("propagate", "dirac", "--t", "0.3", "--n-max", "-1"), None),
+        (("analyze", "dirac", "--params", "[1]"), None),
+        (("analyze", "dirac", "--params", "5"), None),
+        (("analyze", "dirac", "--params", '{"foo": 1}'), None),
+        (("analyze", "hermite", "--params", '{"n": 1.5}'), None),
+        (("analyze", "box", "--params", '{"a": -1}'), None),
+        (("analyze", "box", "--params", '{"a": "1"}'), None),
+        (("analyze", "dirac", "--r-min", "nan"), "r_min"),
+        (("analyze", "dirac", "--r-max", "nan"), "r_max"),
+        (("analyze", "dirac", "--rho", "nan"), "rho"),
+        (("analyze", "dirac", "--rho", "inf"), "rho"),
     ],
     ids=[
         "nan-sample",
@@ -231,12 +235,18 @@ def test_usage_error_exits_two(capsys):
         "params-non-integral-order",
         "params-negative-support",
         "params-string-value",
+        "nan-r-min",
+        "nan-r-max",
+        "nan-rho",
+        "inf-rho",
     ],
 )
-def test_bad_values_are_config_errors(tmp_path, capsys, argv):
+def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):
     # values argparse accepts but the detectors cannot use: exit 2 with a
     # message, never a traceback or a verdict
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
     assert "configuration error" in err
     assert "Traceback" not in err
+    if named is not None:
+        assert named in err

@@ -7,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 from gaborwf.signal import CATALOG, SampledDistribution, catalog_entry, catalog_names, fourier_transform
 from gaborwf.stft import Window
 from gaborwf.wavefront import (
+    DEFAULT_N_THRESH,
+    DecayProfile,
+    WavefrontReport,
+    _angles,
     _components,
     _sample_rays,
     check_main_theorem,
@@ -149,7 +153,7 @@ class TestGaborDetection:
         assert not pole.floor_hit
 
     def test_gaussian_empty(self, reports):
-        assert reports("gaussian", 1.0).singular_dirs == ()
+        assert reports("gaussian", 1.0).singular_dirs.shape == (0, 2)
 
     def test_chirp_diagonal(self, reports):
         rep = reports("chirp", 1.0)
@@ -178,7 +182,7 @@ class TestSigmaDetection:
 
     def test_bump_empty(self, grid1):
         u, _ = catalog_entry("bump", None, grid1)
-        assert estimate_sigma(u).singular_dirs == ()
+        assert estimate_sigma(u).singular_dirs.shape == (0, 1)
 
     def test_dirac_derivative_grows(self, grid1):
         u, _ = catalog_entry("dirac_derivative", None, grid1)
@@ -215,7 +219,7 @@ class TestClassicalDetection:
     def test_box_interior_smooth(self, grid1, cutoff_window):
         u, _ = catalog_entry("box", None, grid1)
         rep = estimate_classical_wf(u, cutoff_window, 0.0)
-        assert rep.singular_dirs == ()
+        assert rep.singular_dirs.shape == (0, 1)
 
     def test_dirac_at_origin(self, grid1, cutoff_window):
         u, _ = catalog_entry("dirac", None, grid1)
@@ -311,11 +315,11 @@ class TestDetectorProperties:
                 lowered = rethreshold(rep, thresh)
                 cur = set(lowered.flagged_indices())
                 assert cur <= prev_flagged, (name, thresh)
-                if lowered.singular_dirs:
+                if len(lowered.singular_dirs):
                     gap = directed_hausdorff_angle(dirs_of(lowered), prev_singular)
                     assert gap <= STEP1 + 1e-9, (name, thresh)
                 prev_flagged = cur
-                if lowered.singular_dirs:
+                if len(lowered.singular_dirs):
                     prev_singular = dirs_of(lowered)
 
     @settings(max_examples=25, deadline=None, database=None)
@@ -329,7 +333,8 @@ class TestDetectorProperties:
             lowered, raised = rethreshold(rep, low), rethreshold(rep, high)
             assert set(lowered.flagged_indices()) <= set(raised.flagged_indices()), name
             flagged = {tuple(rep.sampling.directions[i]) for i in lowered.flagged_indices()}
-            assert set(lowered.singular_dirs) | set(lowered.isolated) <= flagged, name
+            reported = np.vstack([lowered.singular_dirs, lowered.isolated])
+            assert {tuple(z) for z in reported} <= flagged, name
 
     def test_window_stability_1d(self, reports):
         for name in ("dirac", "dirac_derivative", "gaussian", "hermite", "box", "bump", "chirp"):
@@ -386,9 +391,9 @@ class TestDetectorProperties:
                 break
         assert target is not None
         forced = rethreshold(rep, target)
-        assert forced.isolated
+        assert len(forced.isolated)
         for d in forced.isolated:
-            assert d not in forced.singular_dirs
+            assert not (forced.singular_dirs == d).all(axis=1).any()
 
 
 class TestRethreshold:
@@ -442,3 +447,78 @@ class TestHausdorffHelpers:
         a = [np.array([1.0, 0.0])]
         b = [np.array([0.0, 1.0])]
         assert np.isclose(hausdorff_angle(a, b), np.pi / 2)
+
+
+def synthetic_report(sampling, slopes, n_thresh=DEFAULT_N_THRESH):
+    """A report whose ray i holds (r, r**-slopes[i]) on the whole radius
+    ladder, with profile slope ``slopes[i]``; no signal is sampled."""
+    r = sampling.radii
+    samples = np.vstack([np.column_stack([r, r**-s]) for s in slopes])
+    offsets = len(r) * np.arange(len(slopes) + 1)
+    profiles = tuple(DecayProfile(s, 0.0, False) for s in slopes)
+    kind = "gabor" if sampling.space == "phase" else "sigma"
+    return WavefrontReport(kind, sampling, profiles, samples, offsets, n_thresh, None)
+
+
+def indices_of(dirs, sampling):
+    """Sampling index of each reported direction, in reported order."""
+    return [int(np.flatnonzero((sampling.directions == z).all(axis=1))[0]) for z in dirs]
+
+
+# space, {direction index: slope} of the flagged rays (every other ray has
+# slope 5), singular indices, isolated indices; all at n_thresh 2.5 on the
+# default 1-D samplings, where the phase-space circle has 256 directions
+MERGE_TABLE = {
+    # a lone flag is singular up to 0.75 * 2.5 = 1.875 and isolated above
+    "lone-flag-below-ratio": ("phase", {100: 1.7}, [100], []),
+    "lone-flag-above-ratio": ("phase", {100: 2.0}, [], [100]),
+    # the core margin 0.25 * (2.5 - 0) keeps only the s = 0 member; a margin
+    # of 0.5 * 2.5 would take in the s = 1 members and pull the axis to 11
+    "arc-core-margin": ("phase", {10: 0.0, 11: 1.0, 12: 1.0, 13: 1.0, 14: 1.0}, [10], []),
+    # two equally deep core members: the axis is their midpoint, equally near
+    # both, and the tie goes to the smaller index
+    "even-core-tie": ("phase", {20: 1.0, 21: 0.0, 22: 0.0, 23: 1.0}, [21], []),
+    # pi / 3 is 42.67 steps: 43 members span 42 steps and collapse to their
+    # middle member; 44 members span 43 steps and form an extended cone
+    "arc-42-steps": ("phase", dict.fromkeys(range(30, 73), 1.0), [51], []),
+    "cone-43-steps": ("phase", dict.fromkeys(range(30, 74), 1.0), list(range(30, 74)), []),
+    # S^0 has no neighbours: every flag is singular, even near the threshold
+    "frequency-pair": ("frequency", {0: 1.0, 1: 2.4}, [0, 1], []),
+}
+
+
+class TestMergeRules:
+    @pytest.mark.parametrize("row", MERGE_TABLE)
+    def test_verdict(self, grid1, row):
+        space, flagged, singular, isolated = MERGE_TABLE[row]
+        sampling = phase_space_rays(grid1) if space == "phase" else frequency_rays(grid1)
+        slopes = [flagged.get(i, 5.0) for i in range(len(sampling.directions))]
+        rep = synthetic_report(sampling, slopes)
+        assert indices_of(rep.singular_dirs, sampling) == singular
+        assert indices_of(rep.isolated, sampling) == isolated
+
+
+def pair_angle(a, b):
+    """The angle of one pair through np.dot and np.linalg.norm."""
+    return np.arccos(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+
+
+class TestAngles:
+    def test_bit_equal_to_per_pair_formula_1d(self, grid1):
+        dirs = phase_space_rays(grid1).directions
+        expected = np.array([[pair_angle(a, b) for b in dirs] for a in dirs])
+        assert np.array_equal(_angles(dirs, dirs), expected)
+
+    def test_bit_equal_on_exact_pi_third_pairs_2d(self, grid2):
+        # pairs such as (1, 0, 0, 0) and (.5, .5, .7071, 0) are pi / 3 apart
+        # in exact arithmetic, so rounding alone places them on either side
+        # of ARC_COLLAPSE_ANGLE
+        dirs = phase_space_rays(grid2).directions
+        # partners[i]: the later directions at cosine 0.5 from direction i
+        partners = [
+            i + 1 + np.flatnonzero(np.abs(dirs[i + 1 :] @ w - 0.5) < 1e-9) for i, w in enumerate(dirs)
+        ]
+        assert sum(map(len, partners)) == 30720
+        got = np.concatenate([_angles(dirs[i : i + 1], dirs[js])[0] for i, js in enumerate(partners)])
+        expected = [pair_angle(dirs[i], dirs[j]) for i, js in enumerate(partners) for j in js]
+        assert np.array_equal(got, expected)

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 70 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 74 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and compares, per invocation,
 the exit code, the stdout and the sha256 of every file written.  Each
 mismatch is printed; the exit code is 0 when everything is identical and 1
@@ -12,7 +12,8 @@ otherwise.  The invocations:
   and with ``--lam 0.5`` and ``--lam 2`` on the seven 1-D entries;
 * ``analyze`` with ``--n-thresh 1.5`` and ``--n-thresh 0.75`` on the seven
   1-D entries and with ``--n-thresh 1.5`` on the two 2-D entries;
-* ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2;
+* ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, and on the
+  two 2-D entries at t = 0.3 and pi/2;
 * ``catalog list``, ``catalog list --json`` and ``catalog show`` on every entry;
 * ``singular-space`` on Q = iI in 1-D and 2-D.
 
@@ -36,6 +37,7 @@ ENTRIES_1D = ("dirac", "dirac_derivative", "gaussian", "hermite", "box", "chirp"
 ENTRIES_2D = ("line_delta_2d", "box2d")
 PROPAGATED = ("dirac", "dirac_derivative", "box", "gaussian", "hermite", "bump")
 TIMES = ("0.3927", repr(math.pi / 2), "1.2")
+TIMES_2D = ("0.3", repr(math.pi / 2))
 WORKERS = 2
 
 
@@ -57,6 +59,7 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs += [["analyze", name, "--n-thresh", t] for t in ("1.5", "0.75") for name in ENTRIES_1D]
     runs += [["analyze", name, "--n-thresh", "1.5"] for name in ENTRIES_2D]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
+    runs += [["propagate", name, "--t", t] for name in ENTRIES_2D for t in TIMES_2D]
     runs += [["catalog", "list"], ["catalog", "list", "--json"]]
     runs += [["catalog", "show", name] for name in ENTRIES_1D + ENTRIES_2D]
     runs += [["singular-space", str(q)] for q in q_files]
