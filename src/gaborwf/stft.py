@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Grid, SampledDistribution, _centered_fft, outer_per_axis, separable_sum
+from .signal import Grid, SampledDistribution, _centered_fft, outer_per_axis, phase_rows, separable_sum
 
 STFT_FLOOR = 1e-14
 
@@ -85,9 +85,10 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
     Axis k of the separable sum carries ``psi(y - x_k) exp(-i xi_k y)``.  Its
     window part depends on ``x_k`` only and its phase part on ``xi_k`` only,
     so each chunk builds one table row per distinct ``x_k`` and per distinct
-    ``xi_k`` and gathers the factor rows from them; the values are those of
-    the per-point product.  Points that share coordinates (a radius shell of
-    a ray sampling) share table rows when they are passed next to each other.
+    ``xi_k`` (the latter by ``phase_rows``) and gathers the factor rows from
+    them; the values are those of the per-point product.  Points that share
+    coordinates (a radius shell of a ray sampling) share table rows when they
+    are passed next to each other.
     """
     g = u.grid
     window.validate_for(g)
@@ -101,7 +102,7 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
     def axis_factor(block, k):
         xs, ix = np.unique(block[:, k], return_inverse=True)
         xis, ixi = np.unique(block[:, g.dim + k], return_inverse=True)
-        factor = np.exp(-1j * xis[:, None] * y[None, :])[ixi]
+        factor = phase_rows(xis, y)[ixi]
         factor *= _window_axis_at(window, g, y, xs)[ix]
         return factor
 

@@ -301,19 +301,31 @@ def hausdorff_angle(a_set, b_set) -> float:
     return max(directed_hausdorff_angle(a_set, b_set), directed_hausdorff_angle(b_set, a_set))
 
 
-def _fit_profile(ray: np.ndarray) -> tuple[float, float, bool]:
-    """Least-squares decay order over the top half of one ``(k, 2)`` ray of
-    (radius, |V|) rows; one (slope, residual, floor_hit) triple."""
-    rr, vv = ray[len(ray) // 2 :].T
-    if len(rr) < 4:
+def _fit_rays(samples: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares decay orders of every ray of ``(P, 2)`` (radius, |V|)
+    ``samples``, ray ``i`` being rows ``offsets[i]:offsets[i + 1]``, in one
+    pass; the ``(slope, residual, floor_hit)`` arrays.
+
+    Each ray is fitted over its top half, ``log|V| ~ c - s log r`` in closed
+    form (``cov / var`` about the window means, then the RMS residual).  A
+    window whose minimum is under the numeric floor gives ``(inf, 0.0,
+    True)``.
+    """
+    start = offsets[:-1] + np.diff(offsets) // 2
+    width = offsets[1:] - start
+    if np.any(width < 4):
         raise ValueError("degenerate fit: fewer than 4 usable radii in the fit window")
-    if np.min(vv) < STFT_FLOOR:
-        return np.inf, 0.0, True
-    lr, lv = np.log(rr), np.log(vv)
-    A = np.column_stack([lr, np.ones_like(lr)])
-    sol, *_ = np.linalg.lstsq(A, lv, rcond=None)
-    resid = lv - A @ sol
-    return float(-sol[0]), float(np.sqrt(np.mean(resid**2))), False
+    seg = np.concatenate([[0], np.cumsum(width)[:-1]])
+    rows = np.arange(width.sum()) + np.repeat(start - seg, width)
+    r, v = samples[rows].T
+    floor_hit = np.minimum.reduceat(v, seg) < STFT_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, y = np.log(r), np.log(v)
+        dx = x - np.repeat(np.add.reduceat(x, seg) / width, width)
+        dy = y - np.repeat(np.add.reduceat(y, seg) / width, width)
+        rate = np.add.reduceat(dx * dy, seg) / np.add.reduceat(dx * dx, seg)
+        residual = np.sqrt(np.add.reduceat((dy - np.repeat(rate, width) * dx) ** 2, seg) / width)
+    return np.where(floor_hit, np.inf, -rate), np.where(floor_hit, 0.0, residual), floor_hit
 
 
 def _components(flagged: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
@@ -353,10 +365,12 @@ def _component_axis(members: list[int], report: WavefrontReport) -> int:
     snapped to the nearest member: stable against both oscillatory slope
     jitter and asymmetric arc boundaries.
     """
-    dirs, samples, offsets = report.sampling.directions, report.samples, report.offsets
+    dirs, offsets = report.sampling.directions, report.offsets
     common = int(np.diff(offsets)[members].min())
     if common // 2 >= 4:
-        scores = {i: _fit_profile(samples[offsets[i] : offsets[i] + common])[0] for i in members}
+        rows = (offsets[members][:, None] + np.arange(common)).ravel()
+        slopes = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1))[0]
+        scores = dict(zip(members, slopes.tolist()))
     else:
         scores = {i: 0.0 for i in members}
     s_min = min(scores.values())
@@ -411,7 +425,8 @@ def _detect(
 ) -> WavefrontReport:
     """Sample every ray, fit its decay order and build the report."""
     samples, offsets = _sample_rays(sampling, grid, evaluate, pos_cap)
-    profiles = tuple(DecayProfile(*_fit_profile(ray)) for ray in np.split(samples, offsets[1:-1]))
+    slope, residual, floor_hit = _fit_rays(samples, offsets)
+    profiles = tuple(map(DecayProfile, slope.tolist(), residual.tolist(), floor_hit.tolist()))
     return WavefrontReport(kind, sampling, profiles, samples, offsets, n_thresh, lam, base_point)
 
 
@@ -581,6 +596,7 @@ def schwartz_direction_test(report: WavefrontReport, ang_tol: float | None = Non
         raise ValueError("smoothness test needs a phase-space report")
     if ang_tol is None:
         ang_tol = 2 * report.sampling.angular_step
+    require_positive("ang_tol", ang_tol)
     return bool(frequency_gap(report.singular_dirs) > ang_tol)
 
 

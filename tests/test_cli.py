@@ -83,7 +83,7 @@ class TestAnalyze:
         )
         assert code == 0
         blob = (tmp_path / "gaussian_samples.bin").read_bytes()
-        assert blob[:4] == b"GWF1"
+        assert blob[:4] == b"GWF2"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -246,19 +247,34 @@ class TestFourierTransform:
 
 
 class TestSerialization:
-    def test_sample_dump_roundtrip(self, grid1):
-        u, _ = catalog_entry("gaussian", None, grid1)
-        blob = dump_samples(u)
-        assert blob[:4] == b"GWF1"
-        assert len(blob) == 32 + 8 * grid1.n
-        back = load_samples(blob)
-        assert back.grid == grid1
-        # complex64 quantization only
-        assert np.max(np.abs(back.samples - u.samples)) < 1e-6
+    def test_sample_dump_roundtrip(self, grid1, grid2):
+        for name, grid in (("gaussian", grid1), ("dirac", grid1), ("box2d", grid2)):
+            u, _ = catalog_entry(name, None, grid)
+            blob = dump_samples(u)
+            assert blob[:4] == b"GWF2"
+            assert len(blob) == 32 + 16 * u.samples.size
+            back = load_samples(blob)
+            assert back.grid == grid
+            assert back.kind == u.kind
+            assert np.array_equal(back.samples, u.samples), name
 
-    def test_sample_dump_rejects_garbage(self):
+    def test_gwf1_dumps_still_load(self, grid1):
+        # the earlier format: complex64 samples and no kind
+        u, _ = catalog_entry("dirac", None, grid1)
+        header = struct.pack("<4sII d 12x", b"GWF1", 1, grid1.n, grid1.length)
+        back = load_samples(header + u.samples.astype("<c8").tobytes())
+        assert back.grid == grid1 and back.kind == "function"
+        assert np.array_equal(back.samples, u.samples.astype(np.complex64))
+
+    def test_sample_dump_rejects_garbage(self, grid1):
         with pytest.raises(ValueError):
             load_samples(b"nope" + b"\x00" * 64)
+        u, _ = catalog_entry("dirac", None, grid1)
+        blob = dump_samples(u)
+        with pytest.raises(ValueError, match="kind code"):
+            load_samples(blob[:20] + b"\x07" + blob[21:])
+        with pytest.raises(ValueError, match="does not hold"):
+            load_samples(blob[:-16])
 
     def test_catalog_json_shape(self, grid1):
         _, truth = catalog_entry("dirac", None, grid1)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gaborwf.signal import SUM_CHUNK_ELEMENTS, SampledDistribution, catalog_entry, make_grid, separable_sum
+from gaborwf.signal import SUM_CHUNK_ELEMENTS, SampledDistribution, catalog_entry, make_grid, phase_rows, separable_sum
 from gaborwf.stft import Window, _window_axis_at, moyal_reconstruct, stft_at, stft_points, stft_slice
-from gaborwf.wavefront import _sample_rays, phase_space_rays
+from gaborwf.wavefront import _sample_rays, frequency_cap, phase_space_rays, position_cap
 
 
 def quad_stft(f, lam, x0, xi0, lo, hi):
@@ -155,15 +155,28 @@ class TestDenseOracle:
         got = stft_points(u, w, pts)
         assert np.max(np.abs(got - np.array(dense))) < 1e-12
 
+    def test_1d_default_grid_full_range(self, rng):
+        # the default 1-D grid out to the frequency and position caps, where
+        # |xi y| reaches about 720 and the phase rows carry the most rounding
+        g = make_grid(1, 1024, 20.0)
+        y = g.axis()
+        u = SampledDistribution(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        w = Window(1.0)
+        xi_cap, x_cap = frequency_cap(g), position_cap(g)
+        pts = np.column_stack([rng.uniform(-x_cap, x_cap, 60), rng.uniform(-xi_cap, xi_cap, 60)])
+        pts[:4] = [[x_cap, xi_cap], [-x_cap, xi_cap], [x_cap, -xi_cap], [0.0, xi_cap]]
+        dense = [np.sum(u.samples * w.axis_values(y - x) * np.exp(-1j * xi * y)) * g.spacing for x, xi in pts]
+        assert np.max(np.abs(stft_points(u, w, pts) - np.array(dense))) < 1e-12
+
 
 def per_point_stft(u, window, pts):
     """Oracle: the separable sum with each point's factor built on its own,
-    ``psi(y - x_k) * exp(-i xi_k y)`` row by row."""
+    ``psi(y - x_k)`` times the point's own ``phase_rows`` row."""
     g, y = u.grid, u.grid.axis()
 
     def axis_factor(block, k):
         window_k = _window_axis_at(window, g, y, block[:, k])
-        return window_k * np.exp(-1j * block[:, g.dim + k][:, None] * y[None, :])
+        return window_k * np.vstack([phase_rows(xi, y) for xi in block[:, g.dim + k, None]])
 
     return separable_sum(u, pts, axis_factor)
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborwf.signal import CATALOG, SampledDistribution, catalog_entry, catalog_names, fourier_transform
-from gaborwf.stft import Window
+from gaborwf.stft import STFT_FLOOR, Window
 from gaborwf.wavefront import (
     DEFAULT_N_THRESH,
     DecayProfile,
     WavefrontReport,
     _angles,
     _components,
+    _fit_rays,
     _sample_rays,
     check_main_theorem,
     directed_hausdorff_angle,
@@ -292,6 +293,12 @@ class TestSchwartzDirectionTest:
         with pytest.raises(ValueError, match="phase-space"):
             schwartz_direction_test(estimate_sigma(u))
 
+    def test_tolerance_positive(self, reports):
+        # a tolerance below every gap would call any report smooth
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ang_tol"):
+                schwartz_direction_test(reports("dirac", 1.0), bad)
+
 
 class TestDetectorProperties:
     def test_determinism(self, grid1):
@@ -447,6 +454,61 @@ class TestHausdorffHelpers:
         a = [np.array([1.0, 0.0])]
         b = [np.array([0.0, 1.0])]
         assert np.isclose(hausdorff_angle(a, b), np.pi / 2)
+
+
+def lstsq_fit(ray):
+    """Oracle: the least-squares decay order of one ``(k, 2)`` ray of
+    (radius, |V|) rows over its top half, fitted on its own."""
+    rr, vv = ray[len(ray) // 2 :].T
+    if len(rr) < 4:
+        raise ValueError("degenerate fit: fewer than 4 usable radii in the fit window")
+    if np.min(vv) < STFT_FLOOR:
+        return np.inf, 0.0, True
+    lr, lv = np.log(rr), np.log(vv)
+    A = np.column_stack([lr, np.ones_like(lr)])
+    sol, *_ = np.linalg.lstsq(A, lv, rcond=None)
+    resid = lv - A @ sol
+    return float(-sol[0]), float(np.sqrt(np.mean(resid**2))), False
+
+
+# a ray: a geometric ladder r_min * rho**k and one |V| per rung, e**t for t
+# in [-38, 7]: about one value in eight lies under the 1e-14 floor (e**-32.2),
+# and t under -37.9 gives an exact zero
+ABS_V = st.floats(-38.0, 7.0).map(lambda t: np.exp(t) if t > -37.9 else 0.0)
+RAY = st.integers(7, 40).flatmap(
+    lambda k: st.tuples(st.floats(1.0, 3.0), st.floats(1.05, 1.5), st.lists(ABS_V, min_size=k, max_size=k))
+)
+
+
+def ray_layout(rays):
+    """The flat ``(P, 2)`` samples and offsets of ``(r_min, rho, values)`` rays."""
+    blocks = [np.column_stack([r_min * rho ** np.arange(len(v)), v]) for r_min, rho, v in rays]
+    offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
+    return np.vstack(blocks), offsets
+
+
+class TestFitRays:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(RAY, min_size=1, max_size=12))
+    def test_matches_per_ray_lstsq(self, rays):
+        samples, offsets = ray_layout(rays)
+        slope, residual, floor_hit = _fit_rays(samples, offsets)
+        for i in range(len(rays)):
+            s, res, hit = lstsq_fit(samples[offsets[i] : offsets[i + 1]])
+            assert floor_hit[i] == hit, i
+            if hit:
+                assert slope[i] == np.inf and residual[i] == 0.0, i
+            else:
+                assert abs(slope[i] - s) <= 1e-12 * (1 + abs(s)), i
+                assert abs(residual[i] - res) <= 1e-12 * (1 + res), i
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(st.lists(RAY, min_size=1, max_size=6), st.integers(1, 6), st.data())
+    def test_short_window_raises(self, rays, short, data):
+        # a ray of 6 or fewer radii has a fit window of 3 or fewer
+        rays.insert(data.draw(st.integers(0, len(rays))), (1.0, 1.15, [1.0] * short))
+        with pytest.raises(ValueError, match="degenerate fit"):
+            _fit_rays(*ray_layout(rays))
 
 
 def synthetic_report(sampling, slopes, n_thresh=DEFAULT_N_THRESH):

@@ -3,9 +3,26 @@
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
 Runs the same 74 ``gaborwf`` invocations against each tree's ``src`` (one
-fresh output directory per invocation and tree) and compares, per invocation,
-the exit code, the stdout and the sha256 of every file written.  Each
-mismatch is printed; the exit code is 0 when everything is identical and 1
+fresh output directory per invocation and tree) and checks that every verdict
+is unchanged.  Per invocation:
+
+* the exit code and the stdout must be identical;
+* every file but the detector reports must be byte-identical, except that a
+  ``GWF1`` sample dump (complex64) and a ``GWF2`` dump (complex128) of the
+  same grid agree when the complex128 samples round to the complex64 ones;
+* in a report (``*_gabor.json``, ``*_sigma.json``) every key must be
+  identical except the per-profile ``slope`` and ``residual``: the
+  directions, ``floor_hit``, ``singular_dirs``, ``isolated`` and ``params``,
+  and so the flagged set at the report's ``n_thresh``.  Slope and residual
+  must agree within 1e-10 on every ray whose slope is at most
+  ``2 n_thresh``; steeper rays fit windows near the 1e-14 floor, where
+  rounding moves log|V| by percents, and are reported but not bounded;
+* in a profile CSV (``*_profiles.csv``) ``dir_index`` and ``r`` must be
+  identical and |V| must agree within 1e-13 absolute or 1e-12 relative.
+
+It prints each violation, the largest deviation per field with the output
+it was seen in, and how many invocations are byte-identical, within the
+bounds or in violation; the exit code is 1 on any violation and 0
 otherwise.  The invocations:
 
 * ``analyze --dump-samples`` on all nine catalog entries at the default grids,
@@ -23,10 +40,10 @@ Standard library only; the trees need numpy and scipy importable.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -39,6 +56,34 @@ PROPAGATED = ("dirac", "dirac_derivative", "box", "gaussian", "hermite", "bump")
 TIMES = ("0.3927", repr(math.pi / 2), "1.2")
 TIMES_2D = ("0.3", repr(math.pi / 2))
 WORKERS = 2
+# files compared by value; every other file must be byte-identical
+REPORTS = ("_gabor.json", "_sigma.json")
+PROFILES = "_profiles.csv"
+DUMPS = "_samples.bin"
+V_ABS, V_REL = 1e-13, 1e-12  # |V| agrees within either
+FIT_TOL = 1e-10  # slope and residual of rays with slope <= 2 n_thresh
+MAX_SHOWN = 5  # violations printed per file
+
+
+class Worst:
+    """The largest deviation seen per field, with the output it was seen in."""
+
+    FIELDS = (
+        "slope, s <= 2 n_thresh",
+        "residual, s <= 2 n_thresh",
+        "slope, steeper rays",
+        "residual, steeper rays",
+        "|V| absolute",
+        "|V| relative, beyond 1e-13",
+    )
+
+    def __init__(self):
+        self.where = ""
+        self.fields = dict.fromkeys(self.FIELDS, (0.0, ""))
+
+    def update(self, field: str, dev: float):
+        if dev > self.fields[field][0]:
+            self.fields[field] = (dev, self.where)
 
 
 def _q_files(directory: Path) -> list[Path]:
@@ -67,7 +112,7 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
 
 
 def run_one(tree: Path, argv: list[str], out: Path) -> dict:
-    """Exit code, stdout and the sha256 of every file written by one run."""
+    """Exit code, stdout and the path of every file written by one run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     command = [sys.executable, "-m", "gaborwf.cli", *argv]
     if argv[0] != "catalog":
@@ -77,23 +122,108 @@ def run_one(tree: Path, argv: list[str], out: Path) -> dict:
     if out.is_dir():
         for path in sorted(out.rglob("*")):
             if path.is_file():
-                files[str(path.relative_to(out))] = hashlib.sha256(path.read_bytes()).hexdigest()
+                files[str(path.relative_to(out))] = path
     return {"code": proc.returncode, "stdout": proc.stdout, "files": files, "stderr": proc.stderr}
 
 
-def compare(old: dict, new: dict) -> list[str]:
+def _strip_fits(report: dict) -> dict:
+    """A report without the per-profile ``slope`` and ``residual``."""
+    profiles = [{k: v for k, v in p.items() if k not in ("slope", "residual")} for p in report["profiles"]]
+    return dict(report, profiles=profiles)
+
+
+def compare_reports(old: dict, new: dict, worst: Worst) -> list[str]:
+    """Every key but the fitted numbers must be identical, and so must the
+    flagged set at the report's threshold; fits of rays with slope at most
+    ``2 n_thresh`` must agree within ``FIT_TOL``."""
+    if _strip_fits(old) != _strip_fits(new):
+        return ["fields other than slope and residual differ"]
+    thresh = old["params"]["n_thresh"]
+    problems = []
+    for i, (p, q) in enumerate(zip(old["profiles"], new["profiles"])):
+        s, t = float(p["slope"]), float(q["slope"])  # "inf" reads as inf
+        if (not p["floor_hit"] and s <= thresh) != (not q["floor_hit"] and t <= thresh):
+            problems.append(f"profile {i}: flagged in one tree only (slope {s!r} vs {t!r})")
+        bounded = min(s, t) <= 2 * thresh
+        for field, a, b in (("slope", s, t), ("residual", p["residual"], q["residual"])):
+            dev = 0.0 if a == b else abs(a - b)
+            worst.update(f"{field}, s <= 2 n_thresh" if bounded else f"{field}, steeper rays", dev)
+            if bounded and not dev <= FIT_TOL:
+                problems.append(f"profile {i}: {field} {a!r} vs {b!r}")
+    return problems
+
+
+def compare_profiles(old: str, new: str, worst: Worst) -> list[str]:
+    """``dir_index`` and ``r`` must be identical, |V| within ``V_ABS``
+    absolute or ``V_REL`` relative."""
+    old_rows, new_rows = old.splitlines(), new.splitlines()
+    if len(old_rows) != len(new_rows) or old_rows[0] != new_rows[0]:
+        return ["header or row count differs"]
+    problems = []
+    for line, (a, b) in enumerate(zip(old_rows[1:], new_rows[1:]), start=2):
+        key_a, _, v = a.rpartition(",")
+        key_b, _, w = b.rpartition(",")
+        if key_a != key_b:
+            return problems + [f"line {line}: dir_index,r {key_a} vs {key_b}"]
+        v, w = float(v), float(w)
+        dev = abs(v - w)
+        worst.update("|V| absolute", dev)
+        if not dev <= V_ABS:
+            rel = dev / max(abs(v), abs(w))
+            worst.update("|V| relative, beyond 1e-13", rel)
+            if not rel <= V_REL:
+                problems.append(f"line {line}: |V| {v!r} vs {w!r}")
+    return problems
+
+
+def compare_dumps(old: bytes, new: bytes) -> list[str]:
+    """A ``GWF1`` dump (complex64) against a ``GWF2`` dump (complex128) of
+    the same samples: the grids must agree and the complex128 samples,
+    rounded to complex64, must equal the complex64 ones bit for bit.  Dumps
+    in one format must be byte-identical."""
+    if {old[:4], new[:4]} != {b"GWF1", b"GWF2"}:
+        return ["bytes differ"]
+    if old[4:20] != new[4:20]:  # dim, n, L
+        return ["grid differs"]
+    narrow, wide = (old[32:], new[32:]) if old[:4] == b"GWF1" else (new[32:], old[32:])
+    count = len(wide) // 8
+    try:
+        rounded = struct.pack(f"<{count}f", *struct.unpack(f"<{count}d", wide))
+    except OverflowError:
+        return ["a sample exceeds the complex64 range"]
+    return [] if rounded == narrow else ["samples differ beyond complex64 rounding"]
+
+
+def compare(old: dict, new: dict, worst: Worst, label: str) -> tuple[bool, list[str]]:
+    """Whether two runs of the invocation ``label`` are byte-identical, and
+    every violation of the verdict bounds between them."""
     problems = []
     if old["code"] != new["code"]:
         problems.append(f"exit code {old['code']} != {new['code']}")
     if old["stdout"] != new["stdout"]:
         problems.append("stdout differs")
+    identical = not problems
     for name in sorted(set(old["files"]) | set(new["files"])):
-        a, b = old["files"].get(name), new["files"].get(name)
+        a, b = (None if f is None else f.read_bytes() for f in (old["files"].get(name), new["files"].get(name)))
+        if a == b:
+            continue
+        identical = False
         if a is None or b is None:
             problems.append(f"{name}: written by only one tree")
-        elif a != b:
-            problems.append(f"{name}: sha256 differs")
-    return problems
+            continue
+        worst.where = f"{label}: {name}"
+        if name.endswith(REPORTS):
+            found = compare_reports(json.loads(a), json.loads(b), worst)
+        elif name.endswith(PROFILES):
+            found = compare_profiles(a.decode(), b.decode(), worst)
+        elif name.endswith(DUMPS):
+            found = compare_dumps(a, b)
+        else:
+            found = ["bytes differ"]
+        problems += [f"{name}: {p}" for p in found[:MAX_SHOWN]]
+        if len(found) > MAX_SHOWN:
+            problems.append(f"{name}: ... {len(found) - MAX_SHOWN} more")
+    return identical, problems
 
 
 def main(argv=None) -> int:
@@ -106,6 +236,8 @@ def main(argv=None) -> int:
         if not (tree / "src" / "gaborwf").is_dir():
             parser.error(f"{tree} has no src/gaborwf")
 
+    worst = Worst()
+    identical = violating = outputs = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         work = Path(tmp)
         runs = invocations(_q_files(work))
@@ -120,26 +252,31 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(WORKERS) as pool:
             results = dict(zip(jobs, pool.map(job, jobs)))
 
-        mismatched = 0
-        outputs = 0
+        # the files are read back here, before the directory goes
         for i, argv_i in enumerate(runs):
             old, new = results[(0, i)], results[(1, i)]
+            label = "gaborwf " + " ".join(argv_i)
             outputs += 2 + len(old["files"])
-            problems = compare(old, new)
+            same, problems = compare(old, new, worst, label)
+            identical += same
             if problems:
-                mismatched += 1
-                print(f"MISMATCH gaborwf {' '.join(argv_i)}")
+                violating += 1
+                print(f"VIOLATION {label}")
                 for problem in problems:
                     print(f"  {problem}")
                 for side, res in enumerate((old, new)):
                     if res["code"] not in (0, 1) and res["stderr"]:
                         tail = res["stderr"].decode(errors="replace").strip().splitlines()[-1]
                         print(f"  {('old', 'new')[side]} stderr: {tail}")
+    print("largest deviation per field:")
+    for field, (dev, where) in worst.fields.items():
+        print(f"  {field:<28} {dev:.3g}" + (f"  ({where})" if dev else ""))
     print(
         f"{len(runs)} invocations, {outputs} outputs (exit codes, stdouts, files): "
-        f"{mismatched} invocations differ"
+        f"{identical} byte-identical, {len(runs) - identical - violating} within the verdict bounds, "
+        f"{violating} with violations"
     )
-    return 1 if mismatched else 0
+    return 1 if violating else 0
 
 
 if __name__ == "__main__":
