@@ -3,8 +3,9 @@ verification, and singular-space computation with reproducible JSON/CSV
 outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.  Outputs carry no timestamps; rerunning a command with identical
-arguments produces byte-identical files.
+error, reported before any output file is written.  Outputs carry no
+timestamps; rerunning a command with identical arguments produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .symplectic import (
 )
 from .propagator import HermiteBasis, default_n_max, verify_propagation
 from .wavefront import (
+    DEFAULT_N_THRESH,
+    angular_tolerance,
     check_main_theorem,
     directed_hausdorff_angle,
     estimate_gabor_wf,
@@ -35,10 +38,12 @@ from .wavefront import (
     phase_space_rays,
     profiles_to_csv,
     report_to_json,
-    require_positive,
 )
 
 GRID_DEFAULTS = {1: (1024, 40.0), 2: (256, 20.0)}
+# options out of range, unknown entries and detector errors (a threshold out of
+# range, too few radii for a fit) all come from the command line
+CONFIGURATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError)
 
 
 def _write_json(path: Path, payload: dict):
@@ -65,6 +70,13 @@ def _entry_params(args) -> dict | None:
     if not isinstance(params, dict):
         raise ValueError(f"--params must be a JSON object, got {args.params}")
     return params
+
+
+def _entry_and_window(args):
+    """Samples, ground truth and window of an ``analyze`` or ``propagate`` run."""
+    grid = _default_grid(args.name, args.n, args.length)
+    u, truth = sig.catalog_entry(args.name, _entry_params(args), grid)
+    return u, truth, Window(args.lam)
 
 
 def _entry_defaults(name: str):
@@ -97,24 +109,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        grid = _default_grid(args.name, args.n, args.length)
-        u, truth = sig.catalog_entry(args.name, _entry_params(args), grid)
-        window = Window(args.lam, dim=grid.dim)
-        phase = phase_space_rays(grid, args.n_dirs, args.r_min, args.r_max, args.rho)
-        freq = frequency_rays(grid, r_min=args.r_min, r_max=args.r_max, rho=args.rho)
-        ang_tol = args.ang_tol if args.ang_tol is not None else 2 * phase.angular_step
-        require_positive("ang_tol", ang_tol)
-        # detector errors (a threshold out of range, too few radii for a
-        # fit) come from the options, so they are configuration errors too
-        gabor = estimate_gabor_wf(u, window, phase, args.n_thresh)
-        if truth.theorem_applicable:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sigma = estimate_sigma(u, freq, args.n_thresh)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    u, truth, window = _entry_and_window(args)
+    phase = phase_space_rays(u.grid, args.n_dirs, args.r_min, args.r_max, args.rho)
+    freq = frequency_rays(u.grid, args.r_min, args.r_max, args.rho)
+    ang_tol = angular_tolerance(phase, args.ang_tol)
+    gabor = estimate_gabor_wf(u, window, phase, args.n_thresh)
+    if truth.theorem_applicable:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sigma = estimate_sigma(u, freq, args.n_thresh)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,18 +161,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    try:
-        grid = _default_grid(args.name, args.n, args.length)
-        u, truth = sig.catalog_entry(args.name, _entry_params(args), grid)
-        window = Window(args.lam, dim=grid.dim)
-        n_max = args.n_max if args.n_max is not None else default_n_max(grid)
-        basis = HermiteBasis.build(grid, n_max)
-        report = verify_propagation(
-            u, truth, args.t, window=window, n_thresh=args.n_thresh, ang_tol=args.ang_tol, basis=basis
-        )
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    u, truth, window = _entry_and_window(args)
+    n_max = args.n_max if args.n_max is not None else default_n_max(u.grid)
+    basis = HermiteBasis.build(u.grid, n_max)
+    report = verify_propagation(
+        u, truth, args.t, window=window, n_thresh=args.n_thresh, ang_tol=args.ang_tol, basis=basis
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / f"{args.name}_propagation_t{args.t:.10g}.json", report.to_json())
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="grid points per axis")
         p.add_argument("--L", dest="length", type=float, default=None, help="box length per axis")
         p.add_argument("--lam", type=float, default=1.0, help="window width")
-        p.add_argument("--n-thresh", type=float, default=2.5, help="decay-order threshold")
+        p.add_argument("--n-thresh", type=float, default=DEFAULT_N_THRESH, help="decay-order threshold")
         p.add_argument("--ang-tol", type=float, default=None, help="angular tolerance (radians)")
         p.add_argument("--out", default="out", help="output directory")
 
@@ -259,9 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CONFIGURATION_ERRORS as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,15 +24,14 @@ from .signal import _as_readonly
 from .stft import Window, _plateau
 from .symplectic import QuadraticHamiltonian, propagate_wf_set
 from .wavefront import (
-    RaySampling,
-    WavefrontReport,
+    DEFAULT_N_THRESH,
+    angular_tolerance,
     estimate_gabor_wf,
     frequency_cap,
     frequency_gap,
     hausdorff_angle,
     phase_space_rays,
     position_cap,
-    require_positive,
     schwartz_direction_test,
     _json_num,
 )
@@ -92,7 +91,6 @@ class HermiteBasis:
 @dataclass(frozen=True)
 class PropagatedState:
     state: SampledDistribution
-    t: float
     truncation_error: float
 
     def __post_init__(self):
@@ -116,9 +114,8 @@ def hermite_coefficients(u: SampledDistribution, basis: HermiteBasis) -> tuple[n
     return coeffs, min(resid, 1.0)
 
 
-def _synthesize(basis: HermiteBasis, coeffs: np.ndarray, label: str) -> SampledDistribution:
-    vals = apply_per_axis(basis.values, coeffs)
-    return SampledDistribution(basis.grid, vals, kind="function", label=label)
+def _synthesize(basis: HermiteBasis, coeffs: np.ndarray) -> SampledDistribution:
+    return SampledDistribution(basis.grid, apply_per_axis(basis.values, coeffs))
 
 
 def harmonic_propagate(
@@ -138,8 +135,7 @@ def harmonic_propagate(
     orders = np.arange(basis.n_max + 1)
     axis_phase = np.exp(-1j * t * (2 * orders + 1))
     rotated = coeffs * outer_per_axis((axis_phase,) * u.grid.dim)
-    state = _synthesize(basis, rotated, label=f"osc[t={t:g}]({u.label})")
-    return PropagatedState(state, float(t), trunc)
+    return PropagatedState(_synthesize(basis, rotated), trunc)
 
 
 def taper_expansion(u: SampledDistribution, basis: HermiteBasis) -> PropagatedState:
@@ -160,7 +156,7 @@ def taper_expansion(u: SampledDistribution, basis: HermiteBasis) -> PropagatedSt
     weight = _plateau(orders / basis.n_max, TAPER_ONSET, 1.0) if basis.n_max > 0 else np.ones(1)
     weight[orders <= lo] = 1.0
     smooth = coeffs * outer_per_axis((weight,) * u.grid.dim)
-    state = _synthesize(basis, smooth, label=f"taper[{u.label}]")
+    state = _synthesize(basis, smooth)
     unorm = u.norm()
     if unorm == 0:
         err = 0.0
@@ -168,7 +164,7 @@ def taper_expansion(u: SampledDistribution, basis: HermiteBasis) -> PropagatedSt
         err = float(
             np.sqrt(np.sum(np.abs(u.samples - state.samples) ** 2) * u.grid.cell_volume) / unorm
         )
-    return PropagatedState(state, 0.0, min(err, 1.0))
+    return PropagatedState(state, min(err, 1.0))
 
 
 def _reflect(samples: np.ndarray) -> np.ndarray:
@@ -197,10 +193,10 @@ def special_time_operator(u: SampledDistribution, k: int = 1, quarter: bool = Fa
     """
     if quarter:
         vals = (2 * np.pi) ** (-u.grid.dim / 2) * _fourier_on_same_grid(u)
-        return SampledDistribution(u.grid, vals, kind="function", label=f"qF[{u.label}]")
+        return SampledDistribution(u.grid, vals)
     if k % 2 == 0:
         return u
-    return SampledDistribution(u.grid, _reflect(u.samples), kind=u.kind, label=f"refl[{u.label}]")
+    return SampledDistribution(u.grid, _reflect(u.samples), kind=u.kind)
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,7 @@ def verify_propagation(
     ground_truth: GroundTruth,
     t: float,
     window: Window | None = None,
-    sampling: RaySampling | None = None,
-    n_thresh: float = 2.5,
+    n_thresh: float = DEFAULT_N_THRESH,
     ang_tol: float | None = None,
     basis: HermiteBasis | None = None,
 ) -> VerificationReport:
@@ -255,15 +250,12 @@ def verify_propagation(
     if basis is None:
         basis = HermiteBasis.build(u0.grid)
     if window is None:
-        window = Window(0.5, dim=d)
-    if sampling is None:
-        # stay inside the phase-space disk retained below the spectral taper
-        kept = np.sqrt(2 * TAPER_ONSET * basis.n_max + u0.grid.dim)
-        grid_cap = max(position_cap(u0.grid), frequency_cap(u0.grid))
-        sampling = phase_space_rays(u0.grid, r_max=min(0.8 * kept, grid_cap))
-    if ang_tol is None:
-        ang_tol = 2 * sampling.angular_step
-    require_positive("ang_tol", ang_tol)
+        window = Window(0.5)
+    # stay inside the phase-space disk retained below the spectral taper
+    kept = np.sqrt(2 * TAPER_ONSET * basis.n_max + d)
+    grid_cap = max(position_cap(u0.grid), frequency_cap(u0.grid))
+    sampling = phase_space_rays(u0.grid, r_max=min(0.8 * kept, grid_cap))
+    ang_tol = angular_tolerance(sampling, ang_tol)
 
     # the evolution and the flow are 2 pi periodic: one reduced angle (exact,
     # and t itself when |t| < 2 pi) serves the lattice test, the evolution and
@@ -273,18 +265,17 @@ def verify_propagation(
     if abs(half_periods - round(half_periods)) < 1e-9:
         # at lattice times the evolution is exactly the identity/reflection;
         # using it sidesteps the truncated spike's basis artifacts entirely
-        moved = PropagatedState(special_time_operator(u0, k=int(round(half_periods))), angle, 0.0)
+        moved, trunc = special_time_operator(u0, k=int(round(half_periods))), 0.0
     else:
+        # the tapered state lies in the basis span, so evolving it truncates
+        # nothing more and ``harmonic_propagate`` does not warn
         smoothed = taper_expansion(u0, basis)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            evolved = harmonic_propagate(smoothed.state, angle, basis)
-        moved = PropagatedState(evolved.state, evolved.t, smoothed.truncation_error)
+        moved, trunc = harmonic_propagate(smoothed.state, angle, basis).state, smoothed.truncation_error
     oscillator = QuadraticHamiltonian(d, 1j * np.eye(2 * d))
     truth_dirs = np.reshape(ground_truth.gabor_wf_dirs, (-1, 2 * d))
     predicted = _as_readonly(propagate_wf_set(oscillator, angle, truth_dirs))
 
-    report: WavefrontReport = estimate_gabor_wf(moved.state, window, sampling, n_thresh)
+    report = estimate_gabor_wf(moved, window, sampling, n_thresh)
     dist = hausdorff_angle(predicted, report.singular_dirs)
     smooth_expected = bool(frequency_gap(predicted) > ang_tol)
     smooth_detected = schwartz_direction_test(report, ang_tol)
@@ -296,7 +287,7 @@ def verify_propagation(
         dist,
         smooth_expected,
         smooth_detected,
-        moved.truncation_error,
+        trunc,
         float(ang_tol),
         passed,
     )

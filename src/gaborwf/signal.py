@@ -60,8 +60,11 @@ class Grid:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
+        # point masses carry amplitude 1/h^d, so h^d must neither overflow nor underflow
+        if not 1e-150 < self.spacing < 1e150:
+            raise ValueError(f"grid spacing {self.spacing} outside [1e-150, 1e150]")
 
     @property
     def length(self) -> float:
@@ -112,7 +115,6 @@ class SampledDistribution:
     grid: Grid
     samples: np.ndarray
     kind: str = "function"
-    label: str = ""
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.complex128)
@@ -153,7 +155,6 @@ class GroundTruth:
     gabor_wf_dirs: tuple[tuple[float, ...], ...]
     sigma_dirs: tuple[tuple[float, ...], ...] | None
     support_radius: float
-    is_schwartz: bool
 
     def __post_init__(self):
         if self.support_radius < np.inf and self.sigma_dirs is not None:
@@ -164,9 +165,11 @@ class GroundTruth:
             for g in self.gabor_wf_dirs:
                 if any(abs(c) > 1e-12 for c in g[: len(g) // 2]):
                     raise ValueError("compactly supported entries have x-component 0")
-        empty = len(self.gabor_wf_dirs) == 0 and (self.sigma_dirs is not None and len(self.sigma_dirs) == 0)
-        if empty != self.is_schwartz:
-            raise ValueError("is_schwartz must hold exactly when both direction sets are empty")
+
+    @property
+    def is_schwartz(self) -> bool:
+        """Whether both direction sets are empty: a smooth, rapidly decaying entry."""
+        return len(self.gabor_wf_dirs) == 0 and self.sigma_dirs is not None and len(self.sigma_dirs) == 0
 
     @property
     def theorem_applicable(self) -> bool:
@@ -194,10 +197,10 @@ def fourier_transform(u: SampledDistribution) -> SampledDistribution:
     """
     g = u.grid
     vals = _centered_fft(u.samples) * g.cell_volume
-    return SampledDistribution(g.dual(), vals, kind="function", label=f"F[{u.label}]")
+    return SampledDistribution(g.dual(), vals)
 
 
-def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray], label: str) -> SampledDistribution:
+def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) -> SampledDistribution:
     """Band-limited samples whose grid Fourier transform equals ``spectrum``
     exactly at dual grid frequencies.
 
@@ -206,7 +209,7 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray], la
     """
     spec = spectrum(*np.meshgrid(*(grid.dual_axis(),) * grid.dim, indexing="ij"))
     vals = _centered_ifft(np.asarray(spec, dtype=np.complex128)) / grid.cell_volume
-    return SampledDistribution(grid, vals, kind="function", label=label)
+    return SampledDistribution(grid, vals)
 
 
 def phase_rows(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -336,15 +339,13 @@ _FULL_CIRCLE_FAN = tuple(
 def _entry_dirac(params: dict, grid: Grid):
     # uhat == 1: no decay in any frequency direction; x-part 0 by compact support.
     if grid.dim == 1:
-        truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), 0.0, False)
+        truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), 0.0)
     else:
-        truth = GroundTruth(
-            tuple((0.0, 0.0) + s for s in _FULL_CIRCLE_FAN), _FULL_CIRCLE_FAN, 0.0, False
-        )
+        truth = GroundTruth(tuple((0.0, 0.0) + s for s in _FULL_CIRCLE_FAN), _FULL_CIRCLE_FAN, 0.0)
     vals = np.zeros(grid.shape, dtype=np.complex128)
     center = (grid.n // 2,) * grid.dim
     vals[center] = 1.0 / grid.cell_volume
-    return SampledDistribution(grid, vals, kind="singular-spike", label="dirac"), truth
+    return SampledDistribution(grid, vals, kind="singular-spike"), truth
 
 
 def _entry_dirac_derivative(params: dict, grid: Grid):
@@ -363,8 +364,8 @@ def _entry_dirac_derivative(params: dict, grid: Grid):
     j0 = grid.n // 2
     half = len(weights) // 2
     vals[j0 - half : j0 + half + 1] = weights / h
-    truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), 0.0, False)
-    return SampledDistribution(grid, vals, kind="singular-spike", label=f"dirac_derivative({k})"), truth
+    truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), 0.0)
+    return SampledDistribution(grid, vals, kind="singular-spike"), truth
 
 
 def _entry_gaussian(params: dict, grid: Grid):
@@ -374,8 +375,8 @@ def _entry_gaussian(params: dict, grid: Grid):
     meshes = grid.meshes()
     r2 = sum(m**2 for m in meshes)
     vals = (np.pi * sigma**2) ** (-grid.dim / 4) * np.exp(-r2 / (2 * sigma**2))
-    truth = GroundTruth((), (), np.inf, True)
-    return SampledDistribution(grid, vals.astype(np.complex128), label=f"gaussian({sigma:g})"), truth
+    truth = GroundTruth((), (), np.inf)
+    return SampledDistribution(grid, vals.astype(np.complex128)), truth
 
 
 def _entry_hermite(params: dict, grid: Grid):
@@ -384,8 +385,8 @@ def _entry_hermite(params: dict, grid: Grid):
     if order < 0 or order > grid.n // 4:
         raise ValueError("hermite order out of resolvable range")
     vals = _hermite_values(grid.axis(), order)[:, order]
-    truth = GroundTruth((), (), np.inf, True)
-    return SampledDistribution(grid, vals.astype(np.complex128), label=f"hermite({order})"), truth
+    truth = GroundTruth((), (), np.inf)
+    return SampledDistribution(grid, vals.astype(np.complex128)), truth
 
 
 def _entry_box(params: dict, grid: Grid):
@@ -395,8 +396,8 @@ def _entry_box(params: dict, grid: Grid):
     _require_dim("box", grid, 1)
     a = params["a"]
     _require_support("box", grid, a)
-    dist = synthesize_from_spectrum(grid, lambda xi: _box_axis_spectrum(xi, a), f"box({a:g})")
-    truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), a, False)
+    dist = synthesize_from_spectrum(grid, lambda xi: _box_axis_spectrum(xi, a))
+    truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), a)
     return dist, truth
 
 
@@ -411,8 +412,8 @@ def _entry_chirp(params: dict, grid: Grid):
     vals = np.exp(0.5j * a * x**2)
     norm = float(np.hypot(1.0, a))
     d = (1.0 / norm, a / norm)
-    truth = GroundTruth((d, (-d[0], -d[1])), None, np.inf, False)
-    return SampledDistribution(grid, vals, label=f"chirp({a:g})"), truth
+    truth = GroundTruth((d, (-d[0], -d[1])), None, np.inf)
+    return SampledDistribution(grid, vals), truth
 
 
 def _entry_bump(params: dict, grid: Grid):
@@ -421,8 +422,8 @@ def _entry_bump(params: dict, grid: Grid):
     w = params["width"]
     _require_support("bump", grid, w)
     vals = _bump_profile(grid.axis(), w)
-    truth = GroundTruth((), (), w, True)
-    return SampledDistribution(grid, vals.astype(np.complex128), label=f"bump({w:g})"), truth
+    truth = GroundTruth((), (), w)
+    return SampledDistribution(grid, vals.astype(np.complex128)), truth
 
 
 def _entry_line_delta_2d(params: dict, grid: Grid):
@@ -438,9 +439,8 @@ def _entry_line_delta_2d(params: dict, grid: Grid):
         ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0, 0.0)),
         ((1.0, 0.0), (-1.0, 0.0)),
         w,
-        False,
     )
-    return SampledDistribution(grid, vals, kind="singular-spike", label=f"line_delta_2d({w:g})"), truth
+    return SampledDistribution(grid, vals, kind="singular-spike"), truth
 
 
 def _entry_box2d(params: dict, grid: Grid):
@@ -457,11 +457,9 @@ def _entry_box2d(params: dict, grid: Grid):
     def spectrum(xi1, xi2):
         return _box_axis_spectrum(xi1, a) * _box_axis_spectrum(xi2, a)
 
-    dist = synthesize_from_spectrum(grid, spectrum, f"box2d({a:g})")
+    dist = synthesize_from_spectrum(grid, spectrum)
     normals = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-    truth = GroundTruth(
-        tuple((0.0, 0.0) + s for s in normals), normals, a * np.sqrt(2.0), False
-    )
+    truth = GroundTruth(tuple((0.0, 0.0) + s for s in normals), normals, a * np.sqrt(2.0))
     return dist, truth
 
 
@@ -566,4 +564,4 @@ def load_samples(blob: bytes) -> SampledDistribution:
     if len(blob) != 32 + count * np.dtype(dtype).itemsize:
         raise ValueError(f"sample dump of {len(blob)} bytes does not hold {count} {dtype} samples")
     vals = np.frombuffer(blob, dtype=dtype, count=count, offset=32).astype(np.complex128)
-    return SampledDistribution(grid, vals.reshape(grid.shape), kind=kind, label="loaded")
+    return SampledDistribution(grid, vals.reshape(grid.shape), kind=kind)

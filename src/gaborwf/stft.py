@@ -30,22 +30,17 @@ class Window:
     """
 
     lam: float
-    dim: int = 1
     cutoff: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("window width must be positive")
-        if self.dim not in (1, 2):
-            raise ValueError("window dim must be 1 or 2")
         if self.cutoff is not None:
             flat, support = self.cutoff
             if not 0 < flat < support:
                 raise ValueError("cutoff must satisfy 0 < flat < support")
 
     def validate_for(self, grid: Grid):
-        if grid.dim != self.dim:
-            raise ValueError(f"window dim {self.dim} != grid dim {grid.dim}")
         if self.lam < 4 * grid.spacing or self.lam > grid.length / 8:
             raise ValueError(
                 f"window width {self.lam} outside resolvable range "
@@ -157,4 +152,4 @@ def moyal_reconstruct(u: SampledDistribution, window: Window) -> SampledDistribu
         # inverse transform of the row back to the position axis
         gj = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(row))) * (g.n * dxi) / (2 * np.pi)
         recon += gj * shifted * g.spacing
-    return SampledDistribution(g, recon, label=f"moyal[{u.label}]")
+    return SampledDistribution(g, recon)

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BRACKET_TOL = 1e-12  # relative to |Q|^2
+SPACE_TOL = 1e-8  # distance from S under which a unit generator lies in S
+
 
 def standard_symplectic_matrix(d: int) -> np.ndarray:
     """J = [[0, I], [-I, 0]] acting on (x, xi) blocks."""
@@ -141,10 +144,10 @@ def poisson_bracket_form(q: QuadraticHamiltonian) -> np.ndarray:
     return (M + M.T) / 2
 
 
-def poisson_bracket_vanishes(q: QuadraticHamiltonian, tol: float = 1e-12) -> bool:
+def poisson_bracket_vanishes(q: QuadraticHamiltonian) -> bool:
     B = poisson_bracket_form(q)
     scale = max(1.0, float(np.linalg.norm(q.Q)) ** 2)
-    return bool(np.linalg.norm(B) <= tol * scale)
+    return bool(np.linalg.norm(B) <= BRACKET_TOL * scale)
 
 
 def flow_matrix(q: QuadraticHamiltonian, t: float) -> np.ndarray:
@@ -172,17 +175,13 @@ def is_symplectic(M: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.linalg.norm(M.T @ J @ M - J) <= tol)
 
 
-def propagate_wf_set(
-    q: QuadraticHamiltonian,
-    t: float,
-    dirs: np.ndarray | list,
-    tol: float = 1e-8,
-) -> np.ndarray:
+def propagate_wf_set(q: QuadraticHamiltonian, t: float, dirs: np.ndarray | list) -> np.ndarray:
     """Forecast ``(e^{2 t Im F}(W cap S)) cap S`` on unit generators.
 
-    Generators farther than ``tol`` from S are dropped, survivors are moved by
-    the flow, renormalized, and filtered against S again.  When ``Re Q = 0``
-    the singular space is everything and the map is exactly the flow.
+    Generators farther than ``SPACE_TOL`` from S are dropped, survivors are
+    moved by the flow, renormalized, and filtered against S again.  When
+    ``Re Q = 0`` the singular space is everything and the map is exactly the
+    flow.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if dirs.shape[1] != 2 * q.dim:
@@ -192,7 +191,7 @@ def propagate_wf_set(
     space = singular_space(q)
 
     def in_space(rows):
-        return rows[np.array([space.distance(v) <= tol for v in rows], dtype=bool)]
+        return rows[np.array([space.distance(v) <= SPACE_TOL for v in rows], dtype=bool)]
 
     # a matmul per row: ``rows @ flow.T`` rounds differently from ``flow @ v``
     moved = np.matmul(flow_matrix(q, t), in_space(dirs)[..., None])[..., 0]

@@ -29,6 +29,8 @@ DEFAULT_N_THRESH = 2.5
 DEFAULT_RHO = 1.15
 DEFAULT_RHO_2D = 1.08
 ARC_COLLAPSE_ANGLE = np.pi / 3  # arcs wider than this are true cones, not smear
+TILT_LEVELS = 5  # tilt levels of the 2-D phase-space sampling, both fibers included
+FREQUENCY_DIRS_2D = 32  # directions on the 2-D frequency circle
 _EXTENT_SIZE_CAP = 64
 
 
@@ -58,15 +60,14 @@ class RaySampling:
     ``space`` is ``"phase"`` (directions in R^{2d}) or ``"frequency"``
     (directions in R^d).  ``neighbors`` is the adjacency of the angular grid
     used for arc merging: an ``(E, 2)`` array of index pairs ``a < b`` in
-    ascending order.  ``angular_step`` is the pitch of the finest circle.
-    Rays are truncated per direction so position components stay within the
-    central box and frequency components within the alias-free band.
+    ascending order.  Rays are truncated per direction so position components
+    stay within the central box and frequency components within the
+    alias-free band.
     """
 
     directions: np.ndarray
     radii: np.ndarray
     neighbors: np.ndarray
-    angular_step: float
     space: str
     n_dirs: int
     r_min: float
@@ -78,6 +79,11 @@ class RaySampling:
         e = np.asarray(self.neighbors, dtype=np.intp).reshape(-1, 2)
         for name, a in (("directions", d), ("radii", r), ("neighbors", e)):
             object.__setattr__(self, name, _as_readonly(a))
+
+    @property
+    def angular_step(self) -> float:
+        """The pitch of the finest circle; pi for the 1-D frequency pair."""
+        return 2 * np.pi / self.n_dirs
 
 
 def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str):
@@ -123,12 +129,11 @@ def phase_space_rays(
     r_min: float = 1.0,
     r_max: float | None = None,
     rho: float | None = None,
-    tilt_count: int = 5,
 ) -> RaySampling:
     """Directions on the phase-space sphere S^{2d-1}.
 
     d = 1: n_dirs points on the circle.  d = 2: a join parameterization,
-    ``(cos t * u(alpha), sin t * v(beta))`` over ``tilt_count`` tilt levels
+    ``(cos t * u(alpha), sin t * v(beta))`` over ``TILT_LEVELS`` tilt levels
     with n_dirs points on each of the two circles; the pure-position and
     pure-frequency fibers appear once each.  The shared radius ladder is
     truncated per direction at estimate time by the position/frequency caps.
@@ -140,27 +145,23 @@ def phase_space_rays(
             n_dirs = 256
         if n_dirs < 64 or n_dirs % 4:
             raise ValueError("need n_dirs >= 64, divisible by 4, for the phase-space circle")
-        dirs = _circle(n_dirs)
-        step = 2 * np.pi / n_dirs
         neighbors = _adjacency(_ring(n_dirs))
-        return RaySampling(dirs, radii, neighbors, step, "phase", n_dirs, r_min, r_max, rho)
+        return RaySampling(_circle(n_dirs), radii, neighbors, "phase", n_dirs, r_min, r_max, rho)
     if n_dirs is None:
         n_dirs = 32
     if n_dirs < 32 or n_dirs % 4:
         raise ValueError("need n_dirs >= 32 per circle, divisible by 4, in 2-D")
-    if tilt_count < 3:
-        raise ValueError("need at least 3 tilt levels")
     n = n_dirs
     circ = _circle(n)
     zeros = np.zeros_like(circ)
     # inner tilt t holds the torus (cos t * u_i, sin t * v_j), i major
-    inner = (np.pi / 2 * np.arange(tilt_count) / (tilt_count - 1))[1:-1, None, None, None]
+    inner = (np.pi / 2 * np.arange(TILT_LEVELS) / (TILT_LEVELS - 1))[1:-1, None, None, None]
     torus = np.concatenate(
         np.broadcast_arrays(np.cos(inner) * circ[:, None], np.sin(inner) * circ[None, :]), axis=-1
     )
     dirs = np.vstack([np.hstack([circ, zeros]), torus.reshape(-1, 4), np.hstack([zeros, circ])])
     k, k1 = _ring(n)
-    mid = np.arange(n, n + (tilt_count - 2) * n * n).reshape(-1, n, n)  # index of torus point [t, i, j]
+    mid = np.arange(n, n + (TILT_LEVELS - 2) * n * n).reshape(-1, n, n)  # index of torus point [t, i, j]
     last = n + mid.size + k
     neighbors = _adjacency(
         (k, k1),  # position circle
@@ -171,31 +172,20 @@ def phase_space_rays(
         (np.repeat(k, n), mid[0]),  # position point i to every (i, j) of the first torus
         (mid[-1], np.tile(last, n)),  # every (i, j) of the last torus to frequency point j
     )
-    step = 2 * np.pi / n_dirs
-    return RaySampling(dirs, radii, neighbors, step, "phase", n_dirs, r_min, r_max, rho)
+    return RaySampling(dirs, radii, neighbors, "phase", n_dirs, r_min, r_max, rho)
 
 
 def frequency_rays(
-    grid: Grid,
-    n_dirs: int | None = None,
-    r_min: float = 1.0,
-    r_max: float | None = None,
-    rho: float | None = None,
+    grid: Grid, r_min: float = 1.0, r_max: float | None = None, rho: float | None = None
 ) -> RaySampling:
-    """Directions on the frequency sphere S^{d-1}; the pair {-1, +1} in 1-D."""
+    """Directions on the frequency sphere S^{d-1}: the pair {-1, +1} in 1-D,
+    ``FREQUENCY_DIRS_2D`` points on the circle in 2-D."""
     cap = frequency_cap(grid)
     radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, "alias-free frequency radius")
     if grid.dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        return RaySampling(dirs, radii, (), np.pi, "frequency", 2, r_min, r_max, rho)
-    if n_dirs is None:
-        n_dirs = 32
-    if n_dirs < 32 or n_dirs % 4:
-        raise ValueError("need n_dirs >= 32, divisible by 4, on the frequency circle")
-    dirs = _circle(n_dirs)
-    step = 2 * np.pi / n_dirs
-    neighbors = _adjacency(_ring(n_dirs))
-    return RaySampling(dirs, radii, neighbors, step, "frequency", n_dirs, r_min, r_max, rho)
+        return RaySampling(np.array([[1.0], [-1.0]]), radii, (), "frequency", 2, r_min, r_max, rho)
+    n = FREQUENCY_DIRS_2D
+    return RaySampling(_circle(n), radii, _adjacency(_ring(n)), "frequency", n, r_min, r_max, rho)
 
 
 @dataclass(frozen=True)
@@ -588,16 +578,23 @@ def frequency_gap(dirs: np.ndarray) -> float:
     return float(np.arccos(np.clip(_norms(dirs[:, d:]), -1.0, 1.0)).min(initial=np.inf))
 
 
+def angular_tolerance(sampling: RaySampling, ang_tol: float | None = None) -> float:
+    """``ang_tol``, by default two angular steps of ``sampling``: a detected
+    direction is resolved to about one step either way.  It must be finite and
+    positive."""
+    if ang_tol is None:
+        ang_tol = 2 * sampling.angular_step
+    require_positive("ang_tol", ang_tol)
+    return ang_tol
+
+
 def schwartz_direction_test(report: WavefrontReport, ang_tol: float | None = None) -> bool:
     """True when no singular direction comes near the pure-frequency sphere
     {0} x S^{d-1}; such states are smooth with polynomially bounded
     derivatives."""
     if report.kind != "gabor":
         raise ValueError("smoothness test needs a phase-space report")
-    if ang_tol is None:
-        ang_tol = 2 * report.sampling.angular_step
-    require_positive("ang_tol", ang_tol)
-    return bool(frequency_gap(report.singular_dirs) > ang_tol)
+    return bool(frequency_gap(report.singular_dirs) > angular_tolerance(report.sampling, ang_tol))
 
 
 # ---------------------------------------------------------------------------

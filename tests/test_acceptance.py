@@ -63,7 +63,7 @@ def gabor_report(name, lam=0.5, n_thresh=2.5):
     key = ("gabor", name, lam, n_thresh)
     if key not in _cache:
         u, _ = entry(name)
-        _cache[key] = estimate_gabor_wf(u, Window(lam, dim=u.grid.dim), n_thresh=n_thresh)
+        _cache[key] = estimate_gabor_wf(u, Window(lam), n_thresh=n_thresh)
     return _cache[key]
 
 
@@ -219,7 +219,7 @@ def test_criterion_8_propagator_numerics():
     basis = HermiteBasis.build(g)
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-    u = SampledDistribution(g, vals, label="random")
+    u = SampledDistribution(g, vals)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         c0, _ = hermite_coefficients(u, basis)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaborwf.cli import main
+from gaborwf.signal import CATALOG
 
 
 def run(capsys, *argv):
@@ -219,6 +223,8 @@ def test_usage_error_exits_two(capsys):
         (("analyze", "dirac", "--r-max", "nan"), "r_max"),
         (("analyze", "dirac", "--rho", "nan"), "rho"),
         (("analyze", "dirac", "--rho", "inf"), "rho"),
+        (("propagate", "dirac", "--t", "0.3", "--L", "inf"), "half_width"),
+        (("analyze", "box2d", "--L", "1e160"), "grid spacing"),
     ],
     ids=[
         "nan-sample",
@@ -239,6 +245,8 @@ def test_usage_error_exits_two(capsys):
         "nan-r-max",
         "nan-rho",
         "inf-rho",
+        "inf-length",
+        "overflowing-cell-volume",
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):
@@ -250,3 +258,73 @@ def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):
     assert "Traceback" not in err
     if named is not None:
         assert named in err
+
+
+# The exit-code fuzz draws a grid and up to three more options.  Each value
+# is a plain one, in range or just out of it, or an odd one: NaN, +-inf, 0,
+# negative, huge or unparsable.
+# 1-D runs use n <= 128 and 2-D runs n = 16, on which no window fits, so
+# every run is quick.  n, --n-dirs and --rho exclude values that would ask
+# for huge arrays.
+ODD = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "1e400", "abc", "")
+GRIDS = (("64", "10"), ("128", "20"))
+PLAIN = {
+    "--lam": ("0.5", "1", "2"),
+    "--n-thresh": ("2.5", "1.5", "0.75", "4"),
+    "--ang-tol": ("0.1", "0.5", "1e-9", "3.2"),
+    "--params": ("{}", '{"a": 1.0}', '{"k": 2}', '{"n": 3.0}', '{"sigma": 0.5}', '{"width": 2}'),
+    "--n-dirs": ("64", "128", "32", "66", "-4"),
+    "--r-min": ("1", "2", "0.5"),
+    "--r-max": ("3", "5", "1"),
+    "--rho": ("1.15", "1.5", "1", "0.5"),
+    "--t": ("0.3", "1.5707963267948966", "0.7", "-0.3", "1e300"),
+    "--n-max": ("4", "8", "12", "-1", "1000000"),
+}
+ODD_PARAMS = (
+    '{"a": 1e400}', '{"a": NaN}', '{"sigma": -1}', '{"width": "x"}', '{"foo": 1}', "[1]", "null", '"a"', "{bad"
+)
+ANALYZE_ONLY = ("--n-dirs", "--r-min", "--r-max", "--rho")
+PROPAGATE_ONLY = ("--t", "--n-max")
+
+
+def _value(draw, option):
+    odd = ODD + ODD_PARAMS if option == "--params" else ODD
+    return draw(st.one_of(st.sampled_from(PLAIN[option]), st.sampled_from(odd)))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("analyze", "propagate")))
+    name = draw(st.sampled_from((*CATALOG, "nonsense")))
+    n, length = draw(st.sampled_from(GRIDS))
+    if name in CATALOG and CATALOG[name].dim == 2:
+        n = "16"
+    if draw(st.integers(0, 3)) == 0:
+        length = draw(st.sampled_from(ODD))
+    argv = [command, name, f"--n={n}", f"--L={length}"]
+    skip = PROPAGATE_ONLY if command == "analyze" else ANALYZE_ONLY
+    options = [o for o in PLAIN if o not in skip and o != "--t"]
+    if command == "propagate":
+        argv.append(f"--t={_value(draw, '--t')}")
+    for option in draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
+        argv.append(f"{option}={_value(draw, option)}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(argv=cli_argv())
+def test_exit_code_contract(fuzz_out, argv):
+    # 0, 1 or 2 for every argv; the only exception to escape is argparse's
+    # usage exit, also with code 2
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main([*argv, "--out", str(fuzz_out)])
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv

@@ -91,7 +91,8 @@ class TestCatalog:
             with pytest.raises(ValueError, match="must be an integer|must be a finite number"):
                 catalog_entry(name, params, grid1)
         # an integral value reads as the default's type
-        assert catalog_entry("hermite", {"n": 3.0}, grid1)[0].label == "hermite(3)"
+        three = catalog_entry("hermite", {"n": 3}, grid1)[0].samples
+        assert np.array_equal(catalog_entry("hermite", {"n": 3.0}, grid1)[0].samples, three)
         assert catalog_entry("box", {"a": 1}, grid1)[1].support_radius == 1.0
 
     def test_all_entries_construct(self, grid1, grid2):
@@ -125,9 +126,7 @@ class TestCatalog:
 
     def test_ground_truth_validation(self):
         with pytest.raises(ValueError):
-            GroundTruth(((1.0, 0.0),), ((1.0,),), 1.0, False)  # nonzero x-part
-        with pytest.raises(ValueError):
-            GroundTruth((), (), 1.0, False)  # empty but not schwartz
+            GroundTruth(((1.0, 0.0),), ((1.0,),), 1.0)  # nonzero x-part
 
     def test_spike_convention_pairs_like_delta(self, grid1):
         dirac, _ = catalog_entry("dirac", None, grid1)

@@ -100,7 +100,7 @@ class TestStftAt:
 class TestStftSlice:
     def test_matches_pointwise_at_dual_frequencies(self, grid1, rng):
         vals = rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n)
-        u = SampledDistribution(grid1, vals, label="random")
+        u = SampledDistribution(grid1, vals)
         w = Window(1.0)
         sl = stft_slice(u, w, 0.7)
         xi = grid1.dual_axis()
@@ -137,7 +137,7 @@ class TestDenseOracle:
         for x1, x2, xi1, xi2 in pts:
             psi = np.exp(-((y1 - x1) ** 2 + (y2 - x2) ** 2) / (2 * lam**2)) / (np.sqrt(np.pi) * lam)
             dense.append(np.sum(u.samples * psi * np.exp(-1j * (xi1 * y1 + xi2 * y2))) * grid2.spacing**2)
-        got = stft_points(u, Window(lam, dim=2), pts)
+        got = stft_points(u, Window(lam), pts)
         assert np.max(np.abs(got - np.array(dense))) < 1e-12
 
     def test_1d_cutoff_window_matches_dense_sum(self, grid1, rng):
@@ -201,7 +201,7 @@ class TestSharedFactorTables:
         u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         pts = ray_major_points(g, rho=1.3)
         assert len(pts) % (SUM_CHUNK_ELEMENTS // g.n)
-        return u, Window(1.5, dim=2), pts
+        return u, Window(1.5), pts
 
     def test_2d_ray_major(self, rays_2d):
         u, w, pts = rays_2d
@@ -223,7 +223,7 @@ class TestSharedFactorTables:
 class TestInvariances:
     def test_unimodular_invariance(self, grid1):
         u, _ = catalog_entry("hermite", None, grid1)
-        spun = SampledDistribution(grid1, np.exp(1j * 0.7) * u.samples, label="spun")
+        spun = SampledDistribution(grid1, np.exp(1j * 0.7) * u.samples)
         w = Window(1.0)
         pts = np.array([[0.3, 1.0], [2.0, -5.0], [-4.0, 0.1]])
         assert np.allclose(
@@ -233,7 +233,7 @@ class TestInvariances:
     def test_translation_covariance_modulus(self, grid1):
         box, _ = catalog_entry("box", None, grid1)
         shift = 128 * grid1.spacing  # exactly on-grid
-        moved = SampledDistribution(grid1, np.roll(box.samples, 128), label="moved")
+        moved = SampledDistribution(grid1, np.roll(box.samples, 128))
         w = Window(1.0)
         pts = np.array([[0.0, 3.0], [1.0, -2.0], [4.0, 0.5]])
         shifted_pts = pts.copy()
@@ -248,7 +248,7 @@ class TestInvariances:
         for name in catalog_names():
             g = grid1 if CATALOG[name].dim == 1 else grid2
             u, _ = catalog_entry(name, None, g)
-            w = Window(1.0, dim=g.dim)
+            w = Window(1.0)
             box_r = g.half_width / 2
             ax = np.linspace(-box_r, box_r, 9)
             if g.dim == 1:
@@ -291,4 +291,4 @@ class TestMoyal:
     def test_rejects_2d(self, grid2):
         u, _ = catalog_entry("box2d", None, grid2)
         with pytest.raises(ValueError, match="dim 1"):
-            moyal_reconstruct(u, Window(0.5, dim=2))
+            moyal_reconstruct(u, Window(0.5))

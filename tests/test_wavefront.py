@@ -8,6 +8,7 @@ from gaborwf.signal import CATALOG, SampledDistribution, catalog_entry, catalog_
 from gaborwf.stft import STFT_FLOOR, Window
 from gaborwf.wavefront import (
     DEFAULT_N_THRESH,
+    TILT_LEVELS,
     DecayProfile,
     WavefrontReport,
     _angles,
@@ -79,6 +80,10 @@ class TestSamplingValidation:
         ps2 = phase_space_rays(grid2)
         assert ps2.n_dirs == 32
         assert len(ps2.directions) == 32 + 3 * 32 * 32 + 32
+        # the derived pitch of every sampling, pi for the 1-D frequency pair
+        assert frequency_rays(grid1).angular_step == np.pi
+        assert phase_space_rays(grid1).angular_step == ps2.angular_step / 8 == 2 * np.pi / 256
+        assert len(frequency_rays(grid2).directions) == 32
 
     def test_degenerate_fit_rejected(self, grid1):
         u, _ = catalog_entry("dirac", None, grid1)
@@ -119,15 +124,14 @@ class TestRayLayout:
                 expected = radii[radii <= cap + 1e-12]
                 assert np.array_equal(samples[offsets[i] : offsets[i + 1], 0], expected), (grid.dim, i)
 
-    @pytest.mark.parametrize("tilt_count, edges", [(3, 4160), (5, 10304)])
-    def test_2d_phase_space(self, grid2, tilt_count, edges):
-        sampling = phase_space_rays(grid2, tilt_count=tilt_count)
+    def test_2d_phase_space(self, grid2):
+        sampling = phase_space_rays(grid2)
         n, e = sampling.n_dirs, sampling.neighbors
-        assert len(e) == 2 * n + (3 * tilt_count - 5) * n * n == edges
+        assert len(e) == 2 * n + (3 * TILT_LEVELS - 5) * n * n == 10304
         assert np.all(e[:, 0] < e[:, 1])
         assert np.array_equal(e, np.unique(e, axis=0))  # ascending, no repeats
         # an edge is one step on a circle or one step between tilt levels
-        bound = max(sampling.angular_step, np.pi / 2 / (tilt_count - 1))
+        bound = max(sampling.angular_step, np.pi / 2 / (TILT_LEVELS - 1))
         ends = sampling.directions[e]
         angles = np.arccos(np.clip(np.sum(ends[:, 0] * ends[:, 1], axis=1), -1.0, 1.0))
         assert np.all(angles <= bound + 1e-9)
@@ -365,7 +369,6 @@ class TestDetectorProperties:
                 grid1,
                 np.roll(u.samples, shift_cells) * np.exp(1j * xi0 * grid1.axis()),
                 kind=u.kind,
-                label="moved",
             )
             a = estimate_gabor_wf(u, w)
             b = estimate_gabor_wf(moved, w)
@@ -385,7 +388,7 @@ class TestDetectorProperties:
         # a lone flag whose slope sits close to the threshold is jitter and
         # must land in `isolated`, not in the singular set
         vals = rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n)
-        u = SampledDistribution(grid1, vals, label="noise")
+        u = SampledDistribution(grid1, vals)
         rep = estimate_gabor_wf(u, Window(1.0))
         slopes = [p.slope for p in rep.profiles]
         target = None

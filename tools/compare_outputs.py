@@ -7,9 +7,8 @@ fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
 * the exit code and the stdout must be identical;
-* every file but the detector reports must be byte-identical, except that a
-  ``GWF1`` sample dump (complex64) and a ``GWF2`` dump (complex128) of the
-  same grid agree when the complex128 samples round to the complex64 ones;
+* every file but the detector reports and profile CSVs must be
+  byte-identical;
 * in a report (``*_gabor.json``, ``*_sigma.json``) every key must be
   identical except the per-profile ``slope`` and ``residual``: the
   directions, ``floor_hit``, ``singular_dirs``, ``isolated`` and ``params``,
@@ -43,7 +42,6 @@ import argparse
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 import tempfile
@@ -59,7 +57,6 @@ WORKERS = 2
 # files compared by value; every other file must be byte-identical
 REPORTS = ("_gabor.json", "_sigma.json")
 PROFILES = "_profiles.csv"
-DUMPS = "_samples.bin"
 V_ABS, V_REL = 1e-13, 1e-12  # |V| agrees within either
 FIT_TOL = 1e-10  # slope and residual of rays with slope <= 2 n_thresh
 MAX_SHOWN = 5  # violations printed per file
@@ -176,24 +173,6 @@ def compare_profiles(old: str, new: str, worst: Worst) -> list[str]:
     return problems
 
 
-def compare_dumps(old: bytes, new: bytes) -> list[str]:
-    """A ``GWF1`` dump (complex64) against a ``GWF2`` dump (complex128) of
-    the same samples: the grids must agree and the complex128 samples,
-    rounded to complex64, must equal the complex64 ones bit for bit.  Dumps
-    in one format must be byte-identical."""
-    if {old[:4], new[:4]} != {b"GWF1", b"GWF2"}:
-        return ["bytes differ"]
-    if old[4:20] != new[4:20]:  # dim, n, L
-        return ["grid differs"]
-    narrow, wide = (old[32:], new[32:]) if old[:4] == b"GWF1" else (new[32:], old[32:])
-    count = len(wide) // 8
-    try:
-        rounded = struct.pack(f"<{count}f", *struct.unpack(f"<{count}d", wide))
-    except OverflowError:
-        return ["a sample exceeds the complex64 range"]
-    return [] if rounded == narrow else ["samples differ beyond complex64 rounding"]
-
-
 def compare(old: dict, new: dict, worst: Worst, label: str) -> tuple[bool, list[str]]:
     """Whether two runs of the invocation ``label`` are byte-identical, and
     every violation of the verdict bounds between them."""
@@ -216,8 +195,6 @@ def compare(old: dict, new: dict, worst: Worst, label: str) -> tuple[bool, list[
             found = compare_reports(json.loads(a), json.loads(b), worst)
         elif name.endswith(PROFILES):
             found = compare_profiles(a.decode(), b.decode(), worst)
-        elif name.endswith(DUMPS):
-            found = compare_dumps(a, b)
         else:
             found = ["bytes differ"]
         problems += [f"{name}: {p}" for p in found[:MAX_SHOWN]]
