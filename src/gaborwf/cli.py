@@ -185,7 +185,7 @@ def cmd_singular_space(args) -> int:
     try:
         q = QuadraticHamiltonian.from_json(Path(args.q_file).read_text())
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"invalid Hamiltonian file: {exc}", file=sys.stderr)
+        print(f"invalid Hamiltonian file {args.q_file}: {exc}", file=sys.stderr)
         return 2
     space = singular_space(q, args.tol)
     bracket = poisson_bracket_vanishes(q)

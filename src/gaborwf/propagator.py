@@ -38,6 +38,9 @@ from .wavefront import (
 
 GRAM_TOL = 1e-8
 TAPER_ONSET = 0.7  # fraction of n_max where the spectral roll-off begins
+# entries n * (n_max + 1) of the axis table: 32 MB, which the Gram check
+# multiplies once more; the default grids need 160,768 (1-D) and 6,144 (2-D)
+MAX_HERMITE_ENTRIES = 2**22
 
 
 def default_n_max(grid: Grid) -> int:
@@ -77,6 +80,11 @@ class HermiteBasis:
             raise ValueError(f"n_max must be non-negative, got {n_max}")
         if n_max > grid.n // 4:
             raise ValueError(f"n_max {n_max} exceeds the resolvable bound n/4 = {grid.n // 4}")
+        if grid.n * (n_max + 1) > MAX_HERMITE_ENTRIES:
+            raise ValueError(
+                f"n_max {n_max} on n = {grid.n} needs {grid.n * (n_max + 1)} Hermite table entries, "
+                f"more than {MAX_HERMITE_ENTRIES}"
+            )
         H = _hermite_values(grid.axis(), n_max)
         gram = grid.spacing * (H.T @ H)
         err = float(np.max(np.abs(gram - np.eye(n_max + 1))))

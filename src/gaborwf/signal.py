@@ -26,6 +26,10 @@ SAMPLE_MAGIC = b"GWF2"
 _SAMPLE_HEADER = "<4sII d I 8x"
 # the kinds of a SampledDistribution; their order fixes the kind codes of dumps
 KINDS = ("function", "singular-spike")
+# samples of one grid, n**dim: 16 MB of complex128, whose FFT and mesh
+# temporaries take a few times that, and every kernel value sums over all of
+# them; the default grids hold 1,024 (1-D) and 65,536 (2-D)
+MAX_GRID_SAMPLES = 2**20
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -60,6 +64,8 @@ class Grid:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
+        if self.n**self.dim > MAX_GRID_SAMPLES:
+            raise ValueError(f"n must keep n**{self.dim} <= {MAX_GRID_SAMPLES} grid samples, got {self.n}")
         if not 0 < self.half_width < np.inf:
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         # point masses carry amplitude 1/h^d, so h^d must neither overflow nor underflow
@@ -232,49 +238,92 @@ def phase_rows(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # factor entries per axis and chunk: 1,024 points at n = 256, 256 at n = 1,024
 SUM_CHUNK_ELEMENTS = 2**18
+# entries per gathered block of a chunk: 128 points at n = 256 in 2-D, the
+# whole chunk in 1-D.  Blocks this small stay in cache and reuse one heap
+# buffer; gathering a whole 2-D chunk at once page-faults fresh buffers on
+# every chunk, a third of the call
+SUM_GATHER_ELEMENTS = 2**15
+# keys equal at this many decimals share one factor row: the mirror-image
+# coordinates of a ray sampling, such as cos(2 pi k/32) and cos(2 pi (32 - k)/32),
+# differ in the last bit only
+MERGE_DECIMALS = 12
+
+
+def distinct_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of the entries of ``key`` (real, or complex for a pair) that are
+    equal when rounded to ``MERGE_DECIMALS`` decimals: the index of each
+    group's first entry, and each entry's group."""
+    _, first, index = np.unique(np.round(key, MERGE_DECIMALS), return_index=True, return_inverse=True)
+    return first, index
 
 
 def separable_sum(
     u: SampledDistribution,
     points: np.ndarray,
-    axis_factor: Callable[[np.ndarray, int], np.ndarray],
+    axis_factor: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """``sum_j u(x_j) prod_k F_k[p, j_k] h^d`` at every point ``p``.
 
-    ``axis_factor(block, k)`` gives the (P, n) factor matrix ``F_k`` of axis
-    ``k`` for a block of points.  The first axis is contracted against the
-    sample array by a matmul, every further axis by a row-wise dot product, so
-    2-D sums never form an (n, n) kernel per point.  Fixed summation order
-    (ascending grid index) keeps results bit-identical across calls;
-    evaluation is chunked over points only, ``SUM_CHUNK_ELEMENTS`` factor
-    entries per axis and chunk.
+    ``axis_factor(block, k)`` gives the factor matrix ``F_k`` of axis ``k``
+    for a block of points as ``(rows, index)``: one row per distinct factor
+    and each point's row, ``F_k = rows[index]``.  The first axis is
+    contracted against the sample array by one matmul over its distinct
+    rows, ``t = rows @ u``, and each point gathers its row ``t[index]``;
+    every further axis is a row-wise dot product with the gathered
+    ``rows[index]``.  So 2-D sums never form an (n, n) kernel per point, and
+    a point that shares its first-axis factor with another costs no matmul
+    row.  Fixed summation order (ascending grid index) keeps a point's value
+    independent of the other points of its block.  Evaluation is chunked
+    over points, ``SUM_CHUNK_ELEMENTS`` factor entries per axis and chunk,
+    and each chunk is gathered and contracted ``SUM_GATHER_ELEMENTS`` entries
+    at a time.
     """
-    chunk = max(1, SUM_CHUNK_ELEMENTS // u.grid.n)
+    g = u.grid
+    chunk = max(1, SUM_CHUNK_ELEMENTS // g.n)
+    # a gathered point holds one entry per sample of a first-axis slice
+    step = min(chunk, max(1, SUM_GATHER_ELEMENTS // g.n ** (g.dim - 1)))
     out = np.empty(len(points), dtype=np.complex128)
     # factors stay referenced until the next chunk replaces them: freeing all
     # large buffers at chunk end lets the heap shrink, and the next chunk pays
     # page faults to grow it again (about 10% of a 1-D call)
-    factors = [None] * u.grid.dim
+    factors = [None] * g.dim
     for lo in range(0, len(points), chunk):
         block = points[lo : lo + chunk]
-        for k in range(u.grid.dim):
+        for k in range(g.dim):
             factors[k] = axis_factor(block, k)
-        t = factors[0] @ u.samples
-        for factor in factors[1:]:
-            t = np.einsum("pi,pi->p", t, factor)
-        out[lo : lo + chunk] = t
-    return out * u.grid.cell_volume
+        rows, index = factors[0]
+        t = rows @ u.samples
+        for a in range(0, len(block), step):
+            part = t[index[a : a + step]]
+            for rows_k, index_k in factors[1:]:
+                part = np.einsum("pi,pi->p", part, rows_k[index_k[a : a + step]])
+            out[lo + a : lo + a + step] = part
+    return out * g.cell_volume
 
 
 def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     """``uhat`` at arbitrary frequency points, shape (P, dim): direct sums, no
-    interpolation."""
+    interpolation.
+
+    Axis ``k`` carries one phase row ``exp(-i xi_k x)`` per distinct
+    ``xi_k`` of a chunk: frequencies equal at ``MERGE_DECIMALS`` decimals
+    share the row of their first member, built at its exact ``xi_k``
+    (``distinct_keys``).  A merged frequency moves by a few ulps of its
+    radius: on the catalog entries its value stays within the comparator
+    bounds of the per-point sum (1e-13 absolute or 1e-12 relative), and it
+    is bit-exact where merging is the identity.
+    """
     g = u.grid
     pts = np.atleast_2d(np.asarray(xi_points, dtype=float))
     if pts.shape[1] != g.dim:
         raise ValueError(f"expected frequency points of dim {g.dim}")
     x = g.axis()
-    return separable_sum(u, pts, lambda block, k: phase_rows(block[:, k], x))
+
+    def axis_factor(block, k):
+        first, index = distinct_keys(block[:, k])
+        return phase_rows(block[first, k], x), index
+
+    return separable_sum(u, pts, axis_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,11 @@ class QuadraticHamiltonian:
         Q = np.asarray(self.Q, dtype=np.complex128)
         if Q.shape != (2 * self.dim, 2 * self.dim):
             raise ValueError(f"Q must be {2 * self.dim} x {2 * self.dim}")
+        # NaN fails no comparison below and would surface as a failed SVD
+        bad = np.argwhere(~np.isfinite(Q))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"Q[{i}, {j}] must be finite, got {Q[i, j]}")
         if np.linalg.norm(Q - Q.T) > 1e-12 * max(1.0, np.linalg.norm(Q)):
             raise ValueError("Q must be symmetric")
         eig = np.linalg.eigvalsh((Q.real + Q.real.T) / 2)

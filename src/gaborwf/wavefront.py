@@ -32,6 +32,11 @@ ARC_COLLAPSE_ANGLE = np.pi / 3  # arcs wider than this are true cones, not smear
 TILT_LEVELS = 5  # tilt levels of the 2-D phase-space sampling, both fibers included
 FREQUENCY_DIRS_2D = 32  # directions on the 2-D frequency circle
 _EXTENT_SIZE_CAP = 64
+# radii times directions of one sampling: the (P, 2d) points and (P, 2)
+# samples of that many ray points take 200 MB in 2-D, and the 2-D kernel
+# needs about 40 s for them; the default samplings hold 6,656 (1-D) and
+# 119,168 (2-D)
+MAX_RAY_POINTS = 2**22
 
 
 def position_cap(grid: Grid, lam: float | None = None, compact: bool = True) -> float:
@@ -86,9 +91,10 @@ class RaySampling:
         return 2 * np.pi / self.n_dirs
 
 
-def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str):
-    """Geometric radii ``r_min * rho**k`` up to ``r_max`` (default ``cap``);
-    returns the radii with the resolved ``r_max`` and ``rho``."""
+def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str, n_dirs: int, directions: int):
+    """Geometric radii ``r_min * rho**k`` up to ``r_max`` (default ``cap``)
+    for ``directions`` rays; returns the radii with the resolved ``r_max`` and
+    ``rho``."""
     if rho is None:
         rho = DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D
     if r_max is None:
@@ -103,6 +109,11 @@ def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str):
     if not r_max > r_min:
         raise ValueError(f"r_max must exceed r_min = {r_min}, got {r_max}")
     count = int(np.floor(np.log(r_max / r_min) / np.log(rho))) + 1
+    if count * directions > MAX_RAY_POINTS:
+        raise ValueError(
+            f"rho = {rho} gives {count} radii and n_dirs = {n_dirs} gives {directions} directions: "
+            f"more than {MAX_RAY_POINTS} ray points"
+        )
     return r_min * rho ** np.arange(count), float(r_max), rho
 
 
@@ -138,19 +149,24 @@ def phase_space_rays(
     pure-frequency fibers appear once each.  The shared radius ladder is
     truncated per direction at estimate time by the position/frequency caps.
     """
-    cap = max(position_cap(grid), frequency_cap(grid))
-    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, "resolvable phase-space radius")
     if grid.dim == 1:
         if n_dirs is None:
             n_dirs = 256
         if n_dirs < 64 or n_dirs % 4:
             raise ValueError("need n_dirs >= 64, divisible by 4, for the phase-space circle")
+        directions = n_dirs
+    else:
+        if n_dirs is None:
+            n_dirs = 32
+        if n_dirs < 32 or n_dirs % 4:
+            raise ValueError("need n_dirs >= 32 per circle, divisible by 4, in 2-D")
+        directions = 2 * n_dirs + (TILT_LEVELS - 2) * n_dirs**2
+    cap = max(position_cap(grid), frequency_cap(grid))
+    what = "resolvable phase-space radius"
+    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, what, n_dirs, directions)
+    if grid.dim == 1:
         neighbors = _adjacency(_ring(n_dirs))
         return RaySampling(_circle(n_dirs), radii, neighbors, "phase", n_dirs, r_min, r_max, rho)
-    if n_dirs is None:
-        n_dirs = 32
-    if n_dirs < 32 or n_dirs % 4:
-        raise ValueError("need n_dirs >= 32 per circle, divisible by 4, in 2-D")
     n = n_dirs
     circ = _circle(n)
     zeros = np.zeros_like(circ)
@@ -180,11 +196,11 @@ def frequency_rays(
 ) -> RaySampling:
     """Directions on the frequency sphere S^{d-1}: the pair {-1, +1} in 1-D,
     ``FREQUENCY_DIRS_2D`` points on the circle in 2-D."""
+    n = 2 if grid.dim == 1 else FREQUENCY_DIRS_2D
     cap = frequency_cap(grid)
-    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, "alias-free frequency radius")
+    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, "alias-free frequency radius", n, n)
     if grid.dim == 1:
-        return RaySampling(np.array([[1.0], [-1.0]]), radii, (), "frequency", 2, r_min, r_max, rho)
-    n = FREQUENCY_DIRS_2D
+        return RaySampling(np.array([[1.0], [-1.0]]), radii, (), "frequency", n, r_min, r_max, rho)
     return RaySampling(_circle(n), radii, _adjacency(_ring(n)), "frequency", n, r_min, r_max, rho)
 
 

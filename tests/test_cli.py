@@ -186,6 +186,14 @@ class TestSingularSpace:
         code, _, err = run(capsys, "singular-space", str(q), "--out", str(tmp_path))
         assert code == 2
 
+    def test_non_finite_entry_named(self, tmp_path, capsys):
+        nan = float("nan")
+        q = self.write_q(tmp_path, "nan.json", [[0, nan], [nan, 0]], [[1, 0], [0, 1]])
+        code, _, err = run(capsys, "singular-space", str(q), "--out", str(tmp_path))
+        assert code == 2
+        assert "nan.json" in err and "Q[0, 1] must be finite" in err
+        assert not (tmp_path / "nan_singular_space.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         q = self.write_q(tmp_path, "osc.json", [[0, 0], [0, 0]], [[1, 0], [0, 1]])
         a, b = tmp_path / "a", tmp_path / "b"

@@ -55,6 +55,12 @@ class TestBasis:
         with pytest.raises(ValueError, match="non-negative"):
             HermiteBasis.build(grid1, -1)
 
+    def test_table_size_bounded(self):
+        # 65,536 x 65 entries, 34 MB if it were built
+        g = make_grid(1, 2**16, 20.0)
+        with pytest.raises(ValueError, match="n_max 64 on n = 65536 needs 4259840 Hermite table entries"):
+            HermiteBasis.build(g, 64)
+
     def test_rejects_order_spilling_out_of_box(self):
         g = make_grid(1, 1024, 10.0)  # box edge at 10: order 100 turns at 14.2
         with pytest.raises(ValueError, match="orthonormal"):

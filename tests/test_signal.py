@@ -12,12 +12,16 @@ from gaborwf.signal import (
     catalog_entry,
     catalog_entry_json,
     catalog_names,
+    distinct_keys,
     dump_samples,
     fourier_transform,
     load_samples,
     make_grid,
     nudft,
+    phase_rows,
+    separable_sum,
 )
+from gaborwf.wavefront import frequency_rays
 
 
 def quad_fourier(f, xi, lo, hi):
@@ -48,6 +52,14 @@ class TestGrid:
             make_grid(1, 1024, 0.0)
         with pytest.raises(ValueError):
             make_grid(3, 1024, 20)
+
+    def test_sample_count_bounded(self):
+        # a grid builds no array, so the rejected sizes cost nothing here
+        assert make_grid(1, 2**20, 20.0).n == 2**20
+        assert make_grid(2, 2**10, 10.0).n == 2**10
+        for dim, n in ((1, 2**21), (2, 2**11), (1, 2**64)):
+            with pytest.raises(ValueError, match=r"n must keep n\*\*"):
+                make_grid(dim, n, 10.0)
 
     def test_axis_points(self):
         g = make_grid(1, 16, 1)
@@ -236,6 +248,30 @@ class TestFourierTransform:
             phases = np.exp(-1j * (x[:, None] * p[0] + x[None, :] * p[1]))
             direct = np.sum(u.samples * phases) * g.cell_volume
             assert abs(v - direct) < 1e-12
+
+    def test_nudft_merges_only_equal_frequencies(self, grid2, rng):
+        # the 2-D frequency rays: mirror-image coordinates such as
+        # cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit
+        sampling = frequency_rays(grid2)
+        pts = (sampling.radii[:, None, None] * sampling.directions).reshape(-1, 2)
+        x = grid2.axis()
+
+        def per_point(u, points):
+            return separable_sum(u, points, lambda block, k: (phase_rows(block[:, k], x), np.arange(len(block))))
+
+        assert len(np.unique(pts[:, 0])) > len(distinct_keys(pts[:, 0])[0])
+        for name in ("box2d", "line_delta_2d"):
+            u, _ = catalog_entry(name, None, grid2)
+            got, want = nudft(u, pts), per_point(u, pts)
+            err = np.abs(got - want)
+            assert np.all((err <= 1e-13) | (err <= 1e-12 * np.abs(want))), name
+        # with each merged group made bit-equal the shared rows change nothing
+        snapped = pts.copy()
+        for k in (0, 1):
+            first, index = distinct_keys(pts[:, k])
+            snapped[:, k] = pts[first[index], k]
+        u = SampledDistribution(grid2, rng.standard_normal(grid2.shape) + 1j * rng.standard_normal(grid2.shape))
+        assert np.array_equal(nudft(u, snapped), per_point(u, snapped))
 
     def test_nudft_agrees_with_fft_on_dual_grid(self, grid1):
         u, _ = catalog_entry("bump", None, grid1)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gaborwf.signal import SUM_CHUNK_ELEMENTS, SampledDistribution, catalog_entry, make_grid, phase_rows, separable_sum
+from gaborwf.signal import (
+    SUM_CHUNK_ELEMENTS,
+    SampledDistribution,
+    catalog_entry,
+    distinct_keys,
+    make_grid,
+    phase_rows,
+    separable_sum,
+)
 from gaborwf.stft import Window, _window_axis_at, moyal_reconstruct, stft_at, stft_points, stft_slice
 from gaborwf.wavefront import _sample_rays, frequency_cap, phase_space_rays, position_cap
 
@@ -171,12 +179,14 @@ class TestDenseOracle:
 
 def per_point_stft(u, window, pts):
     """Oracle: the separable sum with each point's factor built on its own,
-    ``psi(y - x_k)`` times the point's own ``phase_rows`` row."""
+    ``psi(y - x_k)`` times the point's own ``phase_rows`` row, one row per
+    point."""
     g, y = u.grid, u.grid.axis()
 
     def axis_factor(block, k):
         window_k = _window_axis_at(window, g, y, block[:, k])
-        return window_k * np.vstack([phase_rows(xi, y) for xi in block[:, g.dim + k, None]])
+        rows = window_k * np.vstack([phase_rows(xi, y) for xi in block[:, g.dim + k, None]])
+        return rows, np.arange(len(block))
 
     return separable_sum(u, pts, axis_factor)
 
@@ -189,10 +199,30 @@ def ray_major_points(grid, rho):
     return samples[:, :1] * np.repeat(sampling.directions, np.diff(offsets), axis=0)
 
 
+def merge_free(pts):
+    """``pts`` with every coordinate replaced by the first coordinate of its
+    column that is equal to it at ``MERGE_DECIMALS`` decimals.  Pairs that
+    merge are then bit-equal, so merging changes no factor row."""
+    out = pts.copy()
+    for c in range(pts.shape[1]):
+        first, index = distinct_keys(pts[:, c])
+        out[:, c] = pts[first[index], c]
+    return out
+
+
+def within_comparator_bounds(got, want):
+    """The |V| bounds of ``tools/compare_outputs.py``: 1e-13 absolute or
+    1e-12 relative."""
+    err = np.abs(got - want)
+    return bool(np.all((err <= 1e-13) | (err <= 1e-12 * np.abs(want))))
+
+
 class TestSharedFactorTables:
-    """``stft_points`` tabulates window and phase factors per distinct
-    coordinate; every value must equal the per-point product bit for bit,
-    whatever the order of the points and however the chunks split them."""
+    """``stft_points`` builds one factor row per distinct ``(x_k, xi_k)`` of a
+    chunk.  Where no two pairs merge, every value equals the per-point product
+    bit for bit, whatever the order of the points and however the chunks split
+    them; on the ray points, whose mirror-image pairs differ in the last bit
+    and share a row, the values stay within the comparator bounds."""
 
     @pytest.fixture(scope="class")
     def rays_2d(self, rng):
@@ -205,12 +235,24 @@ class TestSharedFactorTables:
 
     def test_2d_ray_major(self, rays_2d):
         u, w, pts = rays_2d
-        assert np.array_equal(stft_points(u, w, pts), per_point_stft(u, w, pts))
+        got, want = stft_points(u, w, pts), per_point_stft(u, w, pts)
+        assert not np.array_equal(got, want)  # mirror pairs did merge
+        assert within_comparator_bounds(got, want)
 
     def test_2d_shuffled(self, rays_2d, rng):
         u, w, pts = rays_2d
         pts = pts[rng.permutation(len(pts))]
-        assert np.array_equal(stft_points(u, w, pts), per_point_stft(u, w, pts))
+        assert within_comparator_bounds(stft_points(u, w, pts), per_point_stft(u, w, pts))
+
+    def test_2d_merge_free_bit_exact(self, rays_2d, rng):
+        u, w, pts = rays_2d
+        pts = merge_free(pts)
+        # mirror pairs are now bit-equal, so rows are still shared
+        assert len(np.unique(pts[:, 0] + 1j * pts[:, 2])) < len(pts) / 2
+        want = per_point_stft(u, w, pts)
+        assert np.array_equal(stft_points(u, w, pts), want)
+        order = rng.permutation(len(pts))
+        assert np.array_equal(stft_points(u, w, pts[order]), want[order])
 
     def test_1d_cutoff_window(self, grid1, rng):
         u = SampledDistribution(grid1, rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n))
@@ -218,6 +260,41 @@ class TestSharedFactorTables:
         pts = ray_major_points(grid1, rho=1.15)[:2001]
         assert len(pts) % (SUM_CHUNK_ELEMENTS // grid1.n)
         assert np.array_equal(stft_points(u, w, pts), per_point_stft(u, w, pts))
+
+    def test_close_pairs_stay_apart(self, grid2, rng):
+        u = SampledDistribution(grid2, rng.standard_normal(grid2.shape) + 1j * rng.standard_normal(grid2.shape))
+        w = Window(1.0)
+        pts = np.array([[0.3, -1.2, 5.0, 2.5], [0.3 + 1e-9, -1.2, 5.0, 2.5], [0.3, -1.2, 5.0, 2.5 + 1e-9]])
+        for k in (0, 1):
+            assert len(distinct_keys(pts[:, k] + 1j * pts[:, 2 + k])[0]) == 2
+        got = stft_points(u, w, pts)
+        assert len(set(got.tolist())) == 3
+        assert np.array_equal(got, per_point_stft(u, w, pts))
+
+    def test_merged_points_move_by_ulps_of_the_radius(self, grid2):
+        # the radius-major points that the default 2-D detection evaluates:
+        # each point's rows are built at the coordinates of the first member
+        # of its group in its chunk, which may sit a few ulps of r away
+        g = grid2
+        captured = []
+        _sample_rays(phase_space_rays(g), g, lambda p: captured.append(p) or np.zeros(len(p)), position_cap(g))
+        (pts,) = captured
+        chunk = SUM_CHUNK_ELEMENTS // g.n
+        moved, rows = pts.copy(), 0
+        for lo in range(0, len(pts), chunk):
+            block = pts[lo : lo + chunk]
+            for k in (0, 1):
+                first, index = distinct_keys(block[:, k] + 1j * block[:, 2 + k])
+                moved[lo : lo + chunk, [k, 2 + k]] = block[first[index]][:, [k, 2 + k]]
+                if k == 0:
+                    rows += len(first)
+        # 42,730 axis-0 rows for 106,592 points; bit-distinct pairs would
+        # need 89,273
+        assert rows < 0.41 * len(pts)
+        shift = np.linalg.norm(moved - pts, axis=1)
+        radius = np.linalg.norm(pts, axis=1)
+        assert np.count_nonzero(shift) > len(pts) / 4
+        assert np.all(shift <= 8 * np.spacing(radius))
 
 
 class TestInvariances:

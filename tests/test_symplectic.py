@@ -63,6 +63,12 @@ class TestQuadraticHamiltonian:
         with pytest.raises(ValueError, match="semidefinite"):
             Q([[-1.0, 0.0], [0.0, 1.0]])
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match=r"Q\[1, 0\] must be finite, got \(nan"):
+            Q([[1.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match=r"Q\[0, 0\] must be finite"):
+            Q(np.diag([complex(0.0, np.inf), 1j]))
+
     def test_accepts_purely_imaginary(self):
         Q(1j * np.eye(2))
 

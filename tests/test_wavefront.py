@@ -85,6 +85,19 @@ class TestSamplingValidation:
         assert phase_space_rays(grid1).angular_step == ps2.angular_step / 8 == 2 * np.pi / 256
         assert len(frequency_rays(grid2).directions) == 32
 
+    def test_ray_point_count_bounded(self, grid1, grid2):
+        # each rejected sampling would hold millions of ray points; built
+        # anyway, its radii and directions would take at most tens of MB
+        for bad in (
+            lambda: phase_space_rays(grid1, rho=1.00001),  # 359,416 radii
+            lambda: frequency_rays(grid1, rho=1.000001),  # 3.6 million radii
+            lambda: phase_space_rays(grid1, n_dirs=2**18),
+            lambda: phase_space_rays(grid2, n_dirs=256),  # 197,120 directions
+        ):
+            with pytest.raises(ValueError, match=r"rho = .* n_dirs = .* ray points"):
+                bad()
+        assert len(phase_space_rays(grid2, n_dirs=64).directions) == 12416
+
     def test_degenerate_fit_rejected(self, grid1):
         u, _ = catalog_entry("dirac", None, grid1)
         tight = phase_space_rays(grid1, r_min=1.0, r_max=1.8)
@@ -514,15 +527,20 @@ class TestFitRays:
             _fit_rays(*ray_layout(rays))
 
 
-def synthetic_report(sampling, slopes, n_thresh=DEFAULT_N_THRESH):
-    """A report whose ray i holds (r, r**-slopes[i]) on the whole radius
-    ladder, with profile slope ``slopes[i]``; no signal is sampled."""
+def synthetic_report(sampling, rays, n_thresh=DEFAULT_N_THRESH):
+    """A report with profile slope ``s`` for each ray ``(s, values)``: the
+    ray holds ``(r, values(r))`` on the first ``len(values(r))`` rungs of the
+    radius ladder ``r``, or ``(r, r**-s)`` on all of it where ``values`` is
+    None.  No signal is sampled."""
     r = sampling.radii
-    samples = np.vstack([np.column_stack([r, r**-s]) for s in slopes])
-    offsets = len(r) * np.arange(len(slopes) + 1)
-    profiles = tuple(DecayProfile(s, 0.0, False) for s in slopes)
+    blocks = []
+    for s, values in rays:
+        v = r**-s if values is None else values(r)
+        blocks.append(np.column_stack([r[: len(v)], v]))
+    offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
+    profiles = tuple(DecayProfile(s, 0.0, False) for s, _ in rays)
     kind = "gabor" if sampling.space == "phase" else "sigma"
-    return WavefrontReport(kind, sampling, profiles, samples, offsets, n_thresh, None)
+    return WavefrontReport(kind, sampling, profiles, np.vstack(blocks), offsets, n_thresh, None)
 
 
 def indices_of(dirs, sampling):
@@ -530,9 +548,17 @@ def indices_of(dirs, sampling):
     return [int(np.flatnonzero((sampling.directions == z).all(axis=1))[0]) for z in dirs]
 
 
-# space, {direction index: slope} of the flagged rays (every other ray has
-# slope 5), singular indices, isolated indices; all at n_thresh 2.5 on the
-# default 1-D samplings, where the phase-space circle has 256 directions
+def torus(t, i, j):
+    """Index of the torus point ``(t, i, j)`` of the default 2-D phase-space
+    sampling: 32 position directions come first, then 32 x 32 per torus."""
+    return 32 + 1024 * t + 32 * i + j
+
+
+# sampling, {direction index: slope or (slope, values)} of the flagged rays
+# (every other ray has slope 5; see synthetic_report), singular indices,
+# isolated indices; all at n_thresh 2.5 on the default samplings: "phase" is
+# the 1-D phase-space circle of 256 directions, "phase-2d" the 2-D
+# phase-space sphere of 32 + 3 x 1024 + 32 directions
 MERGE_TABLE = {
     # a lone flag is singular up to 0.75 * 2.5 = 1.875 and isolated above
     "lone-flag-below-ratio": ("phase", {100: 1.7}, [100], []),
@@ -549,16 +575,42 @@ MERGE_TABLE = {
     "cone-43-steps": ("phase", dict.fromkeys(range(30, 74), 1.0), list(range(30, 74)), []),
     # S^0 has no neighbours: every flag is singular, even near the threshold
     "frequency-pair": ("frequency", {0: 1.0, 1: 2.4}, [0, 1], []),
+    # members cut by different caps: ray 10 holds all 26 radii, flat on the
+    # 12 it shares with rays 11-14 and falling as r**-2 beyond, so its own
+    # fit gives 2; refitted on the shared radii it gives 0 and is the axis.
+    # Ranked by the profile slopes or by each ray's own fit, 11-14 would be
+    # the core and the axis 12
+    "mixed-caps": (
+        "phase",
+        {
+            10: (2.0, lambda r: np.minimum(1.0, (r / r[11]) ** -2.0)),
+            **dict.fromkeys(range(11, 15), (1.0, lambda r: r[:12] ** -1.0)),
+        },
+        [10],
+        [],
+    ),
+    # 2-D torus adjacency: each pair below is adjacent through one edge
+    # family only, and joined collapses to its deeper member; apart, both
+    # are lone flags under 1.875 and singular
+    "torus-wrap": ("phase-2d", {torus(0, 5, 0): 1.5, torus(0, 5, 31): 0.5}, [torus(0, 5, 31)], []),
+    "torus-next-tilt": ("phase-2d", {torus(0, 5, 7): 1.5, torus(1, 5, 7): 0.5}, [torus(1, 5, 7)], []),
+    "position-fiber": ("phase-2d", {5: 1.5, torus(0, 5, 20): 0.5}, [torus(0, 5, 20)], []),
+    # frequency point j comes after the tori, at 32 + 3 x 1024 + j
+    "frequency-fiber": ("phase-2d", {torus(2, 9, 20): 0.5, 3104 + 20: 1.5}, [torus(2, 9, 20)], []),
 }
 
 
 class TestMergeRules:
     @pytest.mark.parametrize("row", MERGE_TABLE)
-    def test_verdict(self, grid1, row):
+    def test_verdict(self, grid1, grid2, row):
         space, flagged, singular, isolated = MERGE_TABLE[row]
-        sampling = phase_space_rays(grid1) if space == "phase" else frequency_rays(grid1)
-        slopes = [flagged.get(i, 5.0) for i in range(len(sampling.directions))]
-        rep = synthetic_report(sampling, slopes)
+        sampling = {
+            "phase": lambda: phase_space_rays(grid1),
+            "frequency": lambda: frequency_rays(grid1),
+            "phase-2d": lambda: phase_space_rays(grid2),
+        }[space]()
+        rays = [flagged.get(i, 5.0) for i in range(len(sampling.directions))]
+        rep = synthetic_report(sampling, [ray if isinstance(ray, tuple) else (ray, None) for ray in rays])
         assert indices_of(rep.singular_dirs, sampling) == singular
         assert indices_of(rep.isolated, sampling) == isolated
 
