@@ -218,35 +218,25 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) ->
     return SampledDistribution(grid, vals)
 
 
-def phase_rows(xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(len(xi), n)`` rows ``exp(-i xi_k y_j)`` on the grid axis ``y``.
-
-    With ``j = m a + b`` and ``y_j = y_{m a} + b h``, each row is the product
-    of a coarse factor ``exp(-i xi y_{m a})`` and a fine factor
-    ``exp(-i xi b h)``: ``n / m + m`` exponentials per row instead of ``n``
-    (64 instead of 1,024 at n = 1,024).  The product moves a phase by about
-    the rounding the direct ``xi * y_j`` already carries (1e-13 rad at
-    ``|xi y| = 700``).
-    """
-    n = len(y)
-    m = 2 ** ((n.bit_length() - 1) // 2)
-    xi = np.asarray(xi, dtype=float)[:, None]
-    coarse = np.exp(-1j * xi * y[::m])
-    fine = np.exp(-1j * xi * ((y[1] - y[0]) * np.arange(m)))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(xi), n)
-
-
-# factor entries per axis and chunk: 1,024 points at n = 256, 256 at n = 1,024
+# factor entries per chunk of points: 1,024 points at n = 256 in 2-D, whose
+# first-axis rows are materialized, and 2**18 / (n / m + m) in 1-D
 SUM_CHUNK_ELEMENTS = 2**18
-# entries per gathered block of a chunk: 128 points at n = 256 in 2-D, the
-# whole chunk in 1-D.  Blocks this small stay in cache and reuse one heap
-# buffer; gathering a whole 2-D chunk at once page-faults fresh buffers on
-# every chunk, a third of the call
+# entries per gathered block of a chunk: 128 points at n = 256 in 2-D.
+# Blocks this small stay in cache and reuse one heap buffer; gathering a
+# whole 2-D chunk at once page-faults fresh buffers on every chunk, a third
+# of the call
 SUM_GATHER_ELEMENTS = 2**15
-# keys equal at this many decimals share one factor row: the mirror-image
-# coordinates of a ray sampling, such as cos(2 pi k/32) and cos(2 pi (32 - k)/32),
-# differ in the last bit only
+# first-axis pairs equal at this many decimals share one materialized row:
+# the mirror-image coordinates of a ray sampling, such as cos(2 pi k/32) and
+# cos(2 pi (32 - k)/32), differ in the last bit only
 MERGE_DECIMALS = 12
+# window centers are clipped to this many widths beyond the grid: from there
+# on exp(-R^2 / 2) underflows to 0, and so does every window value
+WINDOW_REACH = 39.0
+# largest real exponent of a Gaussian fine factor and of the coupling folded
+# into the samples.  Their products with the samples stay far from overflow,
+# and rounding an exponent z moves a term by about |z| ulps
+SPLIT_EXPONENT_BOUND = 340.0
 
 
 def distinct_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,47 +247,91 @@ def distinct_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, index
 
 
-def separable_sum(
-    u: SampledDistribution,
-    points: np.ndarray,
-    axis_factor: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """``sum_j u(x_j) prod_k F_k[p, j_k] h^d`` at every point ``p``.
+def axis_split(grid: Grid, lam: float | None = None) -> int:
+    """Fine length ``m`` of the coarse × fine split of a grid axis into
+    ``n / m`` blocks of ``m`` samples.
 
-    ``axis_factor(block, k)`` gives the factor matrix ``F_k`` of axis ``k``
-    for a block of points as ``(rows, index)``: one row per distinct factor
-    and each point's row, ``F_k = rows[index]``.  The first axis is
-    contracted against the sample array by one matmul over its distinct
-    rows, ``t = rows @ u``, and each point gathers its row ``t[index]``;
-    every further axis is a row-wise dot product with the gathered
-    ``rows[index]``.  So 2-D sums never form an (n, n) kernel per point, and
-    a point that shares its first-axis factor with another costs no matmul
-    row.  Fixed summation order (ascending grid index) keeps a point's value
-    independent of the other points of its block.  Evaluation is chunked
-    over points, ``SUM_CHUNK_ELEMENTS`` factor entries per axis and chunk,
-    and each chunk is gathered and contracted ``SUM_GATHER_ELEMENTS`` entries
-    at a time.
+    ``2**((log2 n) // 2)`` (32 at n = 1,024, 16 at n = 256), halved for a
+    Gaussian of width ``lam`` while ``(dim L/2 + WINDOW_REACH lam + m h / 4)
+    (m / 2) h / lam**2`` exceeds ``SPLIT_EXPONENT_BOUND``.  That bounds the
+    real exponent of every fine factor, whose window center is clipped to
+    ``L/2 + WINDOW_REACH lam``, and of the coupling folded into the samples,
+    ``dim L/2 (m / 2) h / lam**2`` over all axes.
     """
-    g = u.grid
-    chunk = max(1, SUM_CHUNK_ELEMENTS // g.n)
-    # a gathered point holds one entry per sample of a first-axis slice
-    step = min(chunk, max(1, SUM_GATHER_ELEMENTS // g.n ** (g.dim - 1)))
+    m = 2 ** ((grid.n.bit_length() - 1) // 2)
+    if lam is not None:
+        h, reach = grid.spacing, grid.dim * grid.half_width + WINDOW_REACH * lam
+        while m > 1 and (reach + m * h / 4) * (m // 2) * h > SPLIT_EXPONENT_BOUND * lam**2:
+            m //= 2
+    return m
+
+
+def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: float | None = None) -> np.ndarray:
+    """``sum_j samples_j prod_k psi(y_jk - x_k) exp(-i xi_k y_jk) h^d`` at every
+    phase point ``(x, xi)`` of ``points``, shape (P, 2*dim), with
+    ``psi(t) = (pi lam^2)^(-1/4) exp(-t^2 / (2 lam^2))``, or ``psi = 1`` when
+    ``lam`` is None (a Fourier sum).
+
+    Each axis is split into ``n / m`` blocks of ``m`` samples (``axis_split``):
+    ``y_j = Y_a + d_b`` with ``j = m a + b``, ``Y_a`` the center of block
+    ``a`` and ``d_b = (b - m/2) h``.  Then an axis term is
+    ``C[a] F[b] G[a, b]`` with
+
+    * ``C[a] = exp(-(Y_a - x)^2 / (2 lam^2) - i xi Y_a)``, the coarse factor;
+    * ``F[b] = exp((x d_b - d_b^2 / 2) / lam^2 - i xi d_b)``, the fine factor;
+    * ``G[a, b] = (pi lam^2)^(-1/4) exp(-Y_a d_b / lam^2)``, which does not
+      depend on the point and is folded into the samples once per call.
+
+    The Gaussian parts are real exponentials built once per distinct ``x_k``
+    of a chunk, the phase parts once per distinct ``xi_k``, ``n / m + m``
+    entries each.  ``x`` is clipped to ``±(L/2 + WINDOW_REACH lam)``, where
+    every window value is already 0.  In 2-D the first
+    axis materializes ``C ⊗ F`` once per distinct ``(x_0, xi_0)`` pair
+    (``distinct_keys``) for the matmul ``t = rows @ samples``; each point
+    gathers ``t[index]`` as an ``(n/m, m)`` block and contracts it with its
+    last-axis ``C`` and ``F``.  In 1-D the samples are that block for every
+    point, so ``C @ block`` is one matmul.  No factor holds n entries per
+    point.  Evaluation is chunked over points, about ``SUM_CHUNK_ELEMENTS``
+    factor entries per chunk, and 2-D chunks are gathered and contracted
+    ``SUM_GATHER_ELEMENTS`` entries at a time.
+    """
+    g, d = grid, grid.dim
+    m = axis_split(g, lam)
+    reach = np.inf if lam is None else g.half_width + WINDOW_REACH * lam
+    y = g.axis()
+    centers, offsets = y[m // 2 :: m], (np.arange(m) - m // 2) * g.spacing
+    if lam is not None:
+        coupling = (np.pi * lam**2) ** -0.25 * np.exp(-np.multiply.outer(centers, offsets) / lam**2)
+        samples = samples * outer_per_axis((coupling.ravel(),) * d)
+
+    def factors(x, xi):
+        xis, ixi = np.unique(xi, return_inverse=True)
+        coarse = np.exp(-1j * np.multiply.outer(xis, centers))[ixi]
+        fine = np.exp(-1j * np.multiply.outer(xis, offsets))[ixi]
+        if lam is not None:
+            xs, ix = np.unique(x, return_inverse=True)
+            coarse *= np.exp(-((centers - xs[:, None]) ** 2) / (2 * lam**2))[ix]
+            fine *= np.exp((np.multiply.outer(xs, offsets) - offsets**2 / 2) / lam**2)[ix]
+        return coarse, fine
+
+    samples = samples.reshape(-1, g.n)
+    chunk = SUM_CHUNK_ELEMENTS // (g.n if d == 2 else g.n // m + m)
+    step = SUM_GATHER_ELEMENTS // g.n
     out = np.empty(len(points), dtype=np.complex128)
-    # factors stay referenced until the next chunk replaces them: freeing all
-    # large buffers at chunk end lets the heap shrink, and the next chunk pays
-    # page faults to grow it again (about 10% of a 1-D call)
-    factors = [None] * g.dim
     for lo in range(0, len(points), chunk):
-        block = points[lo : lo + chunk]
-        for k in range(g.dim):
-            factors[k] = axis_factor(block, k)
-        rows, index = factors[0]
-        t = rows @ u.samples
-        for a in range(0, len(block), step):
-            part = t[index[a : a + step]]
-            for rows_k, index_k in factors[1:]:
-                part = np.einsum("pi,pi->p", part, rows_k[index_k[a : a + step]])
-            out[lo + a : lo + a + step] = part
+        block = np.hstack([np.clip(points[lo : lo + chunk, :d], -reach, reach), points[lo : lo + chunk, d:]])
+        coarse, fine = factors(block[:, d - 1], block[:, -1])
+        if d == 1:
+            # the samples are every point's (n/m, m) block: one matmul
+            part = coarse @ samples.reshape(-1, m)
+        else:
+            first, index = distinct_keys(block[:, 0] + 1j * block[:, d])
+            coarse_0, fine_0 = factors(block[first, 0], block[first, d])
+            rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(first), g.n)
+            t = (rows @ samples).reshape(-1, g.n // m, m)
+            blocks = range(0, len(block), step)
+            part = np.concatenate([np.matmul(coarse[a : a + step, None], t[index[a : a + step]])[:, 0] for a in blocks])
+        out[lo : lo + len(block)] = np.einsum("pb,pb->p", part, fine)
     return out * g.cell_volume
 
 
@@ -305,25 +339,18 @@ def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     """``uhat`` at arbitrary frequency points, shape (P, dim): direct sums, no
     interpolation.
 
-    Axis ``k`` carries one phase row ``exp(-i xi_k x)`` per distinct
-    ``xi_k`` of a chunk: frequencies equal at ``MERGE_DECIMALS`` decimals
-    share the row of their first member, built at its exact ``xi_k``
-    (``distinct_keys``).  A merged frequency moves by a few ulps of its
-    radius: on the catalog entries its value stays within the comparator
-    bounds of the per-point sum (1e-13 absolute or 1e-12 relative), and it
-    is bit-exact where merging is the identity.
+    The ``separable_sum`` kernel without a window: the coarse factor
+    ``exp(-i xi Y_a)`` and the fine factor ``exp(-i xi d_b)``, ``n / m + m``
+    exponentials per distinct ``xi_k`` instead of ``n``.  In 2-D,
+    first-axis frequencies equal at ``MERGE_DECIMALS`` decimals share the
+    row of their first member, which moves a merged frequency by a few ulps
+    of its radius.
     """
     g = u.grid
     pts = np.atleast_2d(np.asarray(xi_points, dtype=float))
     if pts.shape[1] != g.dim:
         raise ValueError(f"expected frequency points of dim {g.dim}")
-    x = g.axis()
-
-    def axis_factor(block, k):
-        first, index = distinct_keys(block[:, k])
-        return phase_rows(block[first, k], x), index
-
-    return separable_sum(u, pts, axis_factor)
+    return separable_sum(u.samples, g, np.hstack([np.zeros_like(pts), pts]))
 
 
 # ---------------------------------------------------------------------------

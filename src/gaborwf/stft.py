@@ -17,9 +17,7 @@ from .signal import (
     Grid,
     SampledDistribution,
     _centered_fft,
-    distinct_keys,
     outer_per_axis,
-    phase_rows,
     separable_sum,
 )
 
@@ -85,18 +83,15 @@ def _window_axis_at(window: Window, grid: Grid, y: np.ndarray, centers: np.ndarr
 def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> np.ndarray:
     """``V_psi u`` at arbitrary phase points ``(x, xi)``, shape (P, 2*dim) -> (P,).
 
-    Axis k of the separable sum carries ``psi(y - x_k) exp(-i xi_k y)``, one
-    factor row per distinct pair ``(x_k, xi_k)`` of a chunk: pairs equal at
-    ``MERGE_DECIMALS`` decimals share the row of their first member, built
-    at its exact coordinates (``distinct_keys``).  A row's window part
-    depends on ``x_k`` only and its phase part on ``xi_k`` only, so the rows
-    are products of one window row per distinct ``x_k`` and one phase row per
-    distinct ``xi_k`` (``phase_rows``).  A merged point moves by a few ulps
-    of its radius: on the catalog entries its value stays within the
-    comparator bounds of the per-point product (1e-13 absolute or 1e-12
-    relative), and it is bit-exact where merging is the identity.  Points
-    that share coordinates (a radius shell of a ray sampling) share rows
-    when they are passed next to each other.
+    The Gaussian ``separable_sum`` kernel: per axis a coarse factor
+    ``exp(-(Y_a - x)^2 / (2 lam^2) - i xi Y_a)`` over the ``n / m`` block
+    centers and a fine factor ``exp((x d_b - d_b^2 / 2) / lam^2 - i xi d_b)``
+    over the ``m`` offsets within a block, with the coupling
+    ``exp(-Y_a d_b / lam^2)`` folded into the samples once per call.  Rounding
+    the exponents moves a value by a few 1e-14 of ``sum_j |u_j psi_j| h^d``
+    from the dense sum of ``psi(y_j - x) exp(-i xi y_j)``.  A cutoff window's
+    plateau and renormalization depend on ``x`` only: they are folded into
+    the samples once per distinct base point.
     """
     g = u.grid
     window.validate_for(g)
@@ -105,17 +100,17 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
         raise ValueError(f"expected phase points of dim {2 * g.dim}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("phase point components must be finite")
-    y = g.axis()
-
-    def axis_factor(block, k):
-        first, index = distinct_keys(block[:, k] + 1j * block[:, g.dim + k])
-        xs, ix = np.unique(block[first, k], return_inverse=True)
-        xis, ixi = np.unique(block[first, g.dim + k], return_inverse=True)
-        rows = phase_rows(xis, y)[ixi]
-        rows *= _window_axis_at(window, g, y, xs)[ix]
-        return rows, index
-
-    return separable_sum(u, pts, axis_factor)
+    if window.cutoff is None:
+        return separable_sum(u.samples, g, pts, window.lam)
+    y, (flat, support) = g.axis(), window.cutoff
+    scale = np.sqrt(np.sum(window.axis_values(y) ** 2) * g.spacing)
+    bases, which = np.unique(pts[:, : g.dim], axis=0, return_inverse=True)
+    out = np.empty(len(pts), dtype=np.complex128)
+    for i, base in enumerate(bases):
+        plateau = [_plateau(np.abs(y - x) / window.lam, flat, support) / scale for x in base]
+        mine = which.ravel() == i
+        out[mine] = separable_sum(u.samples * outer_per_axis(plateau), g, pts[mine], window.lam)
+    return out
 
 
 def stft_at(u: SampledDistribution, window: Window, z) -> complex:

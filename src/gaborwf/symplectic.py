@@ -102,7 +102,10 @@ def _real_kernel(rows: list[np.ndarray], tol: float, size: int) -> np.ndarray:
 
     Real and imaginary parts are stacked so the kernel is taken over real
     vectors; SVD with a relative threshold gives the numerical null space.
+    A NaN or infinite ``tol`` would keep every or no direction.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     stacked = np.vstack([np.vstack([m.real, m.imag]) for m in rows])
     if np.linalg.norm(stacked) == 0:
         return np.eye(size)

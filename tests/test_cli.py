@@ -194,6 +194,16 @@ class TestSingularSpace:
         assert "nan.json" in err and "Q[0, 1] must be finite" in err
         assert not (tmp_path / "nan_singular_space.json").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+    def test_bad_tol_is_config_error(self, tmp_path, capsys, tol):
+        # Q = I has the singular space {0}; a NaN or infinite tol reported a
+        # two-dimensional one and exited 0
+        q = self.write_q(tmp_path, "id.json", [[1, 0], [0, 1]], [[0, 0], [0, 0]])
+        code, _, err = run(capsys, "singular-space", str(q), f"--tol={tol}", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("configuration error:") and "tol" in err
+        assert not (tmp_path / "id_singular_space.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         q = self.write_q(tmp_path, "osc.json", [[0, 0], [0, 0]], [[1, 0], [0, 1]])
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,17 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gaborwf.signal import (
+    SPLIT_EXPONENT_BOUND,
     SUM_CHUNK_ELEMENTS,
+    WINDOW_REACH,
     SampledDistribution,
+    axis_split,
     catalog_entry,
     distinct_keys,
     make_grid,
-    phase_rows,
-    separable_sum,
+    nudft,
+    outer_per_axis,
 )
-from gaborwf.stft import Window, _window_axis_at, moyal_reconstruct, stft_at, stft_points, stft_slice
+from gaborwf.stft import Window, moyal_reconstruct, stft_at, stft_points, stft_slice
 from gaborwf.wavefront import _sample_rays, frequency_cap, phase_space_rays, position_cap
 
 
@@ -177,18 +183,23 @@ class TestDenseOracle:
         assert np.max(np.abs(stft_points(u, w, pts) - np.array(dense))) < 1e-12
 
 
-def per_point_stft(u, window, pts):
-    """Oracle: the separable sum with each point's factor built on its own,
-    ``psi(y - x_k)`` times the point's own ``phase_rows`` row, one row per
-    point."""
+def dense_stft(u, window, pts):
+    """Oracle: the dense sum ``sum_j u(y_j) psi(y_j - x) exp(-i<xi, y_j>) h^d``.
+    Each axis factor ``psi(y - x_k) exp(-i xi_k y)`` is one ``np.exp`` per grid
+    entry, with the window built on the full grid axis, and the axes are
+    contracted one after the other."""
     g, y = u.grid, u.grid.axis()
-
-    def axis_factor(block, k):
-        window_k = _window_axis_at(window, g, y, block[:, k])
-        rows = window_k * np.vstack([phase_rows(xi, y) for xi in block[:, g.dim + k, None]])
-        return rows, np.arange(len(block))
-
-    return separable_sum(u, pts, axis_factor)
+    scale = 1.0
+    if window.cutoff is not None:
+        scale = np.sqrt(np.sum(window.axis_values(y) ** 2) * g.spacing)
+    rows = [
+        window.axis_values(y - pts[:, k, None]) / scale * np.exp(-1j * pts[:, g.dim + k, None] * y)
+        for k in range(g.dim)
+    ]
+    out = rows[0] @ u.samples
+    if g.dim == 2:
+        out = np.einsum("pj,pj->p", out, rows[1])
+    return out * g.cell_volume
 
 
 def ray_major_points(grid, rho):
@@ -218,11 +229,13 @@ def within_comparator_bounds(got, want):
 
 
 class TestSharedFactorTables:
-    """``stft_points`` builds one factor row per distinct ``(x_k, xi_k)`` of a
-    chunk.  Where no two pairs merge, every value equals the per-point product
-    bit for bit, whatever the order of the points and however the chunks split
-    them; on the ray points, whose mirror-image pairs differ in the last bit
-    and share a row, the values stay within the comparator bounds."""
+    """``stft_points`` materializes one first-axis row per distinct
+    ``(x_0, xi_0)`` of a 2-D chunk and builds every other factor per point
+    from tables over the distinct ``x_k`` and ``xi_k``.  Its values stay
+    within the comparator bounds of the dense sum, on the ray points, whose
+    mirror-image pairs differ in the last bit and share a row, and in any
+    order; where merging is the identity, the order of the points changes no
+    bit."""
 
     @pytest.fixture(scope="class")
     def rays_2d(self, rng):
@@ -231,35 +244,33 @@ class TestSharedFactorTables:
         u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         pts = ray_major_points(g, rho=1.3)
         assert len(pts) % (SUM_CHUNK_ELEMENTS // g.n)
-        return u, Window(1.5), pts
+        return u, Window(1.5), pts, dense_stft(u, Window(1.5), pts)
 
     def test_2d_ray_major(self, rays_2d):
-        u, w, pts = rays_2d
-        got, want = stft_points(u, w, pts), per_point_stft(u, w, pts)
-        assert not np.array_equal(got, want)  # mirror pairs did merge
-        assert within_comparator_bounds(got, want)
+        u, w, pts, dense = rays_2d
+        assert within_comparator_bounds(stft_points(u, w, pts), dense)
 
     def test_2d_shuffled(self, rays_2d, rng):
-        u, w, pts = rays_2d
-        pts = pts[rng.permutation(len(pts))]
-        assert within_comparator_bounds(stft_points(u, w, pts), per_point_stft(u, w, pts))
+        u, w, pts, dense = rays_2d
+        order = rng.permutation(len(pts))
+        assert within_comparator_bounds(stft_points(u, w, pts[order]), dense[order])
 
     def test_2d_merge_free_bit_exact(self, rays_2d, rng):
-        u, w, pts = rays_2d
+        u, w, pts, _ = rays_2d
         pts = merge_free(pts)
         # mirror pairs are now bit-equal, so rows are still shared
         assert len(np.unique(pts[:, 0] + 1j * pts[:, 2])) < len(pts) / 2
-        want = per_point_stft(u, w, pts)
-        assert np.array_equal(stft_points(u, w, pts), want)
+        got = stft_points(u, w, pts)
+        assert within_comparator_bounds(got, dense_stft(u, w, pts))
         order = rng.permutation(len(pts))
-        assert np.array_equal(stft_points(u, w, pts[order]), want[order])
+        assert np.array_equal(stft_points(u, w, pts[order]), got[order])
 
     def test_1d_cutoff_window(self, grid1, rng):
         u = SampledDistribution(grid1, rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n))
         w = Window(0.5, cutoff=(2.0, 4.0))
         pts = ray_major_points(grid1, rho=1.15)[:2001]
         assert len(pts) % (SUM_CHUNK_ELEMENTS // grid1.n)
-        assert np.array_equal(stft_points(u, w, pts), per_point_stft(u, w, pts))
+        assert within_comparator_bounds(stft_points(u, w, pts), dense_stft(u, w, pts))
 
     def test_close_pairs_stay_apart(self, grid2, rng):
         u = SampledDistribution(grid2, rng.standard_normal(grid2.shape) + 1j * rng.standard_normal(grid2.shape))
@@ -269,7 +280,7 @@ class TestSharedFactorTables:
             assert len(distinct_keys(pts[:, k] + 1j * pts[:, 2 + k])[0]) == 2
         got = stft_points(u, w, pts)
         assert len(set(got.tolist())) == 3
-        assert np.array_equal(got, per_point_stft(u, w, pts))
+        assert within_comparator_bounds(got, dense_stft(u, w, pts))
 
     def test_merged_points_move_by_ulps_of_the_radius(self, grid2):
         # the radius-major points that the default 2-D detection evaluates:
@@ -283,11 +294,9 @@ class TestSharedFactorTables:
         moved, rows = pts.copy(), 0
         for lo in range(0, len(pts), chunk):
             block = pts[lo : lo + chunk]
-            for k in (0, 1):
-                first, index = distinct_keys(block[:, k] + 1j * block[:, 2 + k])
-                moved[lo : lo + chunk, [k, 2 + k]] = block[first[index]][:, [k, 2 + k]]
-                if k == 0:
-                    rows += len(first)
+            first, index = distinct_keys(block[:, 0] + 1j * block[:, 2])
+            moved[lo : lo + chunk, [0, 2]] = block[first[index]][:, [0, 2]]
+            rows += len(first)
         # 42,730 axis-0 rows for 106,592 points; bit-distinct pairs would
         # need 89,273
         assert rows < 0.41 * len(pts)
@@ -295,6 +304,91 @@ class TestSharedFactorTables:
         radius = np.linalg.norm(pts, axis=1)
         assert np.count_nonzero(shift) > len(pts) / 4
         assert np.all(shift <= 8 * np.spacing(radius))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A grid (1-D up to n = 4,096, where the full coarse × fine split would
+    overflow at lam = 4h, 2-D up to n = 64), an admitted window width,
+    complex white-noise samples and phase points whose centers reach 10
+    widths beyond the grid and whose frequencies fill the band."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((32, 64, 128, 256, 512, 1024, 4096) if dim == 1 else (32, 64)))
+    g = make_grid(dim, n, draw(st.floats(0.5, 100.0)))
+    lo, hi = 4 * g.spacing, g.length / 8
+    lam = draw(st.sampled_from((lo, hi)) | st.floats(lo, hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    reach = g.half_width + 10 * lam
+    band = np.pi / g.spacing
+    pts = np.hstack([rng.uniform(-reach, reach, (12, dim)), rng.uniform(-band, band, (12, dim))])
+    return u, lam, pts
+
+
+def kernel_tolerance(grid):
+    """Relative error allowed against the scale ``sum_j |u_j psi_j| h^d`` of a
+    sum: the phase ``xi y_j`` of each sum is rounded by about
+    ``|xi y_j| eps <= (pi n / 2) eps``, and each Gaussian exponent of the
+    split, at most ``SPLIT_EXPONENT_BOUND`` for a fine factor and for the
+    coupling, by about that many ulps."""
+    return (np.pi * grid.n / 2 + 2 * SPLIT_EXPONENT_BOUND) * np.finfo(float).eps
+
+
+class TestAxisSplit:
+    @pytest.mark.parametrize(
+        "dim, n, half_width, splits",
+        [(1, 1024, 20.0, {16, 32}), (2, 256, 10.0, {16}), (1, 2**16, 20.0, None)],
+        ids=["default-1d", "default-2d", "fine-1d"],
+    )
+    def test_exponents_stay_bounded(self, dim, n, half_width, splits):
+        # every real exponent of a fine factor, at centers up to the clip,
+        # and of the coupling folded into the samples over all axes
+        g = make_grid(dim, n, half_width)
+        y = g.axis()
+        for lam in np.geomspace(4 * g.spacing, g.length / 8, 9):
+            m = axis_split(g, lam)
+            assert splits is None or m in splits, lam
+            centers, offsets = y[m // 2 :: m], (np.arange(m) - m // 2) * g.spacing
+            reach = g.half_width + WINDOW_REACH * lam
+            fine = np.abs(np.multiply.outer([-reach, reach], offsets) - offsets**2 / 2).max() / lam**2
+            coupling = dim * np.abs(np.multiply.outer(centers, offsets)).max() / lam**2
+            assert max(fine, coupling) <= SPLIT_EXPONENT_BOUND, lam
+        assert axis_split(g) == 2 ** ((n.bit_length() - 1) // 2)
+
+
+class TestKernelErrorContract:
+    """``stft_points`` and ``nudft`` against the dense sum on white noise, at
+    every admitted window width, within ``kernel_tolerance`` of the scale of
+    the sum; centers far beyond the grid give exactly 0, without a warning."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(kernel_cases(), st.data())
+    def test_stft_points_matches_dense_sum(self, case, data):
+        u, lam, pts = case
+        g, w = u.grid, Window(lam)
+        far = data.draw(st.sampled_from((1e300, -1e300, g.half_width + 50 * lam, -g.half_width - 50 * lam)))
+        axis = data.draw(st.integers(0, g.dim - 1))
+        outside = pts[:2].copy()
+        outside[:, axis] = far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stft_points(u, w, np.vstack([pts, outside]))
+        assert np.array_equal(got[len(pts) :], np.zeros(2))
+        # sum_j |u_j psi_j| h^d: the dense sum of |u| at frequency 0
+        scale = dense_stft(SampledDistribution(g, np.abs(u.samples)), w, pts * np.repeat([1, 0], g.dim)).real
+        err = np.abs(got[: len(pts)] - dense_stft(u, w, pts))
+        assert np.all(err <= kernel_tolerance(g) * scale)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(kernel_cases())
+    def test_nudft_matches_dense_sum(self, case):
+        u, _, pts = case
+        g = u.grid
+        xi = pts[:, g.dim :]
+        meshes = g.meshes()
+        dense = [np.sum(u.samples * np.exp(-1j * sum(k * m for k, m in zip(p, meshes)))) * g.cell_volume for p in xi]
+        scale = np.sum(np.abs(u.samples)) * g.cell_volume
+        assert np.all(np.abs(nudft(u, xi) - dense) <= kernel_tolerance(g) * scale)
 
 
 class TestInvariances:

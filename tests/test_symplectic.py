@@ -131,6 +131,14 @@ class TestSingularSpace:
     def test_definite_real_part_trivial(self):
         assert singular_space(Q(np.eye(2))).subspace_dim == 0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-10])
+    def test_tolerance_finite_and_non_negative(self, tol):
+        # Q = I: a NaN or infinite tol gave a two-dimensional singular space
+        for space in (singular_space, ker_re_f):
+            with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+                space(Q(np.eye(2)), tol)
+        assert singular_space(Q(np.eye(2)), 0.0).subspace_dim == 0
+
     def test_free_symbol_position_axis(self):
         s = singular_space(Q(np.diag([0.0, 1.0])))
         assert s.subspace_dim == 1

@@ -369,13 +369,17 @@ class TestDetectorProperties:
                         continue
                     assert hausdorff_angle(sets[i], sets[j]) <= STEP1 + 1e-9, name
 
-    def test_translation_modulation_covariance(self, grid1):
-        # on-grid shift and modulation, both within the L/8 bound; the shift
-        # is kept below r_max * tan(step) because a translation tilts the
-        # finite-aperture cone by arctan(x0 / r)
-        w = Window(1.0)
-        shift_cells = 6  # 0.23 in position units: below r_max * tan(step)
-        xi0 = 8 * 2 * np.pi / grid1.length
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.integers(-5, 5), st.integers(-16, 16), st.floats(0.7, 2.0))
+    def test_translation_modulation_covariance(self, grid1, shift_cells, modulation, lam):
+        # on-grid shifts and dual-grid modulations.  A translation tilts the
+        # finite-aperture cone by arctan(x0 / r), so the shift is kept at most
+        # 5 cells (0.20 in position units) and lam at least 0.7: a 6-cell
+        # shift tilts box by two steps at lam = 0.7 and 0.9, and at lam = 0.5.
+        # A modulation moves along the singular directions (0, +-1) and tilts
+        # nothing
+        w = Window(lam)
+        xi0 = modulation * 2 * np.pi / grid1.length
         for name in ("dirac", "box"):
             u, _ = catalog_entry(name, None, grid1)
             moved = SampledDistribution(
@@ -387,13 +391,21 @@ class TestDetectorProperties:
             b = estimate_gabor_wf(moved, w)
             assert hausdorff_angle(dirs_of(a), dirs_of(b)) <= STEP1 + 1e-9, name
 
-    def test_symplectic_rotation_under_fourier(self, grid1):
-        # directions of the transform are the J-rotation of the original's
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.integers(-5, 5), st.integers(-16, 16), st.floats(0.7, 2.0))
+    def test_symplectic_rotation_under_fourier(self, grid1, shift_cells, modulation, lam):
+        # directions of the transform are the J-rotation of the original's,
+        # for shifted and modulated entries too (the shifts are bounded as in
+        # the covariance test); lam is admitted on the grid and on its dual,
+        # whose spacing is 2 pi / L
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        xi0 = modulation * 2 * np.pi / grid1.length
         for name in ("dirac", "box"):
             u, _ = catalog_entry(name, None, grid1)
-            du = estimate_gabor_wf(u, Window(1.0))
-            duh = estimate_gabor_wf(fourier_transform(u), Window(1.0))
+            moved = np.roll(u.samples, shift_cells) * np.exp(1j * xi0 * grid1.axis())
+            u = SampledDistribution(grid1, moved, kind=u.kind)
+            du = estimate_gabor_wf(u, Window(lam))
+            duh = estimate_gabor_wf(fourier_transform(u), Window(lam))
             rotated = [J @ np.array(z) for z in du.singular_dirs]
             assert hausdorff_angle(rotated, dirs_of(duh)) <= STEP1 + 1e-9, name
 

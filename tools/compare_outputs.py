@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 74 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 82 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -26,6 +26,10 @@ otherwise.  The invocations:
 
 * ``analyze --dump-samples`` on all nine catalog entries at the default grids,
   and with ``--lam 0.5`` and ``--lam 2`` on the seven 1-D entries;
+* ``analyze`` at the extremes of the admitted window width, 4h to L/8, where
+  the STFT kernel derives its narrowest and widest coarse × fine splits:
+  ``--lam 0.16`` and ``--lam 5`` on dirac, box and chirp, and ``--lam 0.32``
+  and ``--lam 2.5`` on box2d;
 * ``analyze`` with ``--n-thresh 1.5`` and ``--n-thresh 0.75`` on the seven
   1-D entries and with ``--n-thresh 1.5`` on the two 2-D entries;
 * ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, and on the
@@ -50,6 +54,7 @@ from pathlib import Path
 
 ENTRIES_1D = ("dirac", "dirac_derivative", "gaussian", "hermite", "box", "chirp", "bump")
 ENTRIES_2D = ("line_delta_2d", "box2d")
+LAM_EXTREMES_1D = ("dirac", "box", "chirp")
 PROPAGATED = ("dirac", "dirac_derivative", "box", "gaussian", "hermite", "bump")
 TIMES = ("0.3927", repr(math.pi / 2), "1.2")
 TIMES_2D = ("0.3", repr(math.pi / 2))
@@ -98,6 +103,8 @@ def _q_files(directory: Path) -> list[Path]:
 def invocations(q_files: list[Path]) -> list[list[str]]:
     runs = [["analyze", name, "--dump-samples"] for name in ENTRIES_1D + ENTRIES_2D]
     runs += [["analyze", name, "--dump-samples", "--lam", lam] for lam in ("0.5", "2") for name in ENTRIES_1D]
+    runs += [["analyze", name, "--lam", lam] for lam in ("0.16", "5") for name in LAM_EXTREMES_1D]
+    runs += [["analyze", "box2d", "--lam", lam] for lam in ("0.32", "2.5")]
     runs += [["analyze", name, "--n-thresh", t] for t in ("1.5", "0.75") for name in ENTRIES_1D]
     runs += [["analyze", name, "--n-thresh", "1.5"] for name in ENTRIES_2D]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
