@@ -22,7 +22,6 @@ from .signal import (
 from .stft import Window, moyal_reconstruct, stft_at, stft_points, stft_slice
 from .wavefront import (
     ComparisonResult,
-    DecayProfile,
     RaySampling,
     WavefrontReport,
     check_main_theorem,

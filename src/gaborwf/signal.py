@@ -242,8 +242,14 @@ SPLIT_EXPONENT_BOUND = 340.0
 def distinct_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Groups of the entries of ``key`` (real, or complex for a pair) that are
     equal when rounded to ``MERGE_DECIMALS`` decimals: the index of each
-    group's first entry, and each entry's group."""
-    _, first, index = np.unique(np.round(key, MERGE_DECIMALS), return_index=True, return_inverse=True)
+    group's first entry, and each entry's group.  A part of magnitude 2**52
+    or more is an integer already and stays as it is; rounding it would
+    overflow from about 1.8e296 on."""
+    rounded = np.array(key)
+    parts = rounded.view(np.float64)  # real and imaginary parts side by side
+    small = np.abs(parts) < 2.0**52
+    parts[small] = np.round(parts[small], MERGE_DECIMALS)
+    _, first, index = np.unique(rounded, return_index=True, return_inverse=True)
     return first, index
 
 

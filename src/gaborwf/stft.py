@@ -61,6 +61,14 @@ class Window:
             vals = vals * _plateau(np.abs(y) / self.lam, flat, support)
         return vals
 
+    def axis_norm(self, grid: Grid) -> float:
+        """What ``axis_values`` are divided by on ``grid``: 1 for the Gaussian,
+        normalized in closed form, and for a cutoff window the norm of its
+        axis profile under grid quadrature."""
+        if self.cutoff is None:
+            return 1.0
+        return np.sqrt(np.sum(self.axis_values(grid.axis()) ** 2) * grid.spacing)
+
 
 def _plateau(t: np.ndarray, flat: float, support: float) -> np.ndarray:
     """Smooth transition 1 -> 0 over [flat, support], infinitely flat at both ends."""
@@ -73,11 +81,7 @@ def _plateau(t: np.ndarray, flat: float, support: float) -> np.ndarray:
 
 def _window_axis_at(window: Window, grid: Grid, y: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(P, n) matrix of axis window values ``psi(y_j - c_p)``, cutoff-normalized."""
-    vals = window.axis_values(y[None, :] - centers[:, None])
-    if window.cutoff is not None:
-        scale = np.sqrt(np.sum(window.axis_values(y) ** 2) * grid.spacing)
-        vals = vals / scale
-    return vals
+    return window.axis_values(y[None, :] - centers[:, None]) / window.axis_norm(grid)
 
 
 def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> np.ndarray:
@@ -102,8 +106,7 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
         raise ValueError("phase point components must be finite")
     if window.cutoff is None:
         return separable_sum(u.samples, g, pts, window.lam)
-    y, (flat, support) = g.axis(), window.cutoff
-    scale = np.sqrt(np.sum(window.axis_values(y) ** 2) * g.spacing)
+    y, (flat, support), scale = g.axis(), window.cutoff, window.axis_norm(g)
     bases, which = np.unique(pts[:, : g.dim], axis=0, return_inverse=True)
     out = np.empty(len(pts), dtype=np.complex128)
     for i, base in enumerate(bases):

@@ -204,22 +204,8 @@ def frequency_rays(
     return RaySampling(_circle(n), radii, _adjacency(_ring(n)), "frequency", n, r_min, r_max, rho)
 
 
-@dataclass(frozen=True)
-class DecayProfile:
-    """Fitted decay order along one ray.
-
-    ``slope`` is s in ``log|V| ~ c - s log r`` over the top half of the usable
-    radii (negative slope means growth); ``floor_hit`` marks rays whose fit
-    window dipped under the numeric floor, which forces the direction regular.
-    """
-
-    slope: float
-    residual: float
-    floor_hit: bool
-
-
-def _flags(profiles, n_thresh: float) -> np.ndarray:
-    return np.array([(not p.floor_hit) and p.slope <= n_thresh for p in profiles], dtype=bool)
+def _flags(profiles: np.recarray, n_thresh: float) -> np.ndarray:
+    return (profiles.slope <= n_thresh) & ~profiles.floor_hit
 
 
 def require_positive(name: str, value: float) -> None:
@@ -233,27 +219,37 @@ class WavefrontReport:
     """Per-ray evidence measured on ``sampling`` and the verdict it gives at
     ``n_thresh``.
 
-    Profile ``i`` belongs to ``sampling.directions[i]``; ``samples`` is the
-    read-only ``(P, 2)`` array of (radius, |V|) behind the profiles: ray ``i``
-    is rows ``offsets[i]:offsets[i + 1]``.  Derived on construction:
-    ``singular_dirs`` holds cone generators (arc representatives or sampled
-    members of extended cones), ``isolated`` the suspect single flags, both
-    as read-only arrays of rows of ``sampling.directions``.
+    Ray ``i`` of ``sampling`` is rows ``offsets[i]:offsets[i + 1]`` of the
+    ``(P, 2)`` (radius, |V|) ``samples``; both are stored read-only.  Derived
+    on construction, read-only: ``profiles``, record ``i`` the fit of ray
+    ``i`` (``slope`` s of ``log|V| ~ c - s log r`` over its top half, negative
+    for growth; ``residual``; ``floor_hit``: the window dipped under the
+    numeric floor, which forces the ray regular); ``singular_dirs``, the cone
+    generators (arc representatives or sampled members of extended cones),
+    and ``isolated``, the suspect single flags, both rows of
+    ``sampling.directions``.
     """
 
     kind: str
     sampling: RaySampling
-    profiles: tuple[DecayProfile, ...]
     samples: np.ndarray
     offsets: np.ndarray
     n_thresh: float
     lam: float | None
     base_point: tuple[float, ...] | None = None
+    profiles: np.recarray = field(init=False)
     singular_dirs: np.ndarray = field(init=False)
     isolated: np.ndarray = field(init=False)
 
     def __post_init__(self):
         require_positive("n_thresh", self.n_thresh)
+        for name in ("samples", "offsets"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        # a recarray, whose records read as attributes; _as_readonly would
+        # return a plain ndarray
+        profiles = np.rec.fromarrays(_fit_rays(self.samples, self.offsets), names="slope,residual,floor_hit")
+        profiles.flags.writeable = False
+        object.__setattr__(self, "profiles", profiles)
         for name, dirs in zip(("singular_dirs", "isolated"), _merge(self)):
             object.__setattr__(self, name, _as_readonly(dirs))
 
@@ -371,26 +367,25 @@ def _component_axis(members: list[int], report: WavefrontReport) -> int:
     snapped to the nearest member: stable against both oscillatory slope
     jitter and asymmetric arc boundaries.
     """
-    dirs, offsets = report.sampling.directions, report.offsets
+    dirs, offsets = report.sampling.directions[members], report.offsets
     common = int(np.diff(offsets)[members].min())
     if common // 2 >= 4:
         rows = (offsets[members][:, None] + np.arange(common)).ravel()
-        slopes = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1))[0]
-        scores = dict(zip(members, slopes.tolist()))
+        scores = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1))[0]
     else:
-        scores = {i: 0.0 for i in members}
-    s_min = min(scores.values())
+        scores = np.zeros(len(members))
+    s_min = scores.min()
     margin = 0.25 * max(report.n_thresh - s_min, 1e-6)
-    core = [i for i in members if scores[i] <= s_min + margin]
-    axis = np.zeros(dirs.shape[1])
-    for i in core:
-        axis += (s_min + margin - scores[i] + 1e-12) * dirs[i]
+    core = scores <= s_min + margin
+    # rows are added in member order: a matrix product may round differently
+    # and move the snap below
+    axis = np.sum((s_min + margin - scores[core] + 1e-12)[:, None] * dirs[core], axis=0)
     norm = np.linalg.norm(axis)
     if norm < 1e-12:
         return members[len(members) // 2]
     axis /= norm
     # members ascend, so the first of equally near members is the smallest
-    angles = _angles(dirs[members], axis[None])[:, 0].tolist()
+    angles = _angles(dirs, axis[None])[:, 0].tolist()
     return members[int(np.argmin([round(a, 12) for a in angles]))]
 
 
@@ -401,8 +396,8 @@ def _ladder_index(offsets: np.ndarray) -> np.ndarray:
 
 def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = np.inf):
     """Take ``|evaluate(points)|`` at every usable (radius, direction) point in
-    one call; returns the read-only ``(P, 2)`` (radius, |V|) samples and the
-    ray offsets into them, one more than there are directions.
+    one call; returns the ``(P, 2)`` (radius, |V|) samples and the ray offsets
+    into them, one more than there are directions.
 
     A ray keeps the radii up to its cap: the frequency cap over the norm of
     the direction's frequency part and, in phase space, the position cap over
@@ -423,25 +418,15 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     order = np.argsort(rung, kind="stable")
     values = np.empty(len(r))
     values[order] = np.abs(evaluate(points[order]))
-    return _as_readonly(np.column_stack([r, values])), _as_readonly(offsets)
-
-
-def _detect(
-    kind, sampling: RaySampling, grid: Grid, evaluate, n_thresh: float, lam, pos_cap=np.inf, base_point=None
-) -> WavefrontReport:
-    """Sample every ray, fit its decay order and build the report."""
-    samples, offsets = _sample_rays(sampling, grid, evaluate, pos_cap)
-    slope, residual, floor_hit = _fit_rays(samples, offsets)
-    profiles = tuple(map(DecayProfile, slope.tolist(), residual.tolist(), floor_hit.tolist()))
-    return WavefrontReport(kind, sampling, profiles, samples, offsets, n_thresh, lam, base_point)
+    return np.column_stack([r, values]), offsets
 
 
 def _merge(report: WavefrontReport) -> tuple[np.ndarray, np.ndarray]:
     """Flag the fitted profiles at the report's threshold and merge the flags
     along the sampling adjacency into (singular, isolated) directions."""
-    sampling, profiles, n_thresh = report.sampling, report.profiles, report.n_thresh
+    sampling, slope, n_thresh = report.sampling, report.profiles.slope, report.n_thresh
     dirs = sampling.directions
-    flagged = _flags(profiles, n_thresh)
+    flagged = _flags(report.profiles, n_thresh)
     if not len(sampling.neighbors):
         # S^0: no angular smoothing possible, every flag stands by itself
         return dirs[flagged], dirs[:0]
@@ -450,7 +435,7 @@ def _merge(report: WavefrontReport) -> tuple[np.ndarray, np.ndarray]:
         if len(comp) == 1:
             # a lone flag near the threshold is jitter; one far below it is a
             # sharply resolved generator
-            jitter = profiles[comp[0]].slope > 0.75 * n_thresh
+            jitter = slope[comp[0]] > 0.75 * n_thresh
             (isolated if jitter else singular).append(comp[0])
         elif _component_extent(comp, dirs) <= ARC_COLLAPSE_ANGLE:
             singular.append(_component_axis(comp, report))
@@ -475,9 +460,8 @@ def estimate_gabor_wf(
     window.validate_for(u.grid)
     compact = u.central_mass_fraction() >= 0.999
     pos_cap = position_cap(u.grid, window.lam, compact)
-    return _detect(
-        "gabor", sampling, u.grid, lambda p: stft_points(u, window, p), n_thresh, window.lam, pos_cap
-    )
+    evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
+    return WavefrontReport("gabor", sampling, *evidence, n_thresh, window.lam)
 
 
 def estimate_sigma(
@@ -499,7 +483,8 @@ def estimate_sigma(
             "the frequency cone of a non compactly supported input is not defined",
             stacklevel=2,
         )
-    return _detect("sigma", sampling, u.grid, lambda p: nudft(u, p), n_thresh, None)
+    evidence = _sample_rays(sampling, u.grid, lambda p: nudft(u, p))
+    return WavefrontReport("sigma", sampling, *evidence, n_thresh, None)
 
 
 def estimate_classical_wf(
@@ -531,12 +516,13 @@ def estimate_classical_wf(
         phase_pts = np.hstack([np.tile(x0, (len(freq_pts), 1)), freq_pts])
         return stft_points(u, window, phase_pts)
 
-    return _detect("classical", sampling, u.grid, evaluate, n_thresh, window.lam, base_point=tuple(x0))
+    evidence = _sample_rays(sampling, u.grid, evaluate)
+    return WavefrontReport("classical", sampling, *evidence, n_thresh, window.lam, tuple(x0))
 
 
 def rethreshold(report: WavefrontReport, n_thresh: float) -> WavefrontReport:
     """Re-flag an existing report at a different threshold.  The stored
-    profiles and samples are reused: nothing is sampled or fitted again."""
+    samples are refitted: nothing is sampled again."""
     return replace(report, n_thresh=n_thresh)
 
 
@@ -627,17 +613,15 @@ def _json_num(x: float):
 
 def report_to_json(report: WavefrontReport) -> dict:
     params = {k: _json_num(v) if isinstance(v, float) else v for k, v in report.params.items()}
+    p = report.profiles
     out = {
         "kind": report.kind,
         "params": params,
         "profiles": [
-            {
-                "dir": w,
-                "slope": _json_num(p.slope),
-                "residual": p.residual,
-                "floor_hit": p.floor_hit,
-            }
-            for w, p in zip(report.sampling.directions.tolist(), report.profiles)
+            {"dir": w, "slope": _json_num(s), "residual": r, "floor_hit": f}
+            for w, s, r, f in zip(
+                report.sampling.directions.tolist(), p.slope.tolist(), p.residual.tolist(), p.floor_hit.tolist()
+            )
         ],
         "singular_dirs": report.singular_dirs.tolist(),
         "isolated": report.isolated.tolist(),

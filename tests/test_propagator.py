@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaborwf.signal import SampledDistribution, catalog_entry, fourier_transform, make_grid
+from gaborwf.stft import Window
 from gaborwf.propagator import (
     HermiteBasis,
     PropagatedState,
@@ -282,6 +283,17 @@ class TestVerifyPropagation:
             warnings.simplefilter("error")
             report = verify_propagation(u, truth, 0.3)
         assert report.truncation_error > 0.1
+
+    @pytest.mark.parametrize("name", ["dirac", "dirac_derivative", "box"])
+    @pytest.mark.parametrize("t", [np.pi / 2 - 0.028, np.pi / 2 + 0.028, np.pi - 0.03, np.pi + 0.03])
+    def test_near_lattice_smoothness_is_judged_on_sampled_directions(self, grid1, name, t):
+        # the forecast generators lie just beyond ang_tol of the frequency
+        # axis, but the sampled directions nearest them lie within it, and
+        # those are what the detector can report
+        u, truth = catalog_entry(name, None, grid1)
+        report = verify_propagation(u, truth, t, Window(1.0))
+        assert report.passed
+        assert not report.smooth_expected and not report.smooth_detected
 
     def test_schwartz_input_stays_empty(self, grid1):
         u, truth = catalog_entry("gaussian", None, grid1)

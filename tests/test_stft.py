@@ -282,6 +282,20 @@ class TestSharedFactorTables:
         assert len(set(got.tolist())) == 3
         assert within_comparator_bounds(got, dense_stft(u, w, pts))
 
+    def test_huge_first_axis_frequencies_stay_apart(self):
+        # rounding 1e300 to MERGE_DECIMALS decimals overflows; 1e300 and
+        # 2e300 would then share one axis-0 row.  A batch of one point and a
+        # batch of two take different matrix products, which may round
+        # differently, so the two are compared within the comparator bounds
+        g = make_grid(2, 64, 10.0)
+        u, _ = catalog_entry("box2d", None, g)
+        pts = np.array([[0.5, -0.3, 1e300, 2.0], [0.5, -0.3, 2e300, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate in (lambda p: stft_points(u, Window(2.0), p), lambda p: nudft(u, p[:, 2:])):
+                alone = np.concatenate([evaluate(pts[:1]), evaluate(pts[1:])])
+                assert within_comparator_bounds(evaluate(pts), alone)
+
     def test_merged_points_move_by_ulps_of_the_radius(self, grid2):
         # the radius-major points that the default 2-D detection evaluates:
         # each point's rows are built at the coordinates of the first member

@@ -9,7 +9,6 @@ from gaborwf.stft import STFT_FLOOR, Window
 from gaborwf.wavefront import (
     DEFAULT_N_THRESH,
     TILT_LEVELS,
-    DecayProfile,
     WavefrontReport,
     _angles,
     _components,
@@ -443,6 +442,21 @@ class TestRethreshold:
             assert profiles_to_csv(again) == profiles_to_csv(fresh), (name, kind)
 
 
+class TestReportProfiles:
+    @pytest.mark.parametrize("name, kind", [("dirac", "gabor"), ("box", "sigma")])
+    def test_profiles_are_the_read_only_fits_of_the_samples(self, reports, name, kind):
+        rep = reports(name, 0.5, kind)
+        fits = _fit_rays(rep.samples, rep.offsets)
+        for field, column in zip(("slope", "residual", "floor_hit"), fits):
+            assert np.array_equal(rep.profiles[field], column), field
+        # records read as attributes, as the benchmark's tracer reads them
+        assert [p.floor_hit for p in rep.profiles] == fits[2].tolist()
+        for array in (rep.profiles, rep.profiles.slope, rep.samples, rep.offsets):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rep.profiles[0] = (0.0, 0.0, False)
+
+
 class TestReportSerialization:
     def test_json_shape(self, reports):
         payload = report_to_json(reports("dirac", 0.5))
@@ -540,8 +554,8 @@ class TestFitRays:
 
 
 def synthetic_report(sampling, rays, n_thresh=DEFAULT_N_THRESH):
-    """A report with profile slope ``s`` for each ray ``(s, values)``: the
-    ray holds ``(r, values(r))`` on the first ``len(values(r))`` rungs of the
+    """A report whose ray of ``(s, values)`` fits to slope ``s``: the ray
+    holds ``(r, values(r))`` on the first ``len(values(r))`` rungs of the
     radius ladder ``r``, or ``(r, r**-s)`` on all of it where ``values`` is
     None.  No signal is sampled."""
     r = sampling.radii
@@ -550,9 +564,10 @@ def synthetic_report(sampling, rays, n_thresh=DEFAULT_N_THRESH):
         v = r**-s if values is None else values(r)
         blocks.append(np.column_stack([r[: len(v)], v]))
     offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
-    profiles = tuple(DecayProfile(s, 0.0, False) for s, _ in rays)
     kind = "gabor" if sampling.space == "phase" else "sigma"
-    return WavefrontReport(kind, sampling, profiles, np.vstack(blocks), offsets, n_thresh, None)
+    report = WavefrontReport(kind, sampling, np.vstack(blocks), offsets, n_thresh, None)
+    np.testing.assert_allclose(report.profiles.slope, [s for s, _ in rays], rtol=0, atol=1e-12)
+    return report
 
 
 def indices_of(dirs, sampling):

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 82 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 86 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -32,8 +32,11 @@ otherwise.  The invocations:
   and ``--lam 2.5`` on box2d;
 * ``analyze`` with ``--n-thresh 1.5`` and ``--n-thresh 0.75`` on the seven
   1-D entries and with ``--n-thresh 1.5`` on the two 2-D entries;
-* ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, and on the
-  two 2-D entries at t = 0.3 and pi/2;
+* ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, on dirac
+  and box at t = 1.6008 and 3.1716 (0.03 past pi/2 and pi, where the
+  forecast lies just outside ``ang_tol`` of the frequency axis but its
+  nearest sampled direction lies inside), and on the two 2-D entries at
+  t = 0.3 and pi/2;
 * ``catalog list``, ``catalog list --json`` and ``catalog show`` on every entry;
 * ``singular-space`` on Q = iI in 1-D and 2-D.
 
@@ -57,6 +60,8 @@ ENTRIES_2D = ("line_delta_2d", "box2d")
 LAM_EXTREMES_1D = ("dirac", "box", "chirp")
 PROPAGATED = ("dirac", "dirac_derivative", "box", "gaussian", "hermite", "bump")
 TIMES = ("0.3927", repr(math.pi / 2), "1.2")
+NEAR_LATTICE = ("dirac", "box")
+TIMES_NEAR_LATTICE = ("1.6008", "3.1716")
 TIMES_2D = ("0.3", repr(math.pi / 2))
 WORKERS = 2
 # files compared by value; every other file must be byte-identical
@@ -108,6 +113,7 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs += [["analyze", name, "--n-thresh", t] for t in ("1.5", "0.75") for name in ENTRIES_1D]
     runs += [["analyze", name, "--n-thresh", "1.5"] for name in ENTRIES_2D]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
+    runs += [["propagate", name, "--t", t] for name in NEAR_LATTICE for t in TIMES_NEAR_LATTICE]
     runs += [["propagate", name, "--t", t] for name in ENTRIES_2D for t in TIMES_2D]
     runs += [["catalog", "list"], ["catalog", "list", "--json"]]
     runs += [["catalog", "show", name] for name in ENTRIES_1D + ENTRIES_2D]
