@@ -288,18 +288,24 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     * ``G[a, b] = (pi lam^2)^(-1/4) exp(-Y_a d_b / lam^2)``, which does not
       depend on the point and is folded into the samples once per call.
 
-    The Gaussian parts are real exponentials built once per distinct ``x_k``
-    of a chunk, the phase parts once per distinct ``xi_k``, ``n / m + m``
-    entries each.  ``x`` is clipped to ``±(L/2 + WINDOW_REACH lam)``, where
-    every window value is already 0.  In 2-D the first
-    axis materializes ``C ⊗ F`` once per distinct ``(x_0, xi_0)`` pair
-    (``distinct_keys``) for the matmul ``t = rows @ samples``; each point
-    gathers ``t[index]`` as an ``(n/m, m)`` block and contracts it with its
-    last-axis ``C`` and ``F``.  In 1-D the samples are that block for every
-    point, so ``C @ block`` is one matmul.  No factor holds n entries per
-    point.  Evaluation is chunked over points, about ``SUM_CHUNK_ELEMENTS``
-    factor entries per chunk, and 2-D chunks are gathered and contracted
-    ``SUM_GATHER_ELEMENTS`` entries at a time.
+    Only the blocks that hold a nonzero sample once ``G`` is folded in are
+    contracted, per axis, read from the samples on every call with an exact
+    ``!= 0`` test: a block of zeros adds only exact zeros, so dropping it
+    can change only the rounding order of the kept terms, and all-zero
+    samples give exact zeros.  ``C`` is built over the kept block centers
+    only.  The Gaussian parts are real exponentials built once per distinct
+    ``x_k`` of a chunk, the phase parts once per distinct ``xi_k``, at most
+    ``n / m + m`` entries each.  ``x`` is clipped to
+    ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.  In
+    2-D the first axis materializes ``C ⊗ F`` over its kept blocks once per
+    distinct ``(x_0, xi_0)`` pair (``distinct_keys``) for the matmul
+    ``t = rows @ samples`` over the kept rows and last-axis blocks; each
+    point gathers ``t[index]`` as a (kept blocks, ``m``) block and contracts
+    it with its last-axis ``C`` and ``F``.  In 1-D the kept samples are that
+    block for every point, so ``C @ block`` is one matmul.  No factor holds n
+    entries per point.  Evaluation is chunked over points, about
+    ``SUM_CHUNK_ELEMENTS`` factor entries per chunk, and 2-D chunks are
+    gathered and contracted ``SUM_GATHER_ELEMENTS`` entries at a time.
     """
     g, d = grid, grid.dim
     m = axis_split(g, lam)
@@ -310,31 +316,37 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
         coupling = (np.pi * lam**2) ** -0.25 * np.exp(-np.multiply.outer(centers, offsets) / lam**2)
         samples = samples * outer_per_axis((coupling.ravel(),) * d)
 
-    def factors(x, xi):
+    def factors(x, xi, kept):
+        ys = centers[kept]
         xis, ixi = np.unique(xi, return_inverse=True)
-        coarse = np.exp(-1j * np.multiply.outer(xis, centers))[ixi]
+        coarse = np.exp(-1j * np.multiply.outer(xis, ys))[ixi]
         fine = np.exp(-1j * np.multiply.outer(xis, offsets))[ixi]
         if lam is not None:
             xs, ix = np.unique(x, return_inverse=True)
-            coarse *= np.exp(-((centers - xs[:, None]) ** 2) / (2 * lam**2))[ix]
+            coarse *= np.exp(-((ys - xs[:, None]) ** 2) / (2 * lam**2))[ix]
             fine *= np.exp((np.multiply.outer(xs, offsets) - offsets**2 / 2) / lam**2)[ix]
         return coarse, fine
 
-    samples = samples.reshape(-1, g.n)
+    # axis k's blocks that hold a nonzero sample: any over every other axis
+    samples = samples.reshape((g.n // m, m) * d)
+    keep = [np.flatnonzero((samples != 0).any(axis=tuple(np.delete(range(2 * d), 2 * k)))) for k in range(d)]
+    samples = samples[keep[0]]
+    if d == 2:
+        samples = samples[:, :, keep[1]].reshape(len(keep[0]) * m, len(keep[1]) * m)
     chunk = SUM_CHUNK_ELEMENTS // (g.n if d == 2 else g.n // m + m)
     step = SUM_GATHER_ELEMENTS // g.n
     out = np.empty(len(points), dtype=np.complex128)
     for lo in range(0, len(points), chunk):
         block = np.hstack([np.clip(points[lo : lo + chunk, :d], -reach, reach), points[lo : lo + chunk, d:]])
-        coarse, fine = factors(block[:, d - 1], block[:, -1])
+        coarse, fine = factors(block[:, d - 1], block[:, -1], keep[-1])
         if d == 1:
-            # the samples are every point's (n/m, m) block: one matmul
-            part = coarse @ samples.reshape(-1, m)
+            # the kept samples are every point's (blocks, m) block: one matmul
+            part = coarse @ samples
         else:
             first, index = distinct_keys(block[:, 0] + 1j * block[:, d])
-            coarse_0, fine_0 = factors(block[first, 0], block[first, d])
-            rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(first), g.n)
-            t = (rows @ samples).reshape(-1, g.n // m, m)
+            coarse_0, fine_0 = factors(block[first, 0], block[first, d], keep[0])
+            rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(first), len(samples))
+            t = (rows @ samples).reshape(len(first), len(keep[1]), m)
             blocks = range(0, len(block), step)
             part = np.concatenate([np.matmul(coarse[a : a + step, None], t[index[a : a + step]])[:, 0] for a in blocks])
         out[lo : lo + len(block)] = np.einsum("pb,pb->p", part, fine)

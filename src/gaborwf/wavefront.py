@@ -634,7 +634,13 @@ def report_to_json(report: WavefrontReport) -> dict:
 def profiles_to_csv(report: WavefrontReport) -> str:
     # a row's radius is its ray's ladder rung: format the ladder once
     radii = [repr(r) for r in report.sampling.radii.tolist()]
-    index = np.repeat(np.arange(len(report.profiles)), np.diff(report.offsets)).tolist()
-    rung = _ladder_index(report.offsets).tolist()
-    rows = (f"{i},{radii[k]},{v!r}" for i, k, v in zip(index, rung, report.samples[:, 1].tolist()))
-    return "\n".join(["dir_index,r,abs_V", *rows]) + "\n"
+    index = np.repeat(np.arange(len(report.profiles)), np.diff(report.offsets))
+    rung = _ladder_index(report.offsets)
+    values = report.samples[:, 1]
+    # rows are formatted 8,192 at a time: only one slice's row strings and
+    # lists are alive at once, not one Python string per sample
+    slices = ["dir_index,r,abs_V\n"]
+    for lo in range(0, len(values), 8192):
+        rows = zip(*(a[lo : lo + 8192].tolist() for a in (index, rung, values)))
+        slices.append("".join(f"{i},{radii[k]},{v!r}\n" for i, k, v in rows))
+    return "".join(slices)

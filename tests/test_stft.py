@@ -339,6 +339,46 @@ def kernel_cases(draw):
     return u, lam, pts
 
 
+@st.composite
+def sparse_kernel_cases(draw):
+    """``kernel_cases`` whose samples carry exact zeros: random coarse blocks
+    kept on every axis (of the split of the window or of the Fourier sum), a
+    few first-axis rows (single samples in 1-D), one sample at the edge of a
+    block, or none at all."""
+    u, lam, pts = draw(kernel_cases())
+    g = u.grid
+    m = draw(st.sampled_from((axis_split(g, lam), axis_split(g))))
+    pattern = draw(st.sampled_from(("blocks", "rows", "edge", "zeros")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = np.zeros(g.shape, dtype=bool)
+    if pattern == "blocks":
+        keep = outer_per_axis([np.repeat(rng.random(g.n // m) < 0.3, m) for _ in range(g.dim)])
+    elif pattern == "rows":
+        keep[rng.choice(g.n, size=rng.integers(1, 4), replace=False)] = True
+    elif pattern == "edge":
+        keep[tuple(m * rng.integers(g.n // m, size=g.dim) + (m - 1) * rng.integers(2, size=g.dim))] = True
+    return SampledDistribution(g, np.where(keep, u.samples, 0)), lam, pts
+
+
+def underflow_floor(u, lam):
+    """Absolute error allowed besides ``kernel_tolerance`` on a Gaussian sum.
+    A coarse factor or a partial product of the split below the normal range
+    loses its terms; what multiplies it later, a fine factor or the coupling,
+    is at most ``e^SPLIT_EXPONENT_BOUND``, so a lost term is below about
+    ``tiny e^SPLIT_EXPONENT_BOUND`` (1e-160) of ``|u_j| (pi lam^2)^(-d/4) h^d``.
+    It matters only where the whole sum is that small: samples far from
+    every center, which the dense sum still adds up to 1e-300 or so."""
+    norm = (np.pi * lam**2) ** (-u.grid.dim / 4)
+    return np.finfo(float).tiny * np.exp(SPLIT_EXPONENT_BOUND) * norm * np.sum(np.abs(u.samples)) * u.grid.cell_volume
+
+
+def dense_fourier_sum(u, xi):
+    """Oracle: ``sum_j u(y_j) exp(-i<xi, y_j>) h^d`` at every row of ``xi``."""
+    meshes = u.grid.meshes()
+    sums = [np.sum(u.samples * np.exp(-1j * sum(k * y for k, y in zip(p, meshes)))) for p in xi]
+    return np.array(sums) * u.grid.cell_volume
+
+
 def kernel_tolerance(grid):
     """Relative error allowed against the scale ``sum_j |u_j psi_j| h^d`` of a
     sum: the phase ``xi y_j`` of each sum is rounded by about
@@ -399,10 +439,68 @@ class TestKernelErrorContract:
         u, _, pts = case
         g = u.grid
         xi = pts[:, g.dim :]
-        meshes = g.meshes()
-        dense = [np.sum(u.samples * np.exp(-1j * sum(k * m for k, m in zip(p, meshes)))) * g.cell_volume for p in xi]
         scale = np.sum(np.abs(u.samples)) * g.cell_volume
-        assert np.all(np.abs(nudft(u, xi) - dense) <= kernel_tolerance(g) * scale)
+        assert np.all(np.abs(nudft(u, xi) - dense_fourier_sum(u, xi)) <= kernel_tolerance(g) * scale)
+
+
+class TestSparseSupport:
+    """The kernel contracts only the coarse blocks that hold a nonzero
+    sample.  On samples with exact zeros it keeps the error contract of
+    ``TestKernelErrorContract`` down to the ``underflow_floor`` of a
+    Gaussian sum, and all-zero samples give exact zeros."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(sparse_kernel_cases())
+    def test_stft_points_matches_dense_sum(self, case):
+        u, lam, pts = case
+        g, w = u.grid, Window(lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stft_points(u, w, pts)
+        scale = dense_stft(SampledDistribution(g, np.abs(u.samples)), w, pts * np.repeat([1, 0], g.dim)).real
+        err = np.abs(got - dense_stft(u, w, pts))
+        assert np.all(err <= kernel_tolerance(g) * scale + underflow_floor(u, lam))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(sparse_kernel_cases())
+    def test_nudft_matches_dense_sum(self, case):
+        u, _, pts = case
+        g = u.grid
+        xi = pts[:, g.dim :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nudft(u, xi)
+        scale = np.sum(np.abs(u.samples)) * g.cell_volume
+        assert np.all(np.abs(got - dense_fourier_sum(u, xi)) <= kernel_tolerance(g) * scale)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_all_zero_samples_give_exact_zeros(self, dim, rng):
+        g = make_grid(dim, 128, 10.0)
+        u = SampledDistribution(g, np.zeros(g.shape))
+        pts = rng.uniform(-8, 8, (20, 2 * dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (
+                stft_points(u, Window(1.0), pts),
+                stft_points(u, Window(1.0, cutoff=(2.0, 4.0)), pts),
+                nudft(u, pts[:, dim:]),
+            ):
+                assert np.array_equal(got, np.zeros(len(pts)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cutoff_window_samples_vanish_beyond_the_support(self, dim, rng):
+        # per base point the samples are multiplied by the plateau, exactly 0
+        # beyond support * lam: most coarse blocks hold zeros only, and a base
+        # point that far outside the grid has no nonzero sample at all
+        g = make_grid(dim, 128, 10.0)
+        u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        w = Window(1.0, cutoff=(1.0, 2.0))
+        pts = np.hstack([rng.uniform(-11, 11, (30, dim)), rng.uniform(-10, 10, (30, dim))])
+        pts[0, :dim] = g.half_width + 2.5
+        got = stft_points(u, w, pts)
+        assert got[0] == 0
+        scale = dense_stft(SampledDistribution(g, np.abs(u.samples)), w, pts * np.repeat([1, 0], dim)).real
+        assert np.all(np.abs(got - dense_stft(u, w, pts)) <= kernel_tolerance(g) * scale)
 
 
 class TestInvariances:

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 86 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 88 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -29,7 +29,9 @@ otherwise.  The invocations:
 * ``analyze`` at the extremes of the admitted window width, 4h to L/8, where
   the STFT kernel derives its narrowest and widest coarse × fine splits:
   ``--lam 0.16`` and ``--lam 5`` on dirac, box and chirp, and ``--lam 0.32``
-  and ``--lam 2.5`` on box2d;
+  and ``--lam 2.5`` on the two 2-D entries (box2d, whose samples fill the
+  grid, and line_delta_2d, whose kernel contracts only the blocks of its
+  support);
 * ``analyze`` with ``--n-thresh 1.5`` and ``--n-thresh 0.75`` on the seven
   1-D entries and with ``--n-thresh 1.5`` on the two 2-D entries;
 * ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, on dirac
@@ -109,7 +111,7 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs = [["analyze", name, "--dump-samples"] for name in ENTRIES_1D + ENTRIES_2D]
     runs += [["analyze", name, "--dump-samples", "--lam", lam] for lam in ("0.5", "2") for name in ENTRIES_1D]
     runs += [["analyze", name, "--lam", lam] for lam in ("0.16", "5") for name in LAM_EXTREMES_1D]
-    runs += [["analyze", "box2d", "--lam", lam] for lam in ("0.32", "2.5")]
+    runs += [["analyze", name, "--lam", lam] for lam in ("0.32", "2.5") for name in ENTRIES_2D]
     runs += [["analyze", name, "--n-thresh", t] for t in ("1.5", "0.75") for name in ENTRIES_1D]
     runs += [["analyze", name, "--n-thresh", "1.5"] for name in ENTRIES_2D]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
