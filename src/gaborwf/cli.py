@@ -26,7 +26,7 @@ from .symplectic import (
     poisson_bracket_vanishes,
     singular_space,
 )
-from .propagator import HermiteBasis, default_n_max, verify_propagation
+from .propagator import HermiteBasis, verify_propagation
 from .wavefront import (
     DEFAULT_N_THRESH,
     angular_tolerance,
@@ -55,7 +55,7 @@ def _fmt_dirs(dirs) -> str:
 
 
 def _default_grid(name: str, n: int | None = None, length: float | None = None) -> sig.Grid:
-    dim = sig.CATALOG[name].dim
+    dim = sig.CATALOG[name].dims[0]
     if n is None:
         n = GRID_DEFAULTS[dim][0]
     if length is None:
@@ -96,7 +96,7 @@ def cmd_catalog(args) -> int:
             print(f"{'name':<18} {'dim':<4} {'params':<18} {'support':<9} {'schwartz':<9} singular dirs")
             for name, params, grid, truth in rows:
                 sup = "inf" if truth.support_radius == np.inf else f"{truth.support_radius:g}"
-                dirs = "empty" if not truth.gabor_wf_dirs else f"{len(truth.gabor_wf_dirs)} generators"
+                dirs = f"{len(truth.gabor_wf_dirs)} generators" if len(truth.gabor_wf_dirs) else "empty"
                 print(f"{name:<18} {grid.dim:<4} {json.dumps(params):<18} {sup:<9} {str(truth.is_schwartz):<9} {dirs}")
         return 0
     name = args.name
@@ -126,7 +126,7 @@ def cmd_analyze(args) -> int:
     print(f"{args.name}: gabor singular dirs: {_fmt_dirs(gabor.singular_dirs)}")
 
     failed = False
-    detected_sets = {"gabor": gabor.singular_dirs}
+    found = {"gabor": (truth.gabor_wf_dirs, gabor.singular_dirs)}
     if truth.theorem_applicable:
         _write_json(out / f"{args.name}_sigma.json", report_to_json(sigma))
         (out / f"{args.name}_sigma_profiles.csv").write_text(profiles_to_csv(sigma))
@@ -139,18 +139,14 @@ def cmd_analyze(args) -> int:
             f"{result.dist_gabor_to_sigma:.6f}/{result.dist_sigma_to_gabor:.6f}, tol = {ang_tol:.6f})"
         )
         failed = failed or not result.passed
-        detected_sets["sigma"] = sigma.singular_dirs
-        truth_sets = {"gabor": truth.gabor_wf_dirs, "sigma": truth.sigma_dirs}
+        found["sigma"] = (truth.sigma_dirs, sigma.singular_dirs)
     else:
         print(f"{args.name}: not compactly supported: theorem check skipped")
-        truth_sets = {"gabor": truth.gabor_wf_dirs}
 
     # every analytic generator must be found; extra arcs are judged by the
     # theorem check above, not here
-    for kind, expected in truth_sets.items():
-        if expected is None:
-            continue
-        miss = directed_hausdorff_angle(np.array(expected, dtype=float), detected_sets[kind])
+    for kind, (expected, detected) in found.items():
+        miss = directed_hausdorff_angle(expected, detected)
         if miss > ang_tol:
             print(f"{args.name}: {kind} detection missed ground-truth directions (gap {miss:.4f})")
             failed = True
@@ -162,8 +158,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_propagate(args) -> int:
     u, truth, window = _entry_and_window(args)
-    n_max = args.n_max if args.n_max is not None else default_n_max(u.grid)
-    basis = HermiteBasis.build(u.grid, n_max)
+    basis = HermiteBasis.build(u.grid, args.n_max)
     report = verify_propagation(
         u, truth, args.t, window=window, n_thresh=args.n_thresh, ang_tol=args.ang_tol, basis=basis
     )
@@ -184,7 +179,7 @@ def cmd_propagate(args) -> int:
 def cmd_singular_space(args) -> int:
     try:
         q = QuadraticHamiltonian.from_json(Path(args.q_file).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid Hamiltonian file {args.q_file}: {exc}", file=sys.stderr)
         return 2
     space = singular_space(q, args.tol)

@@ -114,7 +114,7 @@ def hermite_coefficients(u: SampledDistribution, basis: HermiteBasis) -> tuple[n
         raise ValueError("basis was built for a different grid")
     g = u.grid
     H = basis.values
-    coeffs = g.cell_volume * apply_per_axis(H.conj().T, u.samples)
+    coeffs = g.cell_volume * apply_per_axis(H.T, u.samples)
     synth = apply_per_axis(H, coeffs)
     unorm = u.norm()
     if unorm == 0:
@@ -160,10 +160,7 @@ def taper_expansion(u: SampledDistribution, basis: HermiteBasis) -> PropagatedSt
     relative to the original state.
     """
     coeffs, _ = hermite_coefficients(u, basis)
-    orders = np.arange(basis.n_max + 1)
-    lo = TAPER_ONSET * basis.n_max
-    weight = _plateau(orders / basis.n_max, TAPER_ONSET, 1.0) if basis.n_max > 0 else np.ones(1)
-    weight[orders <= lo] = 1.0
+    weight = _plateau(np.arange(basis.n_max + 1) / basis.n_max, TAPER_ONSET, 1.0) if basis.n_max > 0 else np.ones(1)
     smooth = coeffs * outer_per_axis((weight,) * u.grid.dim)
     state = _synthesize(basis, smooth)
     unorm = u.norm()
@@ -283,8 +280,7 @@ def verify_propagation(
         smoothed = taper_expansion(u0, basis)
         moved, trunc = harmonic_propagate(smoothed.state, angle, basis).state, smoothed.truncation_error
     oscillator = QuadraticHamiltonian(d, 1j * np.eye(2 * d))
-    truth_dirs = np.reshape(ground_truth.gabor_wf_dirs, (-1, 2 * d))
-    predicted = _as_readonly(propagate_wf_set(oscillator, angle, truth_dirs))
+    predicted = _as_readonly(propagate_wf_set(oscillator, angle, ground_truth.gabor_wf_dirs))
 
     report = estimate_gabor_wf(moved, window, sampling, n_thresh)
     dist = hausdorff_angle(predicted, report.singular_dirs)

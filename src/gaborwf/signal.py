@@ -149,38 +149,39 @@ class SampledDistribution:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Analytic singular directions of a catalog entry.
-
-    ``gabor_wf_dirs`` generates the phase-space cone, ``sigma_dirs`` the
-    frequency cone; ``sigma_dirs`` is None when the entry is not compactly
-    supported (the frequency cone is then not defined by the theory used
-    here).  Conic sets are recorded by unit generators; entries whose cone is
-    the full sphere store a symmetric generator fan (see the catalog notes).
+    """Analytic singular directions of a catalog entry: read-only arrays of
+    unit generators.  ``sigma_dirs`` (k, d) generates the frequency cone of a
+    compactly supported or Schwartz entry, and the phase-space cone is derived
+    by the main identity, ``gabor_wf_dirs = {0} x sigma_dirs`` row by row.
+    Only an entry outside that theory (``sigma_dirs`` None) gives its (k, 2d)
+    ``gabor_wf_dirs`` by hand.  A full-sphere cone is stored as a symmetric
+    generator fan (see the catalog notes).
     """
 
-    gabor_wf_dirs: tuple[tuple[float, ...], ...]
-    sigma_dirs: tuple[tuple[float, ...], ...] | None
+    sigma_dirs: np.ndarray | None
     support_radius: float
+    gabor_wf_dirs: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.support_radius < np.inf and self.sigma_dirs is not None:
-            freq = {tuple(np.round(g[len(g) // 2 :], 12)) for g in self.gabor_wf_dirs}
-            sig = {tuple(np.round(s, 12)) for s in self.sigma_dirs}
-            if freq != sig:
-                raise ValueError("gabor_wf_dirs must equal {0} x sigma_dirs for compact support")
-            for g in self.gabor_wf_dirs:
-                if any(abs(c) > 1e-12 for c in g[: len(g) // 2]):
-                    raise ValueError("compactly supported entries have x-component 0")
+        if (self.sigma_dirs is None) == (self.gabor_wf_dirs is None):
+            raise ValueError("give sigma_dirs, or gabor_wf_dirs where sigma_dirs is None, not both")
+        if self.sigma_dirs is not None:
+            sigma = _as_readonly(np.array(self.sigma_dirs, dtype=float))
+            object.__setattr__(self, "sigma_dirs", sigma)
+            object.__setattr__(self, "gabor_wf_dirs", np.hstack([np.zeros_like(sigma), sigma]))
+        if np.ndim(self.gabor_wf_dirs) != 2:
+            raise ValueError("cone generators must be a (k, d) array")
+        object.__setattr__(self, "gabor_wf_dirs", _as_readonly(np.array(self.gabor_wf_dirs, dtype=float)))
 
     @property
     def is_schwartz(self) -> bool:
-        """Whether both direction sets are empty: a smooth, rapidly decaying entry."""
-        return len(self.gabor_wf_dirs) == 0 and self.sigma_dirs is not None and len(self.sigma_dirs) == 0
+        """Whether both cones are empty: a smooth, rapidly decaying entry."""
+        return self.theorem_applicable and len(self.sigma_dirs) == 0
 
     @property
     def theorem_applicable(self) -> bool:
         """Whether the compact-support identity applies (compact or Schwartz)."""
-        return self.support_radius < np.inf or self.is_schwartz
+        return self.sigma_dirs is not None
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,8 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) ->
 # factor entries per chunk of points: 1,024 points at n = 256 in 2-D, whose
 # first-axis rows are materialized, and 2**18 / (n / m + m) in 1-D
 SUM_CHUNK_ELEMENTS = 2**18
-# entries per gathered block of a chunk: 128 points at n = 256 in 2-D.
+# entries per gathered block of a chunk, each point holding its kept last-axis
+# entries: 128 points of box2d (256 entries), 341 of line_delta_2d (96).
 # Blocks this small stay in cache and reuse one heap buffer; gathering a
 # whole 2-D chunk at once page-faults fresh buffers on every chunk, a third
 # of the call
@@ -305,7 +307,12 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     block for every point, so ``C @ block`` is one matmul.  No factor holds n
     entries per point.  Evaluation is chunked over points, about
     ``SUM_CHUNK_ELEMENTS`` factor entries per chunk, and 2-D chunks are
-    gathered and contracted ``SUM_GATHER_ELEMENTS`` entries at a time.
+    gathered and contracted ``SUM_GATHER_ELEMENTS`` kept entries at a time.
+
+    Two known limits: a point's value can move by about 1e-16 with the other
+    points of its call, since the row count of ``rows @ samples`` picks the
+    BLAS kernel; and the Gaussian split loses terms to underflow where the
+    whole sum lies below about 1e-259, so such a sum can come out 0.
     """
     g, d = grid, grid.dim
     m = axis_split(g, lam)
@@ -334,7 +341,7 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     if d == 2:
         samples = samples[:, :, keep[1]].reshape(len(keep[0]) * m, len(keep[1]) * m)
     chunk = SUM_CHUNK_ELEMENTS // (g.n if d == 2 else g.n // m + m)
-    step = SUM_GATHER_ELEMENTS // g.n
+    step = SUM_GATHER_ELEMENTS // max(len(keep[-1]) * m, 1)  # all-zero samples keep no block
     out = np.empty(len(points), dtype=np.complex128)
     for lo in range(0, len(points), chunk):
         block = np.hstack([np.clip(points[lo : lo + chunk, :d], -reach, reach), points[lo : lo + chunk, d:]])
@@ -410,11 +417,6 @@ def _box_axis_spectrum(xi: np.ndarray, a: float) -> np.ndarray:
     return np.where(xi == 0, 2.0 * a, 2.0 * np.sin(a * safe) / safe)
 
 
-def _require_dim(name: str, grid: Grid, dim: int):
-    if grid.dim != dim:
-        raise ValueError(f"catalog entry {name!r} requires a {dim}-D grid")
-
-
 def _require_support(name: str, grid: Grid, radius: float):
     if not radius > 0:
         raise ValueError(f"catalog entry {name!r}: support radius must be positive, got {radius}")
@@ -425,17 +427,14 @@ def _require_support(name: str, grid: Grid, radius: float):
         )
 
 
-_FULL_CIRCLE_FAN = tuple(
-    (float(np.cos(a)), float(np.sin(a))) for a in (np.pi / 4 * k for k in range(8))
-)
+# the frequency cones of the catalog, (k, d) generators
+_POLES = np.array([[1.0], [-1.0]])
+_FULL_CIRCLE_FAN = np.column_stack([np.cos(np.pi / 4 * np.arange(8)), np.sin(np.pi / 4 * np.arange(8))])
 
 
 def _entry_dirac(params: dict, grid: Grid):
     # uhat == 1: no decay in any frequency direction; x-part 0 by compact support.
-    if grid.dim == 1:
-        truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), 0.0)
-    else:
-        truth = GroundTruth(tuple((0.0, 0.0) + s for s in _FULL_CIRCLE_FAN), _FULL_CIRCLE_FAN, 0.0)
+    truth = GroundTruth(_POLES if grid.dim == 1 else _FULL_CIRCLE_FAN, 0.0)
     vals = np.zeros(grid.shape, dtype=np.complex128)
     center = (grid.n // 2,) * grid.dim
     vals[center] = 1.0 / grid.cell_volume
@@ -445,7 +444,6 @@ def _entry_dirac(params: dict, grid: Grid):
 def _entry_dirac_derivative(params: dict, grid: Grid):
     # Central-difference stencil; pairing sum u f h = (-1)^k f^(k)(0) + O(h^2).
     # uhat(xi) = (i sin(h xi)/h)^k grows: both frequency poles stay singular.
-    _require_dim("dirac_derivative", grid, 1)
     k = params["k"]
     if k < 1 or k > 2:
         raise ValueError("dirac_derivative supports k in {1, 2}")
@@ -458,83 +456,69 @@ def _entry_dirac_derivative(params: dict, grid: Grid):
     j0 = grid.n // 2
     half = len(weights) // 2
     vals[j0 - half : j0 + half + 1] = weights / h
-    truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), 0.0)
-    return SampledDistribution(grid, vals, kind="singular-spike"), truth
+    return SampledDistribution(grid, vals, kind="singular-spike"), GroundTruth(_POLES, 0.0)
 
 
 def _entry_gaussian(params: dict, grid: Grid):
     sigma = params["sigma"]
     if sigma <= 0:
         raise ValueError("gaussian requires sigma > 0")
-    meshes = grid.meshes()
-    r2 = sum(m**2 for m in meshes)
-    vals = (np.pi * sigma**2) ** (-grid.dim / 4) * np.exp(-r2 / (2 * sigma**2))
-    truth = GroundTruth((), (), np.inf)
-    return SampledDistribution(grid, vals.astype(np.complex128)), truth
+    try:  # sigma**2 at 0 or beyond the float range, or r^2 / sigma^2 overflowing
+        with np.errstate(all="raise", under="ignore"):
+            r2 = sum(m**2 for m in grid.meshes())
+            vals = (np.pi * sigma**2) ** (-grid.dim / 4) * np.exp(-r2 / (2 * sigma**2))
+    except ArithmeticError:
+        raise ValueError(f"gaussian sigma {sigma!r} is out of range: its samples overflow on this grid") from None
+    return SampledDistribution(grid, vals.astype(np.complex128)), GroundTruth(np.empty((0, grid.dim)), np.inf)
 
 
 def _entry_hermite(params: dict, grid: Grid):
-    _require_dim("hermite", grid, 1)
     order = params["n"]
     if order < 0 or order > grid.n // 4:
         raise ValueError("hermite order out of resolvable range")
     vals = _hermite_values(grid.axis(), order)[:, order]
-    truth = GroundTruth((), (), np.inf)
-    return SampledDistribution(grid, vals.astype(np.complex128)), truth
+    return SampledDistribution(grid, vals.astype(np.complex128)), GroundTruth(np.empty((0, 1)), np.inf)
 
 
 def _entry_box(params: dict, grid: Grid):
     # Indicator of [-a, a]; uhat(xi) = 2 sin(a xi)/xi decays at order one only,
     # so both frequency poles are singular.  Band-limited synthesis keeps the
     # grid transform exact at dual frequencies.
-    _require_dim("box", grid, 1)
     a = params["a"]
     _require_support("box", grid, a)
     dist = synthesize_from_spectrum(grid, lambda xi: _box_axis_spectrum(xi, a))
-    truth = GroundTruth(((0.0, 1.0), (0.0, -1.0)), ((1.0,), (-1.0,)), a)
-    return dist, truth
+    return dist, GroundTruth(_POLES, a)
 
 
 def _entry_chirp(params: dict, grid: Grid):
     # u = exp(i A x^2 / 2) concentrates on the phase-space line xi = A x.
     # Not compactly supported: the frequency cone is left undefined.
-    _require_dim("chirp", grid, 1)
     a = params["a"]
     if abs(a) * grid.half_width >= np.pi / grid.spacing:
         raise ValueError("chirp rate unresolvable: instantaneous frequency exceeds the dual band")
     x = grid.axis()
     vals = np.exp(0.5j * a * x**2)
-    norm = float(np.hypot(1.0, a))
-    d = (1.0 / norm, a / norm)
-    truth = GroundTruth((d, (-d[0], -d[1])), None, np.inf)
-    return SampledDistribution(grid, vals), truth
+    d = np.array([1.0, a]) / np.hypot(1.0, a)
+    return SampledDistribution(grid, vals), GroundTruth(None, np.inf, [d, -d])
 
 
 def _entry_bump(params: dict, grid: Grid):
     # Smooth and compactly supported, hence Schwartz: both cones are empty.
-    _require_dim("bump", grid, 1)
     w = params["width"]
     _require_support("bump", grid, w)
     vals = _bump_profile(grid.axis(), w)
-    truth = GroundTruth((), (), w)
-    return SampledDistribution(grid, vals.astype(np.complex128)), truth
+    return SampledDistribution(grid, vals.astype(np.complex128)), GroundTruth(np.empty((0, 1)), w)
 
 
 def _entry_line_delta_2d(params: dict, grid: Grid):
     # u = delta(x1) (x) bump(x2): uhat(xi) = bumphat(xi2), rapid decay except
     # near the xi1 axis, so the frequency cone is generated by (+-1, 0).
-    _require_dim("line_delta_2d", grid, 2)
     w = params["width"]
     _require_support("line_delta_2d", grid, w)
     profile = _bump_profile(grid.axis(), w)
     vals = np.zeros(grid.shape, dtype=np.complex128)
     vals[grid.n // 2, :] = profile / grid.spacing
-    truth = GroundTruth(
-        ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0, 0.0)),
-        ((1.0, 0.0), (-1.0, 0.0)),
-        w,
-    )
-    return SampledDistribution(grid, vals, kind="singular-spike"), truth
+    return SampledDistribution(grid, vals, kind="singular-spike"), GroundTruth([[1.0, 0.0], [-1.0, 0.0]], w)
 
 
 def _entry_box2d(params: dict, grid: Grid):
@@ -544,7 +528,6 @@ def _entry_box2d(params: dict, grid: Grid):
     # four edge normals, which carry the dominant order-1 singularity; the
     # order-2 corner directions sit at the decay-order classification
     # threshold on desk-scale grids and are deliberately not stored.
-    _require_dim("box2d", grid, 2)
     a = params["a"]
     _require_support("box2d", grid, a * np.sqrt(2.0))
 
@@ -552,29 +535,29 @@ def _entry_box2d(params: dict, grid: Grid):
         return _box_axis_spectrum(xi1, a) * _box_axis_spectrum(xi2, a)
 
     dist = synthesize_from_spectrum(grid, spectrum)
-    normals = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-    truth = GroundTruth(tuple((0.0, 0.0) + s for s in normals), normals, a * np.sqrt(2.0))
-    return dist, truth
+    normals = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    return dist, GroundTruth(normals, a * np.sqrt(2.0))
 
 
 class CatalogEntry(NamedTuple):
-    """Default grid dimension, default parameters and builder of one entry."""
+    """Admitted grid dimensions (the default first), default parameters and
+    builder of one entry."""
 
-    dim: int
+    dims: tuple[int, ...]
     defaults: dict
     build: Callable[[dict, Grid], tuple[SampledDistribution, GroundTruth]]
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "dirac": CatalogEntry(1, {}, _entry_dirac),
-    "dirac_derivative": CatalogEntry(1, {"k": 1}, _entry_dirac_derivative),
-    "gaussian": CatalogEntry(1, {"sigma": 1.0}, _entry_gaussian),
-    "hermite": CatalogEntry(1, {"n": 3}, _entry_hermite),
-    "box": CatalogEntry(1, {"a": 1.0}, _entry_box),
-    "chirp": CatalogEntry(1, {"a": 1.0}, _entry_chirp),
-    "bump": CatalogEntry(1, {"width": BUMP_DEFAULT_WIDTH}, _entry_bump),
-    "line_delta_2d": CatalogEntry(2, {"width": 3.0}, _entry_line_delta_2d),
-    "box2d": CatalogEntry(2, {"a": 0.5}, _entry_box2d),
+    "dirac": CatalogEntry((1, 2), {}, _entry_dirac),
+    "dirac_derivative": CatalogEntry((1,), {"k": 1}, _entry_dirac_derivative),
+    "gaussian": CatalogEntry((1, 2), {"sigma": 1.0}, _entry_gaussian),
+    "hermite": CatalogEntry((1,), {"n": 3}, _entry_hermite),
+    "box": CatalogEntry((1,), {"a": 1.0}, _entry_box),
+    "chirp": CatalogEntry((1,), {"a": 1.0}, _entry_chirp),
+    "bump": CatalogEntry((1,), {"width": BUMP_DEFAULT_WIDTH}, _entry_bump),
+    "line_delta_2d": CatalogEntry((2,), {"width": 3.0}, _entry_line_delta_2d),
+    "box2d": CatalogEntry((2,), {"a": 0.5}, _entry_box2d),
 }
 
 
@@ -586,14 +569,16 @@ def catalog_entry(name: str, params: dict | None, grid: Grid) -> tuple[SampledDi
     """Samples of a named test distribution together with its ground truth."""
     if name not in CATALOG:
         raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG)}")
-    defaults = CATALOG[name].defaults
+    dims, defaults, build = CATALOG[name]
+    if grid.dim not in dims:
+        raise ValueError(f"catalog entry {name!r} requires a {'/'.join(map(str, dims))}-D grid")
     merged = dict(defaults)
     for key, value in (params or {}).items():
         if key not in defaults:
             known = ", ".join(defaults) or "none"
             raise ValueError(f"catalog entry {name!r} has no parameter {key!r}; known: {known}")
         merged[key] = _parameter_value(name, key, value, defaults[key])
-    return CATALOG[name].build(merged, grid)
+    return build(merged, grid)
 
 
 def _parameter_value(name: str, key: str, value, default):
@@ -624,8 +609,8 @@ def catalog_entry_json(name: str, params: dict, grid: Grid, truth: GroundTruth) 
         "params": params,
         "grid": {"dim": grid.dim, "n": grid.n, "half_width": grid.half_width},
         "ground_truth": {
-            "gabor_wf_dirs": [list(d) for d in truth.gabor_wf_dirs],
-            "sigma_dirs": None if truth.sigma_dirs is None else [list(d) for d in truth.sigma_dirs],
+            "gabor_wf_dirs": truth.gabor_wf_dirs.tolist(),
+            "sigma_dirs": None if truth.sigma_dirs is None else truth.sigma_dirs.tolist(),
             "support_radius": "inf" if truth.support_radius == np.inf else truth.support_radius,
             "is_schwartz": truth.is_schwartz,
         },

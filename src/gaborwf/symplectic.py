@@ -66,7 +66,11 @@ class QuadraticHamiltonian:
     def from_json(cls, payload: str | dict) -> "QuadraticHamiltonian":
         """Parse ``{"dim": d, "re": [[...]], "im": [[...]]}``."""
         obj = json.loads(payload) if isinstance(payload, str) else payload
-        dim = int(obj["dim"])
+        if not isinstance(obj, dict):
+            raise ValueError(f"a Hamiltonian must be a JSON object, got {type(obj).__name__}")
+        dim = obj["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
         return cls(dim, re + 1j * im)

@@ -55,7 +55,7 @@ _cache: dict = {}
 def entry(name):
     key = ("entry", name)
     if key not in _cache:
-        _cache[key] = catalog_entry(name, None, GRID[CATALOG[name].dim])
+        _cache[key] = catalog_entry(name, None, GRID[CATALOG[name].dims[0]])
     return _cache[key]
 
 
@@ -91,12 +91,12 @@ def dirs_of(report):
 
 def test_criterion_1_main_theorem():
     for name in COMPACT_ENTRIES:
-        dim = CATALOG[name].dim
+        dim = CATALOG[name].dims[0]
         tol = 2 * STEP[dim]
         result = check_main_theorem(gabor_report(name), sigma_report(name), tol)
         assert result.passed, (name, result)
     for name in EMPTY_ENTRIES:
-        dim = CATALOG[name].dim
+        dim = CATALOG[name].dims[0]
         result = check_main_theorem(gabor_report(name), sigma_report(name), 2 * STEP[dim])
         assert result.passed and result.dist_gabor_to_sigma == 0.0, name
         assert result.dist_sigma_to_gabor == 0.0, name
@@ -109,7 +109,7 @@ def test_criterion_2_weak_inclusion():
     for name in COMPACT_ENTRIES:
         for lam in (0.5, 1.0, 2.0):
             rep = gabor_report(name, lam)
-            d = CATALOG[name].dim
+            d = CATALOG[name].dims[0]
             for z in rep.singular_dirs:
                 assert np.linalg.norm(z[:d]) <= bound, (name, lam, z)
     print("[PASS] criterion 2: no detected phase-space singular direction of a "
@@ -137,7 +137,7 @@ def test_criterion_3_stft_correctness():
 
 def test_criterion_4_window_independence():
     for name in catalog_names():
-        dim = CATALOG[name].dim
+        dim = CATALOG[name].dims[0]
         sets = {lam: dirs_of(gabor_report(name, lam)) for lam in (0.5, 1.0, 2.0)}
         for a in (0.5, 1.0):
             for b in (1.0, 2.0):
@@ -274,7 +274,7 @@ def test_criterion_10_determinism_and_monotonicity():
     blob_b = json.dumps(report_to_json(b), sort_keys=True)
     assert blob_a == blob_b
     for name in catalog_names():
-        dim = CATALOG[name].dim
+        dim = CATALOG[name].dims[0]
         rep = gabor_report(name, 0.5)
         prev_flagged = set(rep.flagged_indices())
         prev_dirs = dirs_of(rep)

@@ -181,6 +181,29 @@ class TestSingularSpace:
         assert code == 2
         assert "invalid" in err
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ("[1, 2]", "JSON object"),
+            ('{"dim": 1e400, "re": [[1, 0], [0, 1]]}', "dim"),
+            ('{"dim": 1.9, "re": [[1, 0], [0, 1]]}', "dim"),
+            ('{"dim": true, "re": [[1, 0], [0, 1]]}', "dim"),
+            ('{"dim": "1", "re": [[1, 0], [0, 1]]}', "dim"),
+            ('{"dim": 0, "re": []}', "dim"),
+            ('{"dim": 1, "re": {"a": 1}}', "dict"),
+        ],
+        ids=["array", "overflowing-dim", "fractional-dim", "bool-dim", "string-dim", "zero-dim", "object-matrix"],
+    )
+    def test_malformed_payload_rejected(self, tmp_path, capsys, payload, named):
+        # an array or an object matrix died with a TypeError, a 1e400 dim with
+        # an OverflowError; 1.9, true and "1" were read as 1 and exited 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code, _, err = run(capsys, "singular-space", str(bad), "--out", str(tmp_path))
+        assert code == 2
+        assert "invalid Hamiltonian file" in err and named in err and "Traceback" not in err
+        assert not (tmp_path / "bad_singular_space.json").exists()
+
     def test_asymmetric_rejected(self, tmp_path, capsys):
         q = self.write_q(tmp_path, "asym.json", [[1, 2], [0, 1]], [[0, 0], [0, 0]])
         code, _, err = run(capsys, "singular-space", str(q), "--out", str(tmp_path))
@@ -243,6 +266,10 @@ def test_usage_error_exits_two(capsys):
         (("analyze", "dirac", "--rho", "inf"), "rho"),
         (("propagate", "dirac", "--t", "0.3", "--L", "inf"), "half_width"),
         (("analyze", "box2d", "--L", "1e160"), "grid spacing"),
+        (("analyze", "gaussian", "--params", '{"sigma": 1e-300}'), "sigma"),
+        (("analyze", "gaussian", "--params", '{"sigma": 1e-160}'), "sigma"),
+        (("analyze", "gaussian", "--params", '{"sigma": 1e300}'), "sigma"),
+        (("propagate", "gaussian", "--t", "0.3", "--params", '{"sigma": 1e200}'), "sigma"),
     ],
     ids=[
         "nan-sample",
@@ -265,6 +292,10 @@ def test_usage_error_exits_two(capsys):
         "inf-rho",
         "inf-length",
         "overflowing-cell-volume",
+        "underflowing-sigma",
+        "overflowing-sigma-ratio",
+        "overflowing-sigma",
+        "overflowing-sigma-propagate",
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):
@@ -299,7 +330,8 @@ PLAIN = {
     "--n-max": ("4", "8", "12", "-1", "1000000"),
 }
 ODD_PARAMS = (
-    '{"a": 1e400}', '{"a": NaN}', '{"sigma": -1}', '{"width": "x"}', '{"foo": 1}', "[1]", "null", '"a"', "{bad"
+    '{"a": 1e400}', '{"a": NaN}', '{"sigma": -1}', '{"sigma": 1e-300}', '{"sigma": 1e300}', '{"width": "x"}',
+    '{"foo": 1}', "[1]", "null", '"a"', "{bad"
 )
 ANALYZE_ONLY = ("--n-dirs", "--r-min", "--r-max", "--rho")
 PROPAGATE_ONLY = ("--t", "--n-max")
@@ -315,7 +347,7 @@ def cli_argv(draw):
     command = draw(st.sampled_from(("analyze", "propagate")))
     name = draw(st.sampled_from((*CATALOG, "nonsense")))
     n, length = draw(st.sampled_from(GRIDS))
-    if name in CATALOG and CATALOG[name].dim == 2:
+    if name in CATALOG and CATALOG[name].dims[0] == 2:
         n = "16"
     if draw(st.integers(0, 3)) == 0:
         length = draw(st.sampled_from(ODD))

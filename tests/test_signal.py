@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from gaborwf.signal import (
+    CATALOG,
     Grid,
     GroundTruth,
     SampledDistribution,
@@ -106,19 +107,15 @@ class TestCatalog:
         assert catalog_entry("box", {"a": 1}, grid1)[1].support_radius == 1.0
 
     def test_all_entries_construct(self, grid1, grid2):
-        from gaborwf.signal import CATALOG
-
         for name in catalog_names():
-            g = grid1 if CATALOG[name].dim == 1 else grid2
+            g = grid1 if CATALOG[name].dims[0] == 1 else grid2
             dist, truth = catalog_entry(name, None, g)
             assert dist.samples.shape == g.shape
             assert isinstance(truth, GroundTruth)
 
     def test_compact_truths_encode_main_identity(self, grid1, grid2):
-        from gaborwf.signal import CATALOG
-
         for name in catalog_names():
-            g = grid1 if CATALOG[name].dim == 1 else grid2
+            g = grid1 if CATALOG[name].dims[0] == 1 else grid2
             _, truth = catalog_entry(name, None, g)
             if truth.support_radius == np.inf:
                 continue
@@ -135,8 +132,44 @@ class TestCatalog:
         assert not box.is_schwartz
 
     def test_ground_truth_validation(self):
-        with pytest.raises(ValueError):
-            GroundTruth(((1.0, 0.0),), ((1.0,),), 1.0)  # nonzero x-part
+        # each cone is given once: the frequency cone, or the phase-space cone
+        # by hand where the frequency cone is undefined
+        with pytest.raises(ValueError, match="not both"):
+            GroundTruth([[1.0]], 1.0, [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="not both"):
+            GroundTruth(None, np.inf)
+        with pytest.raises(ValueError, match=r"\(k, d\) array"):
+            GroundTruth([1.0, -1.0], 1.0)
+
+    def test_ground_truth_derives_phase_space_cone(self):
+        sigma = np.array([[0.6, 0.8], [-1.0, 0.0], [0.0, -1.0]])
+        truth = GroundTruth(sigma, 1.0)
+        assert np.array_equal(truth.gabor_wf_dirs, np.hstack([np.zeros((3, 2)), sigma]))
+        assert np.array_equal(truth.sigma_dirs, sigma)
+        sigma[0] = 0.0  # the truth holds its own copy
+        assert truth.sigma_dirs[0, 0] == 0.6
+        for cone in (truth.sigma_dirs, truth.gabor_wf_dirs):
+            with pytest.raises(ValueError):
+                cone[0, 0] = 1.0
+        chirp = GroundTruth(None, np.inf, [[0.6, 0.8]])
+        assert not chirp.theorem_applicable and not chirp.is_schwartz
+        assert not chirp.gabor_wf_dirs.flags.writeable
+        empty = GroundTruth(np.empty((0, 2)), np.inf)
+        assert empty.is_schwartz and empty.gabor_wf_dirs.shape == (0, 4)
+
+    def test_full_circle_fan_is_the_sampled_circle(self):
+        from gaborwf.signal import _FULL_CIRCLE_FAN
+        from gaborwf.wavefront import _circle
+
+        assert _FULL_CIRCLE_FAN.tobytes() == _circle(8).tobytes()
+
+    @pytest.mark.parametrize(
+        "name, dim", [(n, d) for n, e in CATALOG.items() for d in (1, 2) if d not in e.dims]
+    )
+    def test_entry_rejects_unadmitted_dimension(self, name, dim):
+        grid = make_grid(dim, 64, 10.0)
+        with pytest.raises(ValueError, match=f"catalog entry '{name}' requires a {3 - dim}-D grid"):
+            catalog_entry(name, None, grid)
 
     def test_spike_convention_pairs_like_delta(self, grid1):
         dirac, _ = catalog_entry("dirac", None, grid1)
@@ -200,10 +233,8 @@ class TestFourierTransform:
         assert np.max(rel) < 1e-6
 
     def test_parseval(self, grid1, grid2):
-        from gaborwf.signal import CATALOG
-
         for name in catalog_names():
-            g = grid1 if CATALOG[name].dim == 1 else grid2
+            g = grid1 if CATALOG[name].dims[0] == 1 else grid2
             u, _ = catalog_entry(name, None, g)
             if u.kind != "function":
                 continue
@@ -213,10 +244,8 @@ class TestFourierTransform:
             assert abs(lhs - rhs) <= 1e-8 * rhs, name
 
     def test_double_transform_is_scaled_reflection(self, grid1, grid2):
-        from gaborwf.signal import CATALOG
-
         for name in ("gaussian", "hermite", "bump", "box2d"):
-            g = grid1 if CATALOG[name].dim == 1 else grid2
+            g = grid1 if CATALOG[name].dims[0] == 1 else grid2
             u, _ = catalog_entry(name, None, g)
             uhh = fourier_transform(fourier_transform(u))
             refl = u.samples

@@ -529,7 +529,7 @@ class TestInvariances:
         from gaborwf.signal import CATALOG, catalog_names
 
         for name in catalog_names():
-            g = grid1 if CATALOG[name].dim == 1 else grid2
+            g = grid1 if CATALOG[name].dims[0] == 1 else grid2
             u, _ = catalog_entry(name, None, g)
             w = Window(1.0)
             box_r = g.half_width / 2

@@ -351,7 +351,7 @@ class TestDetectorProperties:
         # flags only drop as the threshold drops, and every reported
         # direction is a flagged one
         low, high = sorted(thresholds)
-        for name in (n for n in catalog_names() if CATALOG[n].dim == 1):
+        for name in (n for n in catalog_names() if CATALOG[n].dims[0] == 1):
             rep = reports(name, 0.5)
             lowered, raised = rethreshold(rep, low), rethreshold(rep, high)
             assert set(lowered.flagged_indices()) <= set(raised.flagged_indices()), name
