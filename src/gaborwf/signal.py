@@ -219,8 +219,9 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) ->
     return SampledDistribution(grid, vals)
 
 
-# factor entries per chunk of points: 1,024 points at n = 256 in 2-D, whose
-# first-axis rows are materialized, and 2**18 / (n / m + m) in 1-D
+# factor entries per chunk of points: at most 1,024 points and 1,024
+# materialized first-axis rows at n = 256 in 2-D, and 2**18 / (n / m + m)
+# points in 1-D
 SUM_CHUNK_ELEMENTS = 2**18
 # entries per gathered block of a chunk, each point holding its kept last-axis
 # entries: 128 points of box2d (256 entries), 341 of line_delta_2d (96).
@@ -274,6 +275,22 @@ def axis_split(grid: Grid, lam: float | None = None) -> int:
     return m
 
 
+def _walk(points: np.ndarray, d: int, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order in which ``separable_sum`` visits ``points``, as ``(order,
+    starts, leaders)``: group k is the points ``order[starts[k] :
+    starts[k + 1]]``, in call order, and ``leaders[k]`` is the first of them.
+    In 2-D a group is the points whose first-axis pair, the center clipped to
+    ``reach``, has one key of ``distinct_keys``, and the groups follow their
+    leaders; in 1-D every point is a group of its own."""
+    if d == 1:
+        every = np.arange(len(points) + 1)
+        return every[:-1], every, every[:-1]
+    first, group = distinct_keys(np.clip(points[:, 0], -reach, reach) + 1j * points[:, d])
+    rank = np.argsort(first)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(group)[rank])])
+    return np.argsort(first[group], kind="stable"), starts, first[rank]
+
+
 def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: float | None = None) -> np.ndarray:
     """``sum_j samples_j prod_k psi(y_jk - x_k) exp(-i xi_k y_jk) h^d`` at every
     phase point ``(x, xi)`` of ``points``, shape (P, 2*dim), with
@@ -299,24 +316,32 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     ``x_k`` of a chunk, the phase parts once per distinct ``xi_k``, at most
     ``n / m + m`` entries each.  ``x`` is clipped to
     ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.  In
-    2-D the first axis materializes ``C ⊗ F`` over its kept blocks once per
-    distinct ``(x_0, xi_0)`` pair (``distinct_keys``) for the matmul
+    2-D the points are grouped once per call by their clipped first-axis
+    pair ``(x_0, xi_0)`` (``distinct_keys``) and visited group by group, the
+    groups in the order of their first points (``_walk``).  The first axis
+    materializes ``C ⊗ F`` over its kept blocks once per group of a chunk,
+    at the coordinates of the group's first point, for the matmul
     ``t = rows @ samples`` over the kept rows and last-axis blocks; each
     point gathers ``t[index]`` as a (kept blocks, ``m``) block and contracts
     it with its last-axis ``C`` and ``F``.  In 1-D the kept samples are that
     block for every point, so ``C @ block`` is one matmul.  No factor holds n
-    entries per point.  Evaluation is chunked over points, about
-    ``SUM_CHUNK_ELEMENTS`` factor entries per chunk, and 2-D chunks are
-    gathered and contracted ``SUM_GATHER_ELEMENTS`` kept entries at a time.
+    entries per point.  Evaluation is chunked over the walk, about
+    ``SUM_CHUNK_ELEMENTS`` factor entries per chunk: in 2-D at most
+    ``SUM_CHUNK_ELEMENTS / n`` points and as many groups, a chunk ending
+    where a group starts unless one group fills it, so a call builds one row
+    per group plus at most one per chunk boundary.  2-D chunks are gathered
+    and contracted ``SUM_GATHER_ELEMENTS`` kept entries at a time.
 
     Two known limits: a point's value can move by about 1e-16 with the other
-    points of its call, since the row count of ``rows @ samples`` picks the
-    BLAS kernel; and the Gaussian split loses terms to underflow where the
-    whole sum lies below about 1e-259, so such a sum can come out 0.
+    points of its call, since those decide its row's coordinates and the
+    row count of ``rows @ samples``, which picks the BLAS kernel; and the
+    Gaussian split loses terms to underflow where the whole sum lies below
+    about 1e-259, so such a sum can come out 0.
     """
     g, d = grid, grid.dim
     m = axis_split(g, lam)
     reach = np.inf if lam is None else g.half_width + WINDOW_REACH * lam
+    order, starts, leaders = _walk(points, d, reach)
     y = g.axis()
     centers, offsets = y[m // 2 :: m], (np.arange(m) - m // 2) * g.spacing
     if lam is not None:
@@ -334,6 +359,11 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
             fine *= np.exp((np.multiply.outer(xs, offsets) - offsets**2 / 2) / lam**2)[ix]
         return coarse, fine
 
+    def clipped(index):
+        block = points[index]
+        np.clip(block[:, :d], -reach, reach, out=block[:, :d])
+        return block
+
     # axis k's blocks that hold a nonzero sample: any over every other axis
     samples = samples.reshape((g.n // m, m) * d)
     keep = [np.flatnonzero((samples != 0).any(axis=tuple(np.delete(range(2 * d), 2 * k)))) for k in range(d)]
@@ -343,20 +373,30 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     chunk = SUM_CHUNK_ELEMENTS // (g.n if d == 2 else g.n // m + m)
     step = SUM_GATHER_ELEMENTS // max(len(keep[-1]) * m, 1)  # all-zero samples keep no block
     out = np.empty(len(points), dtype=np.complex128)
-    for lo in range(0, len(points), chunk):
-        block = np.hstack([np.clip(points[lo : lo + chunk, :d], -reach, reach), points[lo : lo + chunk, d:]])
+    lo = 0
+    while lo < len(points):
+        # at most `chunk` points of at most `chunk` groups, ending where a
+        # group starts unless one group fills the chunk
+        head = np.searchsorted(starts, lo, "right") - 1
+        hi = min(lo + chunk, starts[min(head + chunk, len(starts) - 1)])
+        cut = starts[np.searchsorted(starts, hi, "right") - 1]
+        hi = cut if cut > lo else hi
+        block = clipped(order[lo:hi])
         coarse, fine = factors(block[:, d - 1], block[:, -1], keep[-1])
         if d == 1:
             # the kept samples are every point's (blocks, m) block: one matmul
             part = coarse @ samples
         else:
-            first, index = distinct_keys(block[:, 0] + 1j * block[:, d])
-            coarse_0, fine_0 = factors(block[first, 0], block[first, d], keep[0])
-            rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(first), len(samples))
-            t = (rows @ samples).reshape(len(first), len(keep[1]), m)
+            # one first-axis row per group of the chunk, at its leader
+            index = np.searchsorted(starts, np.arange(lo, hi), "right") - 1 - head
+            lead = clipped(leaders[head : head + index[-1] + 1])
+            coarse_0, fine_0 = factors(lead[:, 0], lead[:, d], keep[0])
+            rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(lead), len(samples))
+            t = (rows @ samples).reshape(len(lead), len(keep[1]), m)
             blocks = range(0, len(block), step)
             part = np.concatenate([np.matmul(coarse[a : a + step, None], t[index[a : a + step]])[:, 0] for a in blocks])
-        out[lo : lo + len(block)] = np.einsum("pb,pb->p", part, fine)
+        out[order[lo:hi]] = np.einsum("pb,pb->p", part, fine)
+        lo = hi
     return out * g.cell_volume
 
 
@@ -368,8 +408,8 @@ def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     ``exp(-i xi Y_a)`` and the fine factor ``exp(-i xi d_b)``, ``n / m + m``
     exponentials per distinct ``xi_k`` instead of ``n``.  In 2-D,
     first-axis frequencies equal at ``MERGE_DECIMALS`` decimals share the
-    row of their first member, which moves a merged frequency by a few ulps
-    of its radius.
+    row of their first member in the call, which moves a merged frequency by
+    a few ulps of its radius.
     """
     g = u.grid
     pts = np.atleast_2d(np.asarray(xi_points, dtype=float))
@@ -420,6 +460,10 @@ def _box_axis_spectrum(xi: np.ndarray, a: float) -> np.ndarray:
 def _require_support(name: str, grid: Grid, radius: float):
     if not radius > 0:
         raise ValueError(f"catalog entry {name!r}: support radius must be positive, got {radius}")
+    if radius < grid.spacing:
+        # the grid cannot resolve the support: the sampled entry is not the
+        # catalogued one, and its ground truth would not hold
+        raise ValueError(f"catalog entry {name!r}: support radius {radius} is below the grid spacing {grid.spacing}")
     if radius > grid.half_width / 2:
         raise ValueError(
             f"catalog entry {name!r}: support radius {radius} exceeds L/4 = {grid.half_width / 2}"

@@ -17,6 +17,7 @@ separately.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -604,9 +605,9 @@ def schwartz_direction_test(report: WavefrontReport, ang_tol: float | None = Non
 # ---------------------------------------------------------------------------
 
 def _json_num(x: float):
-    if np.isposinf(x):
+    if x == math.inf:
         return "inf"
-    if np.isneginf(x):
+    if x == -math.inf:
         return "-inf"
     return float(x)
 

@@ -270,6 +270,9 @@ def test_usage_error_exits_two(capsys):
         (("analyze", "gaussian", "--params", '{"sigma": 1e-160}'), "sigma"),
         (("analyze", "gaussian", "--params", '{"sigma": 1e300}'), "sigma"),
         (("propagate", "gaussian", "--t", "0.3", "--params", '{"sigma": 1e200}'), "sigma"),
+        (("analyze", "bump", "--params", '{"width": 1e-300}'), "below the grid spacing"),
+        (("analyze", "bump", "--params", '{"width": 1e-320}'), "below the grid spacing"),
+        (("analyze", "box", "--params", '{"a": 1e-300}'), "below the grid spacing"),
     ],
     ids=[
         "nan-sample",
@@ -296,6 +299,9 @@ def test_usage_error_exits_two(capsys):
         "overflowing-sigma-ratio",
         "overflowing-sigma",
         "overflowing-sigma-propagate",
+        "unresolved-bump",
+        "subnormal-bump",
+        "unresolved-box",
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):
@@ -330,7 +336,8 @@ PLAIN = {
     "--n-max": ("4", "8", "12", "-1", "1000000"),
 }
 ODD_PARAMS = (
-    '{"a": 1e400}', '{"a": NaN}', '{"sigma": -1}', '{"sigma": 1e-300}', '{"sigma": 1e300}', '{"width": "x"}',
+    '{"a": 1e400}', '{"a": NaN}', '{"a": 1e-300}', '{"sigma": -1}', '{"sigma": 1e-300}', '{"sigma": 1e300}',
+    '{"width": "x"}', '{"width": 1e-320}',
     '{"foo": 1}', "[1]", "null", '"a"', "{bad"
 )
 ANALYZE_ONLY = ("--n-dirs", "--r-min", "--r-max", "--rho")

@@ -78,7 +78,7 @@ class TestCatalog:
         with pytest.raises(ValueError, match="unknown catalog entry"):
             catalog_entry("nonsense", None, grid1)
 
-    def test_support_guard(self, grid1):
+    def test_support_guard(self, grid1, grid2):
         with pytest.raises(ValueError, match="support radius"):
             catalog_entry("box", {"a": 11.0}, grid1)
         with pytest.raises(ValueError, match="support radius"):
@@ -87,6 +87,15 @@ class TestCatalog:
             for bad in (-1.0, 0.0):
                 with pytest.raises(ValueError, match="must be positive"):
                     catalog_entry(name, {key: bad}, grid1)
+        # a support the grid cannot resolve samples a different entry than
+        # the one whose ground truth is catalogued; one spacing is admitted
+        for name, key, g in (("box", "a", grid1), ("bump", "width", grid1), ("line_delta_2d", "width", grid2)):
+            for bad in (0.99 * g.spacing, 1e-300, 1e-320):
+                with pytest.raises(ValueError, match="below the grid spacing"):
+                    catalog_entry(name, {key: bad}, g)
+            catalog_entry(name, {key: g.spacing}, g)
+        with pytest.raises(ValueError, match="below the grid spacing"):
+            catalog_entry("box2d", {"a": 0.7 * grid2.spacing}, grid2)  # support radius a sqrt(2)
 
     def test_parameters_checked_against_defaults(self, grid1):
         with pytest.raises(ValueError, match="no parameter 'foo'"):

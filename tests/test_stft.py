@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from gaborwf.signal import (
     make_grid,
     nudft,
     outer_per_axis,
+    separable_sum,
 )
 from gaborwf.stft import Window, moyal_reconstruct, stft_at, stft_points, stft_slice
 from gaborwf.wavefront import _sample_rays, frequency_cap, phase_space_rays, position_cap
@@ -202,6 +204,19 @@ def dense_stft(u, window, pts):
     return out * g.cell_volume
 
 
+def logging_rows(samples):
+    """``samples`` as an array that appends the row count of every matrix
+    product ``rows @ samples`` to the list returned with it."""
+    counts = []
+
+    class LoggedRows(np.ndarray):
+        def __rmatmul__(self, other):
+            counts.append(len(other))
+            return other @ self.view(np.ndarray)
+
+    return samples.view(LoggedRows), counts
+
+
 def ray_major_points(grid, rho):
     """The phase-space ray points of ``grid`` in ray order: every radius of
     direction 0, then of direction 1, ..."""
@@ -230,7 +245,7 @@ def within_comparator_bounds(got, want):
 
 class TestSharedFactorTables:
     """``stft_points`` materializes one first-axis row per distinct
-    ``(x_0, xi_0)`` of a 2-D chunk and builds every other factor per point
+    ``(x_0, xi_0)`` of a 2-D call and builds every other factor per point
     from tables over the distinct ``x_k`` and ``xi_k``.  Its values stay
     within the comparator bounds of the dense sum, on the ray points, whose
     mirror-image pairs differ in the last bit and share a row, and in any
@@ -296,28 +311,59 @@ class TestSharedFactorTables:
                 alone = np.concatenate([evaluate(pts[:1]), evaluate(pts[1:])])
                 assert within_comparator_bounds(evaluate(pts), alone)
 
-    def test_merged_points_move_by_ulps_of_the_radius(self, grid2):
-        # the radius-major points that the default 2-D detection evaluates:
-        # each point's rows are built at the coordinates of the first member
-        # of its group in its chunk, which may sit a few ulps of r away
-        g = grid2
-        captured = []
+    @pytest.fixture(scope="class")
+    def box2d_rays(self, grid2):
+        # the 106,592 radius-major points that the default 2-D detection
+        # evaluates, and the samples of box2d, which fill the grid
+        g, captured = grid2, []
         _sample_rays(phase_space_rays(g), g, lambda p: captured.append(p) or np.zeros(len(p)), position_cap(g))
-        (pts,) = captured
-        chunk = SUM_CHUNK_ELEMENTS // g.n
-        moved, rows = pts.copy(), 0
-        for lo in range(0, len(pts), chunk):
-            block = pts[lo : lo + chunk]
-            first, index = distinct_keys(block[:, 0] + 1j * block[:, 2])
-            moved[lo : lo + chunk, [0, 2]] = block[first[index]][:, [0, 2]]
-            rows += len(first)
-        # 42,730 axis-0 rows for 106,592 points; bit-distinct pairs would
-        # need 89,273
-        assert rows < 0.41 * len(pts)
+        return catalog_entry("box2d", None, g)[0], captured[0]
+
+    def test_merged_points_move_by_ulps_of_the_radius(self, box2d_rays):
+        # each point's first-axis row is built at the coordinates of the
+        # first point of the call with its key, which may sit a few ulps of r
+        # away; the kernel multiplies one row per key, plus at most one more
+        # per chunk boundary where a group is split
+        u, pts = box2d_rays
+        samples, rows = logging_rows(u.samples)
+        separable_sum(samples, u.grid, pts, 1.0)
+        first, group = distinct_keys(pts[:, 0] + 1j * pts[:, 2])
+        # 29,319 keys for 106,592 points; bit-distinct pairs would need 89,273
+        assert len(first) < 0.28 * len(pts)
+        assert len(first) <= sum(rows) <= len(first) + len(rows) - 1
+        moved = pts.copy()
+        moved[:, [0, 2]] = pts[first[group]][:, [0, 2]]
         shift = np.linalg.norm(moved - pts, axis=1)
         radius = np.linalg.norm(pts, axis=1)
         assert np.count_nonzero(shift) > len(pts) / 4
         assert np.all(shift <= 8 * np.spacing(radius))
+
+    def test_group_larger_than_a_chunk(self, rng):
+        # one (x_0, xi_0) shared by more points than a chunk holds: the chunk
+        # before it ends where it starts, and it is split into chunks of its
+        # own, each with one row
+        g = make_grid(2, 64, 10.0)
+        u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        chunk = SUM_CHUNK_ELEMENTS // g.n
+        pts = np.hstack([rng.uniform(-3, 3, (2 * chunk + 150, 2)), rng.uniform(-5, 5, (2 * chunk + 150, 2))])
+        pts[50:, [0, 2]] = (0.5, 3.0)
+        samples, rows = logging_rows(u.samples)
+        got = separable_sum(samples, g, pts, 1.5)
+        assert rows == [50, 1, 1, 1]
+        assert within_comparator_bounds(got, dense_stft(u, Window(1.5), pts))
+
+    def test_memory_peak_bounded(self, box2d_rays):
+        # the tracemalloc peak of the call: 10.7 MB with rows shared per
+        # chunk, 10.4 MB with rows shared per call, 22.4 MB with chunks of 4
+        # times the points and rows
+        u, pts = box2d_rays
+        tracemalloc.start()
+        try:
+            stft_points(u, Window(1.0), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
 
 @st.composite
