@@ -229,10 +229,6 @@ SUM_CHUNK_ELEMENTS = 2**18
 # whole 2-D chunk at once page-faults fresh buffers on every chunk, a third
 # of the call
 SUM_GATHER_ELEMENTS = 2**15
-# first-axis pairs equal at this many decimals share one materialized row:
-# the mirror-image coordinates of a ray sampling, such as cos(2 pi k/32) and
-# cos(2 pi (32 - k)/32), differ in the last bit only
-MERGE_DECIMALS = 12
 # window centers are clipped to this many widths beyond the grid: from there
 # on exp(-R^2 / 2) underflows to 0, and so does every window value
 WINDOW_REACH = 39.0
@@ -240,20 +236,6 @@ WINDOW_REACH = 39.0
 # into the samples.  Their products with the samples stay far from overflow,
 # and rounding an exponent z moves a term by about |z| ulps
 SPLIT_EXPONENT_BOUND = 340.0
-
-
-def distinct_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Groups of the entries of ``key`` (real, or complex for a pair) that are
-    equal when rounded to ``MERGE_DECIMALS`` decimals: the index of each
-    group's first entry, and each entry's group.  A part of magnitude 2**52
-    or more is an integer already and stays as it is; rounding it would
-    overflow from about 1.8e296 on."""
-    rounded = np.array(key)
-    parts = rounded.view(np.float64)  # real and imaginary parts side by side
-    small = np.abs(parts) < 2.0**52
-    parts[small] = np.round(parts[small], MERGE_DECIMALS)
-    _, first, index = np.unique(rounded, return_index=True, return_inverse=True)
-    return first, index
 
 
 def axis_split(grid: Grid, lam: float | None = None) -> int:
@@ -275,20 +257,22 @@ def axis_split(grid: Grid, lam: float | None = None) -> int:
     return m
 
 
-def _walk(points: np.ndarray, d: int, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk(points: np.ndarray, d: int, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The order in which ``separable_sum`` visits ``points``, as ``(order,
-    starts, leaders)``: group k is the points ``order[starts[k] :
-    starts[k + 1]]``, in call order, and ``leaders[k]`` is the first of them.
-    In 2-D a group is the points whose first-axis pair, the center clipped to
-    ``reach``, has one key of ``distinct_keys``, and the groups follow their
-    leaders; in 1-D every point is a group of its own."""
+    starts, keys)``: group k is the points ``order[starts[k] : starts[k +
+    1]]``, in call order.  In 2-D a group is the points whose first-axis pair
+    ``x_0 + i xi_0``, the center clipped to ``reach``, is bit-equal, that
+    pair is ``keys[k]``, and the groups follow their first points; in 1-D
+    every point is a group of its own and there are no keys."""
     if d == 1:
         every = np.arange(len(points) + 1)
-        return every[:-1], every, every[:-1]
-    first, group = distinct_keys(np.clip(points[:, 0], -reach, reach) + 1j * points[:, d])
+        return every[:-1], every, None
+    keys, first, group = np.unique(
+        np.clip(points[:, 0], -reach, reach) + 1j * points[:, d], return_index=True, return_inverse=True
+    )
     rank = np.argsort(first)
     starts = np.concatenate([[0], np.cumsum(np.bincount(group)[rank])])
-    return np.argsort(first[group], kind="stable"), starts, first[rank]
+    return np.argsort(first[group], kind="stable"), starts, keys[rank]
 
 
 def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: float | None = None) -> np.ndarray:
@@ -316,14 +300,14 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     ``x_k`` of a chunk, the phase parts once per distinct ``xi_k``, at most
     ``n / m + m`` entries each.  ``x`` is clipped to
     ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.  In
-    2-D the points are grouped once per call by their clipped first-axis
-    pair ``(x_0, xi_0)`` (``distinct_keys``) and visited group by group, the
-    groups in the order of their first points (``_walk``).  The first axis
+    2-D the points are grouped once per call by their bit-equal clipped
+    first-axis pair ``(x_0, xi_0)`` and visited group by group, the groups in
+    the order of their first points (``_walk``).  The first axis
     materializes ``C ⊗ F`` over its kept blocks once per group of a chunk,
-    at the coordinates of the group's first point, for the matmul
-    ``t = rows @ samples`` over the kept rows and last-axis blocks; each
-    point gathers ``t[index]`` as a (kept blocks, ``m``) block and contracts
-    it with its last-axis ``C`` and ``F``.  In 1-D the kept samples are that
+    at the group's pair, for the matmul ``t = rows @ samples`` over the kept
+    rows and last-axis blocks; each point gathers ``t[index]`` as a (kept
+    blocks, ``m``) block and contracts it with its last-axis ``C`` and
+    ``F``.  In 1-D the kept samples are that
     block for every point, so ``C @ block`` is one matmul.  No factor holds n
     entries per point.  Evaluation is chunked over the walk, about
     ``SUM_CHUNK_ELEMENTS`` factor entries per chunk: in 2-D at most
@@ -333,15 +317,15 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     and contracted ``SUM_GATHER_ELEMENTS`` kept entries at a time.
 
     Two known limits: a point's value can move by about 1e-16 with the other
-    points of its call, since those decide its row's coordinates and the
-    row count of ``rows @ samples``, which picks the BLAS kernel; and the
-    Gaussian split loses terms to underflow where the whole sum lies below
-    about 1e-259, so such a sum can come out 0.
+    points of its call, which decide only the row count of ``rows @
+    samples`` and so the BLAS kernel; and the Gaussian split loses terms to
+    underflow where the whole sum lies below about 1e-259, so such a sum can
+    come out 0.
     """
     g, d = grid, grid.dim
     m = axis_split(g, lam)
     reach = np.inf if lam is None else g.half_width + WINDOW_REACH * lam
-    order, starts, leaders = _walk(points, d, reach)
+    order, starts, keys = _walk(points, d, reach)
     y = g.axis()
     centers, offsets = y[m // 2 :: m], (np.arange(m) - m // 2) * g.spacing
     if lam is not None:
@@ -358,11 +342,6 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
             coarse *= np.exp(-((ys - xs[:, None]) ** 2) / (2 * lam**2))[ix]
             fine *= np.exp((np.multiply.outer(xs, offsets) - offsets**2 / 2) / lam**2)[ix]
         return coarse, fine
-
-    def clipped(index):
-        block = points[index]
-        np.clip(block[:, :d], -reach, reach, out=block[:, :d])
-        return block
 
     # axis k's blocks that hold a nonzero sample: any over every other axis
     samples = samples.reshape((g.n // m, m) * d)
@@ -381,18 +360,19 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
         hi = min(lo + chunk, starts[min(head + chunk, len(starts) - 1)])
         cut = starts[np.searchsorted(starts, hi, "right") - 1]
         hi = cut if cut > lo else hi
-        block = clipped(order[lo:hi])
+        block = points[order[lo:hi]]
+        np.clip(block[:, :d], -reach, reach, out=block[:, :d])
         coarse, fine = factors(block[:, d - 1], block[:, -1], keep[-1])
         if d == 1:
             # the kept samples are every point's (blocks, m) block: one matmul
             part = coarse @ samples
         else:
-            # one first-axis row per group of the chunk, at its leader
+            # one first-axis row per group of the chunk, at its key
             index = np.searchsorted(starts, np.arange(lo, hi), "right") - 1 - head
-            lead = clipped(leaders[head : head + index[-1] + 1])
-            coarse_0, fine_0 = factors(lead[:, 0], lead[:, d], keep[0])
-            rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(lead), len(samples))
-            t = (rows @ samples).reshape(len(lead), len(keep[1]), m)
+            pairs = keys[head : head + index[-1] + 1]
+            coarse_0, fine_0 = factors(pairs.real, pairs.imag, keep[0])
+            rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(pairs), len(samples))
+            t = (rows @ samples).reshape(len(pairs), len(keep[1]), m)
             blocks = range(0, len(block), step)
             part = np.concatenate([np.matmul(coarse[a : a + step, None], t[index[a : a + step]])[:, 0] for a in blocks])
         out[order[lo:hi]] = np.einsum("pb,pb->p", part, fine)
@@ -406,15 +386,15 @@ def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
 
     The ``separable_sum`` kernel without a window: the coarse factor
     ``exp(-i xi Y_a)`` and the fine factor ``exp(-i xi d_b)``, ``n / m + m``
-    exponentials per distinct ``xi_k`` instead of ``n``.  In 2-D,
-    first-axis frequencies equal at ``MERGE_DECIMALS`` decimals share the
-    row of their first member in the call, which moves a merged frequency by
-    a few ulps of its radius.
+    exponentials per distinct ``xi_k`` instead of ``n``.  In 2-D, bit-equal
+    first-axis frequencies share one row.
     """
     g = u.grid
     pts = np.atleast_2d(np.asarray(xi_points, dtype=float))
     if pts.shape[1] != g.dim:
         raise ValueError(f"expected frequency points of dim {g.dim}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("frequency point components must be finite")
     return separable_sum(u.samples, g, np.hstack([np.zeros_like(pts), pts]))
 
 

@@ -94,9 +94,7 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
     ``exp(-Y_a d_b / lam^2)`` folded into the samples once per call.  Rounding
     the exponents moves a value by a few 1e-14 of ``sum_j |u_j psi_j| h^d``
     from the dense sum of ``psi(y_j - x) exp(-i xi y_j)``.  In 2-D, points
-    whose ``(x_0, xi_0)`` agree at ``MERGE_DECIMALS`` decimals share one
-    first-axis row, built at the first of them in the call, which moves a
-    merged point by a few ulps of its radius.  Coarse blocks
+    with a bit-equal ``(x_0, xi_0)`` share one first-axis row.  Coarse blocks
     whose samples are all exactly 0, such as those outside the support of a
     spike or a bump, are never contracted.  A cutoff window's plateau and
     renormalization depend on ``x`` only: they are folded into the samples

@@ -402,7 +402,11 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
 
     A ray keeps the radii up to its cap: the frequency cap over the norm of
     the direction's frequency part and, in phase space, the position cap over
-    the norm of its position part.
+    the norm of its position part.  The components that enter the kernel's
+    first-axis pair ``(x_0, xi_0)`` are then snapped to those of the first
+    direction equal to them at 12 decimals: mirror images such as
+    cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit only, and
+    bit-equal pairs share one row of the kernel.
     """
     d, w = grid.dim, sampling.directions
     with np.errstate(divide="ignore"):
@@ -413,6 +417,10 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     offsets = np.concatenate([[0], np.cumsum(counts)])
     rung = _ladder_index(offsets)
     r = sampling.radii[rung]
+    pair = [0, d] if sampling.space == "phase" else [0]
+    _, first, index = np.unique(np.round(w[:, pair], 12), axis=0, return_index=True, return_inverse=True)
+    w = w.copy()
+    w[:, pair] = w[first[index.ravel()]][:, pair]
     points = r[:, None] * np.repeat(w, counts, axis=0)
     # evaluate radius by radius: points of one radius share most coordinates,
     # which the kernel tabulates once per chunk

@@ -39,3 +39,29 @@ def test_traced_analyze_op(tmp_path, monkeypatch):
     assert metrics["stft.stft_points.calls"] == 1
     # the tracer reads WavefrontReport.rays as per-ray (r, |V|) sequences
     assert metrics["wavefront.points_evaluated"] == metrics["stft.stft_points.points"] > 0
+
+
+def test_traced_propagate_op(tmp_path, monkeypatch):
+    # an off-lattice 1-D time, so the state is evolved by the Hermite
+    # expansion and the forecast by the symplectic flow
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        tracer.begin_op("propagate dirac")
+        code = cli.main(["propagate", "dirac", "--t", "0.3927", "--n", "512", "--L", "40", "--out", str(tmp_path)])
+        op = tracer.end_op()
+    assert code == 0
+    metrics = tracing.op_metrics(op)
+    for span in (
+        "cli.main",
+        "propagator.verify_propagation",
+        "propagator.HermiteBasis.build",
+        "propagator.taper_expansion",
+        "propagator.harmonic_propagate",
+        "symplectic.propagate_wf_set",
+        "wavefront.estimate_gabor_wf",
+        "stft.stft_points",
+    ):
+        assert metrics[f"{span}.ms"] > 0, span

@@ -13,14 +13,13 @@ from gaborwf.signal import (
     catalog_entry,
     catalog_entry_json,
     catalog_names,
-    distinct_keys,
     dump_samples,
     fourier_transform,
     load_samples,
     make_grid,
     nudft,
 )
-from gaborwf.wavefront import frequency_rays
+from gaborwf.wavefront import _sample_rays, frequency_rays
 
 
 def quad_fourier(f, xi, lo, hi):
@@ -287,9 +286,14 @@ class TestFourierTransform:
 
     def test_nudft_merges_only_equal_frequencies(self, grid2, rng):
         # the 2-D frequency rays: mirror-image coordinates such as
-        # cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit
+        # cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit,
+        # and the sampler makes them bit-equal so that they share a row
         sampling = frequency_rays(grid2)
-        pts = (sampling.radii[:, None, None] * sampling.directions).reshape(-1, 2)
+        raw = (sampling.radii[:, None, None] * sampling.directions).reshape(-1, 2)
+        captured = []
+        _sample_rays(sampling, grid2, lambda p: captured.append(p) or np.zeros(len(p)))
+        snapped = captured[0]
+        assert len(np.unique(snapped[:, 0])) < len(np.unique(raw[:, 0]))
         x = grid2.axis()
 
         def dense(u, points):
@@ -301,21 +305,27 @@ class TestFourierTransform:
             err = np.abs(got - want)
             return bool(np.all((err <= 1e-13) | (err <= 1e-12 * np.abs(want))))
 
-        assert len(np.unique(pts[:, 0])) > len(distinct_keys(pts[:, 0])[0])
         for name in ("box2d", "line_delta_2d"):
             u, _ = catalog_entry(name, None, grid2)
-            assert within_bounds(nudft(u, pts), dense(u, pts)), name
-        # with each merged group made bit-equal, merging moves no frequency:
-        # white noise stays within the bounds, and the order changes no bit
-        snapped = pts.copy()
-        for k in (0, 1):
-            first, index = distinct_keys(pts[:, k])
-            snapped[:, k] = pts[first[index], k]
+            assert within_bounds(nudft(u, snapped), dense(u, snapped)), name
+        # only bit-equal frequencies share a row, so white noise stays within
+        # the bounds on the unsnapped mirror pairs too, and the order changes
+        # no bit
         u = SampledDistribution(grid2, rng.standard_normal(grid2.shape) + 1j * rng.standard_normal(grid2.shape))
-        got = nudft(u, snapped)
-        assert within_bounds(got, dense(u, snapped))
-        order = rng.permutation(len(snapped))
-        assert np.array_equal(nudft(u, snapped[order]), got[order])
+        for pts in (raw, snapped):
+            got = nudft(u, pts)
+            assert within_bounds(got, dense(u, pts))
+            order = rng.permutation(len(pts))
+            assert np.array_equal(nudft(u, pts[order]), got[order])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nudft_rejects_non_finite_frequencies(self, dim, bad):
+        u, _ = catalog_entry("dirac", None, make_grid(dim, 64, 10.0))
+        pts = np.ones((2, dim))
+        pts[1, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nudft(u, pts)
 
     def test_nudft_agrees_with_fft_on_dual_grid(self, grid1):
         u, _ = catalog_entry("bump", None, grid1)

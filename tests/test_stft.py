@@ -13,7 +13,6 @@ from gaborwf.signal import (
     SampledDistribution,
     axis_split,
     catalog_entry,
-    distinct_keys,
     make_grid,
     nudft,
     outer_per_axis,
@@ -218,22 +217,14 @@ def logging_rows(samples):
 
 
 def ray_major_points(grid, rho):
-    """The phase-space ray points of ``grid`` in ray order: every radius of
-    direction 0, then of direction 1, ..."""
-    sampling = phase_space_rays(grid, rho=rho)
-    samples, offsets = _sample_rays(sampling, grid, lambda p: np.zeros(len(p)))
-    return samples[:, :1] * np.repeat(sampling.directions, np.diff(offsets), axis=0)
-
-
-def merge_free(pts):
-    """``pts`` with every coordinate replaced by the first coordinate of its
-    column that is equal to it at ``MERGE_DECIMALS`` decimals.  Pairs that
-    merge are then bit-equal, so merging changes no factor row."""
-    out = pts.copy()
-    for c in range(pts.shape[1]):
-        first, index = distinct_keys(pts[:, c])
-        out[:, c] = pts[first[index], c]
-    return out
+    """The phase-space ray points that the sampler evaluates on ``grid``, in
+    ray order: every radius of direction 0, then of direction 1, ...  Each
+    evaluated point's value is its index in the call."""
+    captured = []
+    samples, _ = _sample_rays(
+        phase_space_rays(grid, rho=rho), grid, lambda p: captured.append(p) or np.arange(len(p))
+    )
+    return captured[0][samples[:, 1].astype(int)]
 
 
 def within_comparator_bounds(got, want):
@@ -244,13 +235,12 @@ def within_comparator_bounds(got, want):
 
 
 class TestSharedFactorTables:
-    """``stft_points`` materializes one first-axis row per distinct
+    """``stft_points`` materializes one first-axis row per bit-distinct
     ``(x_0, xi_0)`` of a 2-D call and builds every other factor per point
     from tables over the distinct ``x_k`` and ``xi_k``.  Its values stay
     within the comparator bounds of the dense sum, on the ray points, whose
-    mirror-image pairs differ in the last bit and share a row, and in any
-    order; where merging is the identity, the order of the points changes no
-    bit."""
+    mirror-image pairs the sampler makes bit-equal, and the order of the
+    points changes no bit."""
 
     @pytest.fixture(scope="class")
     def rays_2d(self, rng):
@@ -270,13 +260,11 @@ class TestSharedFactorTables:
         order = rng.permutation(len(pts))
         assert within_comparator_bounds(stft_points(u, w, pts[order]), dense[order])
 
-    def test_2d_merge_free_bit_exact(self, rays_2d, rng):
+    def test_2d_order_changes_no_bit(self, rays_2d, rng):
         u, w, pts, _ = rays_2d
-        pts = merge_free(pts)
-        # mirror pairs are now bit-equal, so rows are still shared
+        # mirror pairs are bit-equal, so rows are shared
         assert len(np.unique(pts[:, 0] + 1j * pts[:, 2])) < len(pts) / 2
         got = stft_points(u, w, pts)
-        assert within_comparator_bounds(got, dense_stft(u, w, pts))
         order = rng.permutation(len(pts))
         assert np.array_equal(stft_points(u, w, pts[order]), got[order])
 
@@ -288,20 +276,24 @@ class TestSharedFactorTables:
         assert within_comparator_bounds(stft_points(u, w, pts), dense_stft(u, w, pts))
 
     def test_close_pairs_stay_apart(self, grid2, rng):
+        # points that differ in (x_0, xi_0), even by one ulp, never share a row
         u = SampledDistribution(grid2, rng.standard_normal(grid2.shape) + 1j * rng.standard_normal(grid2.shape))
         w = Window(1.0)
         pts = np.array([[0.3, -1.2, 5.0, 2.5], [0.3 + 1e-9, -1.2, 5.0, 2.5], [0.3, -1.2, 5.0, 2.5 + 1e-9]])
-        for k in (0, 1):
-            assert len(distinct_keys(pts[:, k] + 1j * pts[:, 2 + k])[0]) == 2
         got = stft_points(u, w, pts)
         assert len(set(got.tolist())) == 3
         assert within_comparator_bounds(got, dense_stft(u, w, pts))
+        ulp = np.vstack([pts, pts[:1], pts[:1]])
+        ulp[3, 0], ulp[4, 2] = np.nextafter(0.3, 1), np.nextafter(5.0, 0)
+        samples, rows = logging_rows(u.samples)
+        separable_sum(samples, grid2, ulp, 1.0)
+        assert rows == [4]
 
     def test_huge_first_axis_frequencies_stay_apart(self):
-        # rounding 1e300 to MERGE_DECIMALS decimals overflows; 1e300 and
-        # 2e300 would then share one axis-0 row.  A batch of one point and a
-        # batch of two take different matrix products, which may round
-        # differently, so the two are compared within the comparator bounds
+        # 1e300 and 2e300 keep an axis-0 row each, without an overflow.  A
+        # batch of one point and a batch of two take different matrix
+        # products, which may round differently, so the two are compared
+        # within the comparator bounds
         g = make_grid(2, 64, 10.0)
         u, _ = catalog_entry("box2d", None, g)
         pts = np.array([[0.5, -0.3, 1e300, 2.0], [0.5, -0.3, 2e300, 2.0]])
@@ -319,24 +311,29 @@ class TestSharedFactorTables:
         _sample_rays(phase_space_rays(g), g, lambda p: captured.append(p) or np.zeros(len(p)), position_cap(g))
         return catalog_entry("box2d", None, g)[0], captured[0]
 
-    def test_merged_points_move_by_ulps_of_the_radius(self, box2d_rays):
-        # each point's first-axis row is built at the coordinates of the
-        # first point of the call with its key, which may sit a few ulps of r
-        # away; the kernel multiplies one row per key, plus at most one more
-        # per chunk boundary where a group is split
+    def test_one_row_per_exact_key(self, grid2, box2d_rays):
+        # every evaluated point is r times its direction, whose (x_0, xi_0)
+        # components are those of the first direction equal to them at 12
+        # decimals; the kernel builds each row at its own key, one row per
+        # bit-distinct key plus at most one more per chunk boundary where a
+        # group is split
         u, pts = box2d_rays
+        sampling = phase_space_rays(grid2)
+        first = {}
+        snapped = sampling.directions.copy()
+        for i, key in enumerate(np.round(snapped[:, [0, 2]], 12).tolist()):
+            snapped[i, [0, 2]] = snapped[first.setdefault(tuple(key), i), [0, 2]]
+        assert np.all(np.abs(snapped - sampling.directions) <= 8 * np.finfo(float).eps)
+        # each evaluated point's value is its index in the call
+        evidence, offsets = _sample_rays(sampling, grid2, lambda p: np.arange(len(p)), position_cap(grid2))
+        radii, at = evidence.T
+        assert np.array_equal(pts[at.astype(int)], radii[:, None] * np.repeat(snapped, np.diff(offsets), axis=0))
         samples, rows = logging_rows(u.samples)
         separable_sum(samples, u.grid, pts, 1.0)
-        first, group = distinct_keys(pts[:, 0] + 1j * pts[:, 2])
-        # 29,319 keys for 106,592 points; bit-distinct pairs would need 89,273
-        assert len(first) < 0.28 * len(pts)
-        assert len(first) <= sum(rows) <= len(first) + len(rows) - 1
-        moved = pts.copy()
-        moved[:, [0, 2]] = pts[first[group]][:, [0, 2]]
-        shift = np.linalg.norm(moved - pts, axis=1)
-        radius = np.linalg.norm(pts, axis=1)
-        assert np.count_nonzero(shift) > len(pts) / 4
-        assert np.all(shift <= 8 * np.spacing(radius))
+        keys = np.unique(pts[:, 0] + 1j * pts[:, 2])
+        # 29,356 keys for 106,592 points; unsnapped directions give 84,972
+        assert len(keys) < 0.28 * len(pts)
+        assert len(keys) <= sum(rows) <= len(keys) + len(rows) - 1
 
     def test_group_larger_than_a_chunk(self, rng):
         # one (x_0, xi_0) shared by more points than a chunk holds: the chunk
@@ -353,9 +350,9 @@ class TestSharedFactorTables:
         assert within_comparator_bounds(got, dense_stft(u, Window(1.5), pts))
 
     def test_memory_peak_bounded(self, box2d_rays):
-        # the tracemalloc peak of the call: 10.7 MB with rows shared per
-        # chunk, 10.4 MB with rows shared per call, 22.4 MB with chunks of 4
-        # times the points and rows
+        # the tracemalloc peak of the call: 9.2 MB with rows shared per call
+        # on exact keys (8.5 MB on line_delta_2d), 10.4 MB with keys rounded
+        # to 12 decimals, 22.4 MB with chunks of 4 times the points and rows
         u, pts = box2d_rays
         tracemalloc.start()
         try:
@@ -363,7 +360,7 @@ class TestSharedFactorTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14e6
+        assert peak < 12e6
 
 
 @st.composite
@@ -371,7 +368,9 @@ def kernel_cases(draw):
     """A grid (1-D up to n = 4,096, where the full coarse × fine split would
     overflow at lam = 4h, 2-D up to n = 64), an admitted window width,
     complex white-noise samples and phase points whose centers reach 10
-    widths beyond the grid and whose frequencies fill the band."""
+    widths beyond the grid and whose frequencies fill the band.  Four more
+    points are twins of the first four whose ``(x_0, xi_0)`` lie 1-8 ulps of
+    the radius away, as mirror images of a ray sampling do."""
     dim = draw(st.sampled_from((1, 2)))
     n = draw(st.sampled_from((32, 64, 128, 256, 512, 1024, 4096) if dim == 1 else (32, 64)))
     g = make_grid(dim, n, draw(st.floats(0.5, 100.0)))
@@ -382,7 +381,10 @@ def kernel_cases(draw):
     reach = g.half_width + 10 * lam
     band = np.pi / g.spacing
     pts = np.hstack([rng.uniform(-reach, reach, (12, dim)), rng.uniform(-band, band, (12, dim))])
-    return u, lam, pts
+    twins = pts[:4].copy()
+    ulps = rng.integers(1, 9, (4, 2)) * rng.choice([-1, 1], (4, 2))
+    twins[:, [0, dim]] += ulps * np.spacing(np.linalg.norm(twins, axis=1))[:, None]
+    return u, lam, np.vstack([pts, twins])
 
 
 @st.composite
