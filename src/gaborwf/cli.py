@@ -41,9 +41,10 @@ from .wavefront import (
 )
 
 GRID_DEFAULTS = {1: (1024, 40.0), 2: (256, 20.0)}
-# options out of range, unknown entries and detector errors (a threshold out of
-# range, too few radii for a fit) all come from the command line
-CONFIGURATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError)
+# options out of range, unknown entries, detector errors (a threshold out of
+# range, too few radii for a fit) and an --out that is no directory (OSError
+# from mkdir, before any output is written) all come from the command line
+CONFIGURATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError, OSError)
 
 
 def _write_json(path: Path, payload: dict):

@@ -219,9 +219,9 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) ->
     return SampledDistribution(grid, vals)
 
 
-# factor entries per chunk of points: at most 1,024 points and 1,024
-# materialized first-axis rows at n = 256 in 2-D, and 2**18 / (n / m + m)
-# points in 1-D
+# factor entries per chunk of points, taken in call order: 1,024 points at
+# n = 256 in 2-D, with at most as many first-axis rows, shared only within
+# the chunk, and 2**18 / (n / m + m) points in 1-D
 SUM_CHUNK_ELEMENTS = 2**18
 # entries per gathered block of a chunk, each point holding its kept last-axis
 # entries: 128 points of box2d (256 entries), 341 of line_delta_2d (96).
@@ -257,24 +257,6 @@ def axis_split(grid: Grid, lam: float | None = None) -> int:
     return m
 
 
-def _walk(points: np.ndarray, d: int, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The order in which ``separable_sum`` visits ``points``, as ``(order,
-    starts, keys)``: group k is the points ``order[starts[k] : starts[k +
-    1]]``, in call order.  In 2-D a group is the points whose first-axis pair
-    ``x_0 + i xi_0``, the center clipped to ``reach``, is bit-equal, that
-    pair is ``keys[k]``, and the groups follow their first points; in 1-D
-    every point is a group of its own and there are no keys."""
-    if d == 1:
-        every = np.arange(len(points) + 1)
-        return every[:-1], every, None
-    keys, first, group = np.unique(
-        np.clip(points[:, 0], -reach, reach) + 1j * points[:, d], return_index=True, return_inverse=True
-    )
-    rank = np.argsort(first)
-    starts = np.concatenate([[0], np.cumsum(np.bincount(group)[rank])])
-    return np.argsort(first[group], kind="stable"), starts, keys[rank]
-
-
 def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: float | None = None) -> np.ndarray:
     """``sum_j samples_j prod_k psi(y_jk - x_k) exp(-i xi_k y_jk) h^d`` at every
     phase point ``(x, xi)`` of ``points``, shape (P, 2*dim), with
@@ -299,25 +281,20 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     only.  The Gaussian parts are real exponentials built once per distinct
     ``x_k`` of a chunk, the phase parts once per distinct ``xi_k``, at most
     ``n / m + m`` entries each.  ``x`` is clipped to
-    ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.  In
-    2-D the points are grouped once per call by their bit-equal clipped
-    first-axis pair ``(x_0, xi_0)`` and visited group by group, the groups in
-    the order of their first points (``_walk``).  The first axis
-    materializes ``C ⊗ F`` over its kept blocks once per group of a chunk,
-    at the group's pair, for the matmul ``t = rows @ samples`` over the kept
-    rows and last-axis blocks; each point gathers ``t[index]`` as a (kept
-    blocks, ``m``) block and contracts it with its last-axis ``C`` and
-    ``F``.  In 1-D the kept samples are that
-    block for every point, so ``C @ block`` is one matmul.  No factor holds n
-    entries per point.  Evaluation is chunked over the walk, about
-    ``SUM_CHUNK_ELEMENTS`` factor entries per chunk: in 2-D at most
-    ``SUM_CHUNK_ELEMENTS / n`` points and as many groups, a chunk ending
-    where a group starts unless one group fills it, so a call builds one row
-    per group plus at most one per chunk boundary.  2-D chunks are gathered
-    and contracted ``SUM_GATHER_ELEMENTS`` kept entries at a time.
+    ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.
+    Evaluation is chunked in call order, about ``SUM_CHUNK_ELEMENTS`` factor
+    entries (``SUM_CHUNK_ELEMENTS / n`` points in 2-D) per chunk.  In 2-D the
+    first axis materializes ``C ⊗ F`` over its kept blocks once per
+    bit-distinct clipped pair ``(x_0, xi_0)`` of a chunk, at that pair, for
+    ``t = rows @ samples`` over the kept rows and last-axis blocks, so a
+    caller passes equal pairs side by side, as the ray sampler does; each
+    point contracts its gathered ``t[index]``, a (kept blocks, ``m``) block,
+    with its last-axis ``C`` and ``F``, ``SUM_GATHER_ELEMENTS`` kept entries
+    at a time.  In 1-D that block is the kept samples for every point, so
+    ``C @ block`` is one matmul.  No factor holds n entries per point.
 
     Two known limits: a point's value can move by about 1e-16 with the other
-    points of its call, which decide only the row count of ``rows @
+    points of its chunk, which decide only the row count of ``rows @
     samples`` and so the BLAS kernel; and the Gaussian split loses terms to
     underflow where the whole sum lies below about 1e-259, so such a sum can
     come out 0.
@@ -325,7 +302,6 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     g, d = grid, grid.dim
     m = axis_split(g, lam)
     reach = np.inf if lam is None else g.half_width + WINDOW_REACH * lam
-    order, starts, keys = _walk(points, d, reach)
     y = g.axis()
     centers, offsets = y[m // 2 :: m], (np.arange(m) - m // 2) * g.spacing
     if lam is not None:
@@ -352,31 +328,22 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     chunk = SUM_CHUNK_ELEMENTS // (g.n if d == 2 else g.n // m + m)
     step = SUM_GATHER_ELEMENTS // max(len(keep[-1]) * m, 1)  # all-zero samples keep no block
     out = np.empty(len(points), dtype=np.complex128)
-    lo = 0
-    while lo < len(points):
-        # at most `chunk` points of at most `chunk` groups, ending where a
-        # group starts unless one group fills the chunk
-        head = np.searchsorted(starts, lo, "right") - 1
-        hi = min(lo + chunk, starts[min(head + chunk, len(starts) - 1)])
-        cut = starts[np.searchsorted(starts, hi, "right") - 1]
-        hi = cut if cut > lo else hi
-        block = points[order[lo:hi]]
+    for lo in range(0, len(points), chunk):
+        block = points[lo : lo + chunk].copy()
         np.clip(block[:, :d], -reach, reach, out=block[:, :d])
         coarse, fine = factors(block[:, d - 1], block[:, -1], keep[-1])
         if d == 1:
             # the kept samples are every point's (blocks, m) block: one matmul
             part = coarse @ samples
         else:
-            # one first-axis row per group of the chunk, at its key
-            index = np.searchsorted(starts, np.arange(lo, hi), "right") - 1 - head
-            pairs = keys[head : head + index[-1] + 1]
+            # one first-axis row per bit-distinct pair of the chunk, at that pair
+            pairs, index = np.unique(block[:, 0] + 1j * block[:, d], return_inverse=True)
             coarse_0, fine_0 = factors(pairs.real, pairs.imag, keep[0])
             rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(pairs), len(samples))
             t = (rows @ samples).reshape(len(pairs), len(keep[1]), m)
             blocks = range(0, len(block), step)
             part = np.concatenate([np.matmul(coarse[a : a + step, None], t[index[a : a + step]])[:, 0] for a in blocks])
-        out[order[lo:hi]] = np.einsum("pb,pb->p", part, fine)
-        lo = hi
+        out[lo : lo + chunk] = np.einsum("pb,pb->p", part, fine)
     return out * g.cell_volume
 
 
@@ -387,7 +354,8 @@ def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     The ``separable_sum`` kernel without a window: the coarse factor
     ``exp(-i xi Y_a)`` and the fine factor ``exp(-i xi d_b)``, ``n / m + m``
     exponentials per distinct ``xi_k`` instead of ``n``.  In 2-D, bit-equal
-    first-axis frequencies share one row.
+    first-axis frequencies of one chunk share one row, so a caller passes
+    them side by side.
     """
     g = u.grid
     pts = np.atleast_2d(np.asarray(xi_points, dtype=float))

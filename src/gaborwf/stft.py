@@ -39,12 +39,11 @@ class Window:
     cutoff: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("window width must be positive")
-        if self.cutoff is not None:
-            flat, support = self.cutoff
-            if not 0 < flat < support:
-                raise ValueError("cutoff must satisfy 0 < flat < support")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"window width must be finite and positive, got {self.lam}")
+        # an infinite support would make the plateau 1 everywhere: not compact
+        if self.cutoff is not None and not 0 < self.cutoff[0] < self.cutoff[1] < np.inf:
+            raise ValueError(f"cutoff must satisfy 0 < flat < support < inf, got {self.cutoff}")
 
     def validate_for(self, grid: Grid):
         if self.lam < 4 * grid.spacing or self.lam > grid.length / 8:
@@ -94,12 +93,13 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
     ``exp(-Y_a d_b / lam^2)`` folded into the samples once per call.  Rounding
     the exponents moves a value by a few 1e-14 of ``sum_j |u_j psi_j| h^d``
     from the dense sum of ``psi(y_j - x) exp(-i xi y_j)``.  In 2-D, points
-    with a bit-equal ``(x_0, xi_0)`` share one first-axis row.  Coarse blocks
-    whose samples are all exactly 0, such as those outside the support of a
-    spike or a bump, are never contracted.  A cutoff window's plateau and
-    renormalization depend on ``x`` only: they are folded into the samples
-    once per distinct base point, which leaves only the blocks within
-    ``support * lam`` of it to contract.
+    of one chunk with a bit-equal ``(x_0, xi_0)`` share one first-axis row,
+    so a caller passes them side by side.  Coarse blocks whose samples are
+    all exactly 0, such as those outside the support of a spike or a bump,
+    are never contracted.  A cutoff window's plateau and renormalization
+    depend on ``x`` only: they are folded into the samples once per distinct
+    base point, which leaves only the blocks within ``support * lam`` of it
+    to contract.
     """
     g = u.grid
     window.validate_for(g)

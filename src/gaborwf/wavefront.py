@@ -405,8 +405,9 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     the norm of its position part.  The components that enter the kernel's
     first-axis pair ``(x_0, xi_0)`` are then snapped to those of the first
     direction equal to them at 12 decimals: mirror images such as
-    cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit only, and
-    bit-equal pairs share one row of the kernel.
+    cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit only.
+    Points are evaluated radius by radius, equal pairs side by side, as the
+    kernel shares a first-axis row only between the pairs of one chunk.
     """
     d, w = grid.dim, sampling.directions
     with np.errstate(divide="ignore"):
@@ -419,12 +420,13 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     r = sampling.radii[rung]
     pair = [0, d] if sampling.space == "phase" else [0]
     _, first, index = np.unique(np.round(w[:, pair], 12), axis=0, return_index=True, return_inverse=True)
+    leader = first[index.ravel()]
     w = w.copy()
-    w[:, pair] = w[first[index.ravel()]][:, pair]
+    w[:, pair] = w[leader][:, pair]
     points = r[:, None] * np.repeat(w, counts, axis=0)
-    # evaluate radius by radius: points of one radius share most coordinates,
-    # which the kernel tabulates once per chunk
-    order = np.argsort(rung, kind="stable")
+    # points of one radius share most coordinates, which the kernel tabulates
+    # once per chunk, and those of one pair share a first-axis row
+    order = np.lexsort((np.repeat(leader, counts), rung))
     values = np.empty(len(r))
     values[order] = np.abs(evaluate(points[order]))
     return np.column_stack([r, values]), offsets

@@ -315,6 +315,32 @@ def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):
         assert named in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "dirac", "--n", "256", "--L", "20"),
+        ("propagate", "dirac", "--n", "256", "--L", "20", "--t", "0.3"),
+        ("singular-space", "q.json"),
+    ],
+    ids=["analyze", "propagate", "singular-space"],
+)
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_unusable_out_is_a_config_error(tmp_path, capsys, monkeypatch, argv, where):
+    # an --out that names a file, or lies below one, exits 2 with one line on
+    # stderr and writes nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps({"dim": 1, "re": [[0, 0], [0, 0]], "im": [[1, 0], [0, 1]]}))
+    (tmp_path / "taken").write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    out = "taken" if where == "file" else "taken/sub"
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("configuration error:") and "taken" in err and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
 # The exit-code fuzz draws a grid and up to three more options.  Each value
 # is a plain one, in range or just out of it, or an odd one: NaN, +-inf, 0,
 # negative, huge or unparsable.

@@ -52,6 +52,14 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(1.0, cutoff=(6.0, 4.0))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_width_and_cutoff(self, bad):
+        # an infinite support would make the plateau 1 everywhere, a window
+        # that is not compactly supported
+        for lam, cutoff in ((bad, None), (bad, (2.0, 4.0)), (1.0, (2.0, bad)), (1.0, (bad, 4.0))):
+            with pytest.raises(ValueError):
+                Window(lam, cutoff)
+
     def test_cutoff_window_support(self, grid1):
         w = Window(0.16, cutoff=(4.0, 6.0))
         y = grid1.axis()
@@ -336,9 +344,9 @@ class TestSharedFactorTables:
         assert len(keys) <= sum(rows) <= len(keys) + len(rows) - 1
 
     def test_group_larger_than_a_chunk(self, rng):
-        # one (x_0, xi_0) shared by more points than a chunk holds: the chunk
-        # before it ends where it starts, and it is split into chunks of its
-        # own, each with one row
+        # one (x_0, xi_0) shared by more points than a chunk holds: chunks
+        # are cut in call order, and the group has one row in each chunk it
+        # spans, next to the 50 rows of the distinct pairs before it
         g = make_grid(2, 64, 10.0)
         u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         chunk = SUM_CHUNK_ELEMENTS // g.n
@@ -346,13 +354,13 @@ class TestSharedFactorTables:
         pts[50:, [0, 2]] = (0.5, 3.0)
         samples, rows = logging_rows(u.samples)
         got = separable_sum(samples, g, pts, 1.5)
-        assert rows == [50, 1, 1, 1]
+        assert rows == [51, 1, 1]
         assert within_comparator_bounds(got, dense_stft(u, Window(1.5), pts))
 
     def test_memory_peak_bounded(self, box2d_rays):
-        # the tracemalloc peak of the call: 9.2 MB with rows shared per call
-        # on exact keys (8.5 MB on line_delta_2d), 10.4 MB with keys rounded
-        # to 12 decimals, 22.4 MB with chunks of 4 times the points and rows
+        # the tracemalloc peak of the call: 7.7 MB with rows shared per chunk
+        # (3.8 MB on line_delta_2d), 9.2 MB with the points grouped once per
+        # call, 22.4 MB with chunks of 4 times the points and rows
         u, pts = box2d_rays
         tracemalloc.start()
         try:
@@ -360,7 +368,7 @@ class TestSharedFactorTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 9e6
 
 
 @st.composite
