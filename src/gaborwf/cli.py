@@ -48,7 +48,14 @@ CONFIGURATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError, OSError)
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, report):
+    with path.open("w") as fh:
+        profiles_to_csv(report, fh)
 
 
 def _fmt_dirs(dirs) -> str:
@@ -57,11 +64,8 @@ def _fmt_dirs(dirs) -> str:
 
 def _default_grid(name: str, n: int | None = None, length: float | None = None) -> sig.Grid:
     dim = sig.CATALOG[name].dims[0]
-    if n is None:
-        n = GRID_DEFAULTS[dim][0]
-    if length is None:
-        length = GRID_DEFAULTS[dim][1]
-    return sig.make_grid(dim, n, length / 2.0)
+    default_n, default_length = GRID_DEFAULTS[dim]
+    return sig.make_grid(dim, default_n if n is None else n, (default_length if length is None else length) / 2.0)
 
 
 def _entry_params(args) -> dict | None:
@@ -123,14 +127,14 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / f"{args.name}_gabor.json", report_to_json(gabor))
-    (out / f"{args.name}_gabor_profiles.csv").write_text(profiles_to_csv(gabor))
+    _write_csv(out / f"{args.name}_gabor_profiles.csv", gabor)
     print(f"{args.name}: gabor singular dirs: {_fmt_dirs(gabor.singular_dirs)}")
 
     failed = False
     found = {"gabor": (truth.gabor_wf_dirs, gabor.singular_dirs)}
     if truth.theorem_applicable:
         _write_json(out / f"{args.name}_sigma.json", report_to_json(sigma))
-        (out / f"{args.name}_sigma_profiles.csv").write_text(profiles_to_csv(sigma))
+        _write_csv(out / f"{args.name}_sigma_profiles.csv", sigma)
         print(f"{args.name}: frequency-cone singular dirs: {_fmt_dirs(sigma.singular_dirs)}")
         result = check_main_theorem(gabor, sigma, ang_tol)
         verdict = "PASS" if result.passed else "FAIL"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal import Grid, SampledDistribution, GroundTruth, _hermite_values, apply_per_axis, outer_per_axis
-from .signal import _as_readonly
+from .signal import _as_readonly, grid_norm
 from .stft import Window, _plateau
 from .symplectic import QuadraticHamiltonian, propagate_wf_set
 from .wavefront import (
@@ -112,15 +112,14 @@ def hermite_coefficients(u: SampledDistribution, basis: HermiteBasis) -> tuple[n
     truncation error of the expansion."""
     if u.grid != basis.grid:
         raise ValueError("basis was built for a different grid")
-    g = u.grid
-    H = basis.values
-    coeffs = g.cell_volume * apply_per_axis(H.T, u.samples)
-    synth = apply_per_axis(H, coeffs)
+    coeffs = u.grid.cell_volume * apply_per_axis(basis.values.T, u.samples)
+    return coeffs, _relative_error(u, apply_per_axis(basis.values, coeffs))
+
+
+def _relative_error(u: SampledDistribution, approx: np.ndarray) -> float:
+    """Grid L2 norm of ``u - approx`` relative to that of ``u``, at most 1; 0 for ``u = 0``."""
     unorm = u.norm()
-    if unorm == 0:
-        return coeffs, 0.0
-    resid = float(np.sqrt(np.sum(np.abs(u.samples - synth) ** 2) * g.cell_volume)) / unorm
-    return coeffs, min(resid, 1.0)
+    return 0.0 if unorm == 0 else min(grid_norm(u.samples - approx, u.grid.cell_volume) / unorm, 1.0)
 
 
 def _synthesize(basis: HermiteBasis, coeffs: np.ndarray) -> SampledDistribution:
@@ -163,14 +162,7 @@ def taper_expansion(u: SampledDistribution, basis: HermiteBasis) -> PropagatedSt
     weight = _plateau(np.arange(basis.n_max + 1) / basis.n_max, TAPER_ONSET, 1.0) if basis.n_max > 0 else np.ones(1)
     smooth = coeffs * outer_per_axis((weight,) * u.grid.dim)
     state = _synthesize(basis, smooth)
-    unorm = u.norm()
-    if unorm == 0:
-        err = 0.0
-    else:
-        err = float(
-            np.sqrt(np.sum(np.abs(u.samples - state.samples) ** 2) * u.grid.cell_volume) / unorm
-        )
-    return PropagatedState(state, min(err, 1.0))
+    return PropagatedState(state, _relative_error(u, state.samples))
 
 
 def _reflect(samples: np.ndarray) -> np.ndarray:

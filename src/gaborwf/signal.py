@@ -46,6 +46,22 @@ def apply_per_axis(M: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled_abs(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``|values| 2**-e`` and ``e``: 0 unless the largest |value| lies outside
+    [2**-500, 2**500], where squares overflow or underflow, else its exponent.
+    Sums of squares then scale exactly, so ordinary values keep their bits."""
+    a = np.abs(values)
+    peak = a.max(initial=0.0)
+    e = 0 if 2.0**-500 <= peak <= 2.0**500 or peak == 0 else int(np.frexp(peak)[1])
+    return (np.ldexp(a, -e) if e else a), e
+
+
+def grid_norm(values: np.ndarray, cell_volume: float) -> float:
+    """Grid L2 norm ``sqrt(sum |values|^2 cell_volume)``, scaled by ``_scaled_abs``."""
+    a, e = _scaled_abs(values)
+    return float(np.ldexp(np.sqrt(np.sum(a**2) * cell_volume), e))
+
+
 def outer_per_axis(vectors) -> np.ndarray:
     """Tensor product of one vector per axis: the vector itself in 1-D."""
     return functools.reduce(np.multiply.outer, vectors)
@@ -135,16 +151,17 @@ class SampledDistribution:
 
     def norm(self) -> float:
         """Grid L2 norm, ``sqrt(sum |u|^2 h^d)``."""
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.cell_volume))
+        return grid_norm(self.samples, self.grid.cell_volume)
 
     def central_mass_fraction(self) -> float:
         """Fraction of the L2 mass inside the central box ``[-L/4, L/4]^d``."""
         inside = np.abs(self.grid.axis()) <= self.grid.half_width / 2
         mask = outer_per_axis((inside,) * self.grid.dim)
-        total = np.sum(np.abs(self.samples) ** 2)
+        a, _ = _scaled_abs(self.samples)
+        total = np.sum(a**2)
         if total == 0:
             return 1.0
-        return float(np.sum(np.abs(self.samples[mask]) ** 2) / total)
+        return float(np.sum(a[mask] ** 2) / total)
 
 
 @dataclass(frozen=True)
@@ -221,8 +238,11 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) ->
 
 # factor entries per chunk of points, taken in call order: 1,024 points at
 # n = 256 in 2-D, with at most as many first-axis rows, shared only within
-# the chunk, and 2**18 / (n / m + m) points in 1-D
+# the chunk, and 2**18 / (n / m + m) points in 1-D (see chunk_points)
 SUM_CHUNK_ELEMENTS = 2**18
+# kernel chunks per evaluated slice of ray points: 32,768 points in 2-D at
+# n = 256 (four slices for the default 2-D detection), 131,072 in 1-D at n = 1,024
+SLICE_CHUNKS = 32
 # entries per gathered block of a chunk, each point holding its kept last-axis
 # entries: 128 points of box2d (256 entries), 341 of line_delta_2d (96).
 # Blocks this small stay in cache and reuse one heap buffer; gathering a
@@ -257,6 +277,15 @@ def axis_split(grid: Grid, lam: float | None = None) -> int:
     return m
 
 
+def chunk_points(grid: Grid, lam: float | None = None) -> int:
+    """Points per chunk of ``separable_sum`` with a Gaussian of width ``lam``
+    (None: a Fourier sum), ``SUM_CHUNK_ELEMENTS`` factor entries of ``n`` per
+    point in 2-D and ``n / m + m`` in 1-D.  Calls split at multiples of it
+    give the bits of one call: every chunk holds the same points."""
+    m = axis_split(grid, lam)
+    return SUM_CHUNK_ELEMENTS // (grid.n if grid.dim == 2 else grid.n // m + m)
+
+
 def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: float | None = None) -> np.ndarray:
     """``sum_j samples_j prod_k psi(y_jk - x_k) exp(-i xi_k y_jk) h^d`` at every
     phase point ``(x, xi)`` of ``points``, shape (P, 2*dim), with
@@ -282,8 +311,7 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     ``x_k`` of a chunk, the phase parts once per distinct ``xi_k``, at most
     ``n / m + m`` entries each.  ``x`` is clipped to
     ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.
-    Evaluation is chunked in call order, about ``SUM_CHUNK_ELEMENTS`` factor
-    entries (``SUM_CHUNK_ELEMENTS / n`` points in 2-D) per chunk.  In 2-D the
+    Evaluation is chunked in call order, ``chunk_points`` points per chunk.  In 2-D the
     first axis materializes ``C ⊗ F`` over its kept blocks once per
     bit-distinct clipped pair ``(x_0, xi_0)`` of a chunk, at that pair, for
     ``t = rows @ samples`` over the kept rows and last-axis blocks, so a
@@ -322,10 +350,13 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     # axis k's blocks that hold a nonzero sample: any over every other axis
     samples = samples.reshape((g.n // m, m) * d)
     keep = [np.flatnonzero((samples != 0).any(axis=tuple(np.delete(range(2 * d), 2 * k)))) for k in range(d)]
-    samples = samples[keep[0]]
+    # copied only where a block is dropped: samples filling the grid are read in place
+    if len(keep[0]) < g.n // m:
+        samples = samples[keep[0]]
     if d == 2:
-        samples = samples[:, :, keep[1]].reshape(len(keep[0]) * m, len(keep[1]) * m)
-    chunk = SUM_CHUNK_ELEMENTS // (g.n if d == 2 else g.n // m + m)
+        samples = samples[:, :, keep[1]] if len(keep[1]) < g.n // m else samples
+        samples = samples.reshape(len(keep[0]) * m, len(keep[1]) * m)
+    chunk = chunk_points(g, lam)
     step = SUM_GATHER_ELEMENTS // max(len(keep[-1]) * m, 1)  # all-zero samples keep no block
     out = np.empty(len(points), dtype=np.complex128)
     for lo in range(0, len(points), chunk):
@@ -344,7 +375,8 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
             blocks = range(0, len(block), step)
             part = np.concatenate([np.matmul(coarse[a : a + step, None], t[index[a : a + step]])[:, 0] for a in blocks])
         out[lo : lo + chunk] = np.einsum("pb,pb->p", part, fine)
-    return out * g.cell_volume
+    out *= g.cell_volume
+    return out
 
 
 def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:

@@ -46,11 +46,14 @@ class Window:
             raise ValueError(f"cutoff must satisfy 0 < flat < support < inf, got {self.cutoff}")
 
     def validate_for(self, grid: Grid):
-        if self.lam < 4 * grid.spacing or self.lam > grid.length / 8:
+        lo, hi = 4 * grid.spacing, grid.length / 8
+        if lo > hi:
             raise ValueError(
-                f"window width {self.lam} outside resolvable range "
-                f"[{4 * grid.spacing}, {grid.length / 8}]"
+                f"a grid of n = {grid.n} admits no window width: 4h = {lo} exceeds L/8 = {hi}, "
+                "so n must be at least 32"
             )
+        if not lo <= self.lam <= hi:
+            raise ValueError(f"window width {self.lam} outside resolvable range [{lo}, {hi}]")
 
     def axis_values(self, y: np.ndarray) -> np.ndarray:
         """One-axis profile; the full window is the product over axes."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .signal import SampledDistribution, Grid, _as_readonly, nudft
+from .signal import SLICE_CHUNKS, SampledDistribution, Grid, _as_readonly, chunk_points, nudft
 from .stft import Window, stft_points, STFT_FLOOR
 
 DEFAULT_N_THRESH = 2.5
@@ -96,8 +96,7 @@ def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str, 
     """Geometric radii ``r_min * rho**k`` up to ``r_max`` (default ``cap``)
     for ``directions`` rays; returns the radii with the resolved ``r_max`` and
     ``rho``."""
-    if rho is None:
-        rho = DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D
+    rho = (DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D) if rho is None else rho
     if r_max is None:
         r_max = cap
     elif r_max > cap + 1e-9:
@@ -150,15 +149,13 @@ def phase_space_rays(
     pure-frequency fibers appear once each.  The shared radius ladder is
     truncated per direction at estimate time by the position/frequency caps.
     """
+    if n_dirs is None:
+        n_dirs = 256 if grid.dim == 1 else 32
     if grid.dim == 1:
-        if n_dirs is None:
-            n_dirs = 256
         if n_dirs < 64 or n_dirs % 4:
             raise ValueError("need n_dirs >= 64, divisible by 4, for the phase-space circle")
         directions = n_dirs
     else:
-        if n_dirs is None:
-            n_dirs = 32
         if n_dirs < 32 or n_dirs % 4:
             raise ValueError("need n_dirs >= 32 per circle, divisible by 4, in 2-D")
         directions = 2 * n_dirs + (TILT_LEVELS - 2) * n_dirs**2
@@ -395,10 +392,10 @@ def _ladder_index(offsets: np.ndarray) -> np.ndarray:
     return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
-def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = np.inf):
-    """Take ``|evaluate(points)|`` at every usable (radius, direction) point in
-    one call; returns the ``(P, 2)`` (radius, |V|) samples and the ray offsets
-    into them, one more than there are directions.
+def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, chunk: int, pos_cap: float = np.inf):
+    """Take ``|evaluate(points)|`` at every usable (radius, direction) point;
+    returns the ``(P, 2)`` (radius, |V|) samples and the ray offsets into
+    them, one more than there are directions.
 
     A ray keeps the radii up to its cap: the frequency cap over the norm of
     the direction's frequency part and, in phase space, the position cap over
@@ -407,7 +404,9 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     direction equal to them at 12 decimals: mirror images such as
     cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit only.
     Points are evaluated radius by radius, equal pairs side by side, as the
-    kernel shares a first-axis row only between the pairs of one chunk.
+    kernel shares a first-axis row only between the pairs of one chunk of
+    ``chunk`` points.  One call evaluates ``SLICE_CHUNKS`` chunks, which
+    hold the points of one unsliced call and so give the same bits.
     """
     d, w = grid.dim, sampling.directions
     with np.errstate(divide="ignore"):
@@ -423,12 +422,16 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
     leader = first[index.ravel()]
     w = w.copy()
     w[:, pair] = w[leader][:, pair]
-    points = r[:, None] * np.repeat(w, counts, axis=0)
     # points of one radius share most coordinates, which the kernel tabulates
     # once per chunk, and those of one pair share a first-axis row
     order = np.lexsort((np.repeat(leader, counts), rung))
+    del rung
     values = np.empty(len(r))
-    values[order] = np.abs(evaluate(points[order]))
+    for lo in range(0, len(r), SLICE_CHUNKS * chunk):
+        at = order[lo : lo + SLICE_CHUNKS * chunk]
+        points = w[np.searchsorted(offsets, at, side="right") - 1]
+        points *= r[at][:, None]
+        values[at] = np.abs(evaluate(points))
     return np.column_stack([r, values]), offsets
 
 
@@ -471,7 +474,8 @@ def estimate_gabor_wf(
     window.validate_for(u.grid)
     compact = u.central_mass_fraction() >= 0.999
     pos_cap = position_cap(u.grid, window.lam, compact)
-    evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
+    chunk = chunk_points(u.grid, window.lam)
+    evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), chunk, pos_cap)
     return WavefrontReport("gabor", sampling, *evidence, n_thresh, window.lam)
 
 
@@ -494,7 +498,7 @@ def estimate_sigma(
             "the frequency cone of a non compactly supported input is not defined",
             stacklevel=2,
         )
-    evidence = _sample_rays(sampling, u.grid, lambda p: nudft(u, p))
+    evidence = _sample_rays(sampling, u.grid, lambda p: nudft(u, p), chunk_points(u.grid))
     return WavefrontReport("sigma", sampling, *evidence, n_thresh, None)
 
 
@@ -527,7 +531,7 @@ def estimate_classical_wf(
         phase_pts = np.hstack([np.tile(x0, (len(freq_pts), 1)), freq_pts])
         return stft_points(u, window, phase_pts)
 
-    evidence = _sample_rays(sampling, u.grid, evaluate)
+    evidence = _sample_rays(sampling, u.grid, evaluate, chunk_points(u.grid, window.lam))
     return WavefrontReport("classical", sampling, *evidence, n_thresh, window.lam, tuple(x0))
 
 
@@ -642,16 +646,17 @@ def report_to_json(report: WavefrontReport) -> dict:
     return out
 
 
-def profiles_to_csv(report: WavefrontReport) -> str:
+def profiles_to_csv(report: WavefrontReport, out) -> None:
+    """Write the report's samples to the text stream ``out`` as CSV: a
+    ``dir_index,r,abs_V`` header, then one row per sample, ray by ray."""
     # a row's radius is its ray's ladder rung: format the ladder once
     radii = [repr(r) for r in report.sampling.radii.tolist()]
     index = np.repeat(np.arange(len(report.profiles)), np.diff(report.offsets))
     rung = _ladder_index(report.offsets)
     values = report.samples[:, 1]
-    # rows are formatted 8,192 at a time: only one slice's row strings and
-    # lists are alive at once, not one Python string per sample
-    slices = ["dir_index,r,abs_V\n"]
+    # rows are formatted and written 8,192 at a time: only one slice's row
+    # strings and lists are alive at once, not one string for the whole file
+    out.write("dir_index,r,abs_V\n")
     for lo in range(0, len(values), 8192):
         rows = zip(*(a[lo : lo + 8192].tolist() for a in (index, rung, values)))
-        slices.append("".join(f"{i},{radii[k]},{v!r}\n" for i, k, v in rows))
-    return "".join(slices)
+        out.write("".join(f"{i},{radii[k]},{v!r}\n" for i, k, v in rows))

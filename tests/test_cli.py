@@ -273,6 +273,7 @@ def test_usage_error_exits_two(capsys):
         (("analyze", "bump", "--params", '{"width": 1e-300}'), "below the grid spacing"),
         (("analyze", "bump", "--params", '{"width": 1e-320}'), "below the grid spacing"),
         (("analyze", "box", "--params", '{"a": 1e-300}'), "below the grid spacing"),
+        (("analyze", "dirac", "--n", "16", "--L", "20"), "admits no window width: 4h = 5.0 exceeds L/8 = 2.5"),
     ],
     ids=[
         "nan-sample",
@@ -302,6 +303,7 @@ def test_usage_error_exits_two(capsys):
         "unresolved-bump",
         "subnormal-bump",
         "unresolved-box",
+        "grid-without-window-width",
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):

@@ -229,6 +229,18 @@ class TestTaper:
         smooth = taper_expansion(u, basis)
         assert 0.5 < smooth.truncation_error < 1.0
 
+    @pytest.mark.parametrize("scale", [2.0**520, 1e300])
+    def test_huge_samples_keep_their_truncation_error(self, grid1, basis, scale):
+        # squares of such samples overflow; the relative errors do not depend on the scale
+        u, _ = catalog_entry("box", None, grid1)
+        big = SampledDistribution(grid1, u.samples * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hermite_coefficients(big, basis)[1] == pytest.approx(hermite_coefficients(u, basis)[1], rel=1e-9)
+            assert taper_expansion(big, basis).truncation_error == pytest.approx(
+                taper_expansion(u, basis).truncation_error, rel=1e-9
+            )
+
 
 class TestVerifyPropagation:
     @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gaborwf.signal import (
@@ -13,6 +15,7 @@ from gaborwf.signal import (
     catalog_entry,
     catalog_entry_json,
     catalog_names,
+    chunk_points,
     dump_samples,
     fourier_transform,
     load_samples,
@@ -206,6 +209,27 @@ class TestCatalog:
             catalog_entry("chirp", {"a": 10.0}, grid1)
 
 
+class TestNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    def test_powers_of_two_scale_the_norm_only(self, grid1, k):
+        # squares of samples beyond about 1.3e154 overflow and those below
+        # about 1e-154 underflow; the norm still scales by 2**k and the mass
+        # fraction stays put
+        u, _ = catalog_entry("gaussian", {"sigma": 8.0}, grid1)
+        v = SampledDistribution(grid1, u.samples * 2.0**k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert v.norm() == pytest.approx(np.ldexp(u.norm(), k), rel=1e-15)
+            assert v.central_mass_fraction() == pytest.approx(u.central_mass_fraction(), rel=1e-15)
+        assert 0.5 < u.central_mass_fraction() < 0.99
+
+    def test_ordinary_samples_keep_their_bits(self, grid1):
+        u, _ = catalog_entry("box", None, grid1)
+        assert u.norm() == float(np.sqrt(np.sum(np.abs(u.samples) ** 2) * grid1.cell_volume))
+        assert SampledDistribution(grid1, np.zeros(grid1.n)).norm() == 0.0
+
+
 class TestFourierTransform:
     def test_dirac_transform_is_one(self, grid1):
         dirac, _ = catalog_entry("dirac", None, grid1)
@@ -291,8 +315,8 @@ class TestFourierTransform:
         sampling = frequency_rays(grid2)
         raw = (sampling.radii[:, None, None] * sampling.directions).reshape(-1, 2)
         captured = []
-        _sample_rays(sampling, grid2, lambda p: captured.append(p) or np.zeros(len(p)))
-        snapped = captured[0]
+        _sample_rays(sampling, grid2, lambda p: captured.append(p) or np.zeros(len(p)), chunk_points(grid2))
+        snapped = np.concatenate(captured)
         assert len(np.unique(snapped[:, 0])) < len(np.unique(raw[:, 0]))
         x = grid2.axis()
 

@@ -8,11 +8,11 @@ from scipy.integrate import quad
 
 from gaborwf.signal import (
     SPLIT_EXPONENT_BOUND,
-    SUM_CHUNK_ELEMENTS,
     WINDOW_REACH,
     SampledDistribution,
     axis_split,
     catalog_entry,
+    chunk_points,
     make_grid,
     nudft,
     outer_per_axis,
@@ -224,15 +224,25 @@ def logging_rows(samples):
     return samples.view(LoggedRows), counts
 
 
+def running_index(captured):
+    """An ``evaluate`` for ``_sample_rays`` that appends each slice of points
+    to ``captured`` and gives every point its index in the concatenated
+    slices."""
+
+    def evaluate(points):
+        start = sum(map(len, captured))
+        captured.append(points)
+        return np.arange(start, start + len(points))
+
+    return evaluate
+
+
 def ray_major_points(grid, rho):
     """The phase-space ray points that the sampler evaluates on ``grid``, in
-    ray order: every radius of direction 0, then of direction 1, ...  Each
-    evaluated point's value is its index in the call."""
+    ray order: every radius of direction 0, then of direction 1, ..."""
     captured = []
-    samples, _ = _sample_rays(
-        phase_space_rays(grid, rho=rho), grid, lambda p: captured.append(p) or np.arange(len(p))
-    )
-    return captured[0][samples[:, 1].astype(int)]
+    samples, _ = _sample_rays(phase_space_rays(grid, rho=rho), grid, running_index(captured), chunk_points(grid))
+    return np.concatenate(captured)[samples[:, 1].astype(int)]
 
 
 def within_comparator_bounds(got, want):
@@ -256,7 +266,7 @@ class TestSharedFactorTables:
         g = make_grid(2, 64, 10.0)
         u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         pts = ray_major_points(g, rho=1.3)
-        assert len(pts) % (SUM_CHUNK_ELEMENTS // g.n)
+        assert len(pts) % chunk_points(g)
         return u, Window(1.5), pts, dense_stft(u, Window(1.5), pts)
 
     def test_2d_ray_major(self, rays_2d):
@@ -280,7 +290,7 @@ class TestSharedFactorTables:
         u = SampledDistribution(grid1, rng.standard_normal(grid1.n) + 1j * rng.standard_normal(grid1.n))
         w = Window(0.5, cutoff=(2.0, 4.0))
         pts = ray_major_points(grid1, rho=1.15)[:2001]
-        assert len(pts) % (SUM_CHUNK_ELEMENTS // grid1.n)
+        assert len(pts) % chunk_points(grid1, 0.5)
         assert within_comparator_bounds(stft_points(u, w, pts), dense_stft(u, w, pts))
 
     def test_close_pairs_stay_apart(self, grid2, rng):
@@ -314,10 +324,11 @@ class TestSharedFactorTables:
     @pytest.fixture(scope="class")
     def box2d_rays(self, grid2):
         # the 106,592 radius-major points that the default 2-D detection
-        # evaluates, and the samples of box2d, which fill the grid
+        # evaluates, in 4 slices, and the samples of box2d, which fill the grid
         g, captured = grid2, []
-        _sample_rays(phase_space_rays(g), g, lambda p: captured.append(p) or np.zeros(len(p)), position_cap(g))
-        return catalog_entry("box2d", None, g)[0], captured[0]
+        _sample_rays(phase_space_rays(g), g, running_index(captured), chunk_points(g, 1.0), position_cap(g))
+        assert len(captured) == 4
+        return catalog_entry("box2d", None, g)[0], np.concatenate(captured)
 
     def test_one_row_per_exact_key(self, grid2, box2d_rays):
         # every evaluated point is r times its direction, whose (x_0, xi_0)
@@ -332,8 +343,9 @@ class TestSharedFactorTables:
         for i, key in enumerate(np.round(snapped[:, [0, 2]], 12).tolist()):
             snapped[i, [0, 2]] = snapped[first.setdefault(tuple(key), i), [0, 2]]
         assert np.all(np.abs(snapped - sampling.directions) <= 8 * np.finfo(float).eps)
-        # each evaluated point's value is its index in the call
-        evidence, offsets = _sample_rays(sampling, grid2, lambda p: np.arange(len(p)), position_cap(grid2))
+        # each evaluated point's value is its index in the concatenated slices
+        evaluate = running_index([])
+        evidence, offsets = _sample_rays(sampling, grid2, evaluate, chunk_points(grid2, 1.0), position_cap(grid2))
         radii, at = evidence.T
         assert np.array_equal(pts[at.astype(int)], radii[:, None] * np.repeat(snapped, np.diff(offsets), axis=0))
         samples, rows = logging_rows(u.samples)
@@ -349,7 +361,7 @@ class TestSharedFactorTables:
         # spans, next to the 50 rows of the distinct pairs before it
         g = make_grid(2, 64, 10.0)
         u = SampledDistribution(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-        chunk = SUM_CHUNK_ELEMENTS // g.n
+        chunk = chunk_points(g)
         pts = np.hstack([rng.uniform(-3, 3, (2 * chunk + 150, 2)), rng.uniform(-5, 5, (2 * chunk + 150, 2))])
         pts[50:, [0, 2]] = (0.5, 3.0)
         samples, rows = logging_rows(u.samples)

@@ -1,11 +1,21 @@
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaborwf.signal import CATALOG, SampledDistribution, catalog_entry, catalog_names, fourier_transform
-from gaborwf.stft import STFT_FLOOR, Window
+from gaborwf.signal import (
+    CATALOG,
+    SampledDistribution,
+    catalog_entry,
+    catalog_names,
+    chunk_points,
+    fourier_transform,
+    make_grid,
+)
+from gaborwf.stft import STFT_FLOOR, Window, stft_points
 from gaborwf.wavefront import (
     DEFAULT_N_THRESH,
     TILT_LEVELS,
@@ -31,6 +41,13 @@ from gaborwf.wavefront import (
 )
 
 STEP1 = 2 * np.pi / 256
+
+
+def csv_text(report):
+    """The profile CSV that ``profiles_to_csv`` writes for ``report``."""
+    buf = io.StringIO()
+    profiles_to_csv(report, buf)
+    return buf.getvalue()
 
 
 def dirs_of(report):
@@ -126,7 +143,7 @@ class TestRayLayout:
         ):
             d, radii = grid.dim, sampling.radii
             pos_cap = position_cap(grid, 1.0, compact=False)
-            samples, offsets = _sample_rays(sampling, grid, lambda p: np.ones(len(p)), pos_cap)
+            samples, offsets = _sample_rays(sampling, grid, lambda p: np.ones(len(p)), chunk_points(grid), pos_cap)
             assert offsets[0] == 0 and offsets[-1] == len(samples)
             for i, w in enumerate(sampling.directions):
                 nx, nxi = np.linalg.norm(w[:-d]), np.linalg.norm(w[-d:])
@@ -148,6 +165,57 @@ class TestRayLayout:
         angles = np.arccos(np.clip(np.sum(ends[:, 0] * ends[:, 1], axis=1), -1.0, 1.0))
         assert np.all(angles <= bound + 1e-9)
         assert len(_components(np.ones(len(sampling.directions), dtype=bool), e)) == 1
+
+
+class TestSlicedSampling:
+    """The sampler evaluates its radius-major points in slices of whole
+    kernel chunks: the values are those of one call over the same points,
+    bit for bit, and the detection never holds all points at once."""
+
+    @staticmethod
+    def sliced_and_whole(u, window, sampling, pos_cap):
+        """The number of slices, the sampled |V| in ray order, and |V| of one
+        call over the concatenated slices, in the same order."""
+        chunk, captured, sizes = chunk_points(u.grid, window.lam), [], []
+
+        def running_index(points):
+            sizes.append(len(points))
+            return np.arange(sum(sizes) - len(points), sum(sizes))
+
+        samples, _ = _sample_rays(
+            sampling, u.grid, lambda p: captured.append(p) or stft_points(u, window, p), chunk, pos_cap
+        )
+        at = _sample_rays(sampling, u.grid, running_index, chunk, pos_cap)[0][:, 1].astype(int)
+        whole = np.abs(stft_points(u, window, np.concatenate(captured)))
+        return len(captured), samples[:, 1], whole[at]
+
+    def test_box2d_default_sampling(self, grid2):
+        u, _ = catalog_entry("box2d", None, grid2)
+        calls, sliced, whole = self.sliced_and_whole(u, Window(1.0), phase_space_rays(grid2), position_cap(grid2))
+        assert calls == 4
+        assert sliced.tobytes() == whole.tobytes()
+
+    def test_1d_chunk_not_a_power_of_two(self):
+        # n = 512 splits into m = 16: 2**18 // 48 = 5,461 points per chunk
+        g = make_grid(1, 512, 10.0)
+        assert chunk_points(g, 1.0) == 5461
+        u, _ = catalog_entry("box", None, g)
+        calls, sliced, whole = self.sliced_and_whole(u, Window(1.0), phase_space_rays(g, 16384), position_cap(g))
+        assert calls == 2
+        assert sliced.tobytes() == whole.tobytes()
+
+    def test_detection_memory_peak(self, grid2):
+        # the tracemalloc peak of the default box2d detection: 18.15 MB with
+        # every point built and evaluated at once, about 10 MB in slices
+        u, _ = catalog_entry("box2d", None, grid2)
+        sampling = phase_space_rays(grid2)
+        tracemalloc.start()
+        try:
+            estimate_gabor_wf(u, Window(1.0), sampling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestGaborDetection:
@@ -439,7 +507,7 @@ class TestRethreshold:
             again = rethreshold(reports(name, 0.5, kind), thresh)
             fresh = reports(name, 0.5, kind, n_thresh=thresh)
             assert report_to_json(again) == report_to_json(fresh), (name, kind)
-            assert profiles_to_csv(again) == profiles_to_csv(fresh), (name, kind)
+            assert csv_text(again) == csv_text(fresh), (name, kind)
 
 
 class TestReportProfiles:
@@ -479,7 +547,7 @@ class TestReportSerialization:
         assert payload["base_point"] == [1.0]
 
     def test_csv_profile_dump(self, reports):
-        text = profiles_to_csv(reports("dirac", 0.5))
+        text = csv_text(reports("dirac", 0.5))
         lines = text.strip().split("\n")
         assert lines[0] == "dir_index,r,abs_V"
         idx, r, v = lines[1].split(",")
