@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal import Grid, SampledDistribution, GroundTruth, _hermite_values, apply_per_axis, outer_per_axis
-from .signal import _as_readonly, grid_norm
+from .signal import _as_readonly, _json_num, grid_norm
 from .stft import Window, _plateau
 from .symplectic import QuadraticHamiltonian, propagate_wf_set
 from .wavefront import (
@@ -34,7 +34,6 @@ from .wavefront import (
     position_cap,
     schwartz_direction_test,
     _angles,
-    _json_num,
 )
 
 GRAM_TOL = 1e-8

@@ -238,11 +238,12 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) ->
 
 # factor entries per chunk of points, taken in call order: 1,024 points at
 # n = 256 in 2-D, with at most as many first-axis rows, shared only within
-# the chunk, and 2**18 / (n / m + m) points in 1-D (see chunk_points)
+# the chunk, and 4,096 points in 1-D at n = 1,024 (see chunk_points)
 SUM_CHUNK_ELEMENTS = 2**18
-# kernel chunks per evaluated slice of ray points: 32,768 points in 2-D at
-# n = 256 (four slices for the default 2-D detection), 131,072 in 1-D at n = 1,024
-SLICE_CHUNKS = 32
+# points per call of a caller that slices its points, as the ray sampler
+# does: every chunk divides it, so the slices give the bits of one call.
+# Four slices for the default 2-D detection, one for the default 1-D one
+SLICE_POINTS = 2**15
 # entries per gathered block of a chunk, each point holding its kept last-axis
 # entries: 128 points of box2d (256 entries), 341 of line_delta_2d (96).
 # Blocks this small stay in cache and reuse one heap buffer; gathering a
@@ -279,11 +280,13 @@ def axis_split(grid: Grid, lam: float | None = None) -> int:
 
 def chunk_points(grid: Grid, lam: float | None = None) -> int:
     """Points per chunk of ``separable_sum`` with a Gaussian of width ``lam``
-    (None: a Fourier sum), ``SUM_CHUNK_ELEMENTS`` factor entries of ``n`` per
-    point in 2-D and ``n / m + m`` in 1-D.  Calls split at multiples of it
-    give the bits of one call: every chunk holds the same points."""
+    (None: a Fourier sum): ``SUM_CHUNK_ELEMENTS`` factor entries, ``n`` per
+    point in 2-D and ``2 max(n / m, m)``, the ``n / m + m`` of 1-D rounded up
+    to a power of two, but at least one point.  A power of two at most
+    ``SLICE_POINTS``, so calls split at multiples of ``SLICE_POINTS`` give
+    the bits of one call: every chunk holds the same points."""
     m = axis_split(grid, lam)
-    return SUM_CHUNK_ELEMENTS // (grid.n if grid.dim == 2 else grid.n // m + m)
+    return max(SUM_CHUNK_ELEMENTS // (grid.n if grid.dim == 2 else 2 * max(grid.n // m, m)), 1)
 
 
 def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: float | None = None) -> np.ndarray:
@@ -311,14 +314,15 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     ``x_k`` of a chunk, the phase parts once per distinct ``xi_k``, at most
     ``n / m + m`` entries each.  ``x`` is clipped to
     ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.
-    Evaluation is chunked in call order, ``chunk_points`` points per chunk.  In 2-D the
-    first axis materializes ``C ⊗ F`` over its kept blocks once per
-    bit-distinct clipped pair ``(x_0, xi_0)`` of a chunk, at that pair, for
-    ``t = rows @ samples`` over the kept rows and last-axis blocks, so a
-    caller passes equal pairs side by side, as the ray sampler does; each
-    point contracts its gathered ``t[index]``, a (kept blocks, ``m``) block,
-    with its last-axis ``C`` and ``F``, ``SUM_GATHER_ELEMENTS`` kept entries
-    at a time.  In 1-D that block is the kept samples for every point, so
+    Evaluation is chunked in call order, ``chunk_points`` points per chunk,
+    which divides ``SLICE_POINTS``: calls split at its multiples give the
+    bits of one call.  In 2-D the first axis materializes ``C ⊗ F`` over its
+    kept blocks once per bit-distinct clipped pair ``(x_0, xi_0)`` of a
+    chunk, at that pair, for ``t = rows @ samples`` over the kept rows and
+    last-axis blocks, so a caller passes equal pairs side by side, as the
+    ray sampler does; each point contracts its gathered ``t[index]``, a
+    (kept blocks, ``m``) block, with its last-axis ``C`` and ``F``,
+    ``SUM_GATHER_ELEMENTS`` kept entries at a time.  In 1-D that block is the kept samples for every point, so
     ``C @ block`` is one matmul.  No factor holds n entries per point.
 
     Two known limits: a point's value can move by about 1e-16 with the other
@@ -627,6 +631,15 @@ def _parameter_value(name: str, key: str, value, default):
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _json_num(x: float):
+    """``x`` as a JSON value: infinities as the strings ``"inf"`` and ``"-inf"``."""
+    if x == math.inf:
+        return "inf"
+    if x == -math.inf:
+        return "-inf"
+    return float(x)
+
+
 def catalog_entry_json(name: str, params: dict, grid: Grid, truth: GroundTruth) -> dict:
     return {
         "name": name,
@@ -635,7 +648,7 @@ def catalog_entry_json(name: str, params: dict, grid: Grid, truth: GroundTruth) 
         "ground_truth": {
             "gabor_wf_dirs": truth.gabor_wf_dirs.tolist(),
             "sigma_dirs": None if truth.sigma_dirs is None else truth.sigma_dirs.tolist(),
-            "support_radius": "inf" if truth.support_radius == np.inf else truth.support_radius,
+            "support_radius": _json_num(truth.support_radius),
             "is_schwartz": truth.is_schwartz,
         },
     }
@@ -650,21 +663,15 @@ def dump_samples(dist: SampledDistribution) -> bytes:
 
 
 def load_samples(blob: bytes) -> SampledDistribution:
-    """Inverse of ``dump_samples``.  Also reads the older ``GWF1`` dumps:
-    complex64 samples without a kind, loaded as ``"function"``."""
-    magic = blob[:4]
-    if len(blob) < 32 or magic not in (b"GWF1", SAMPLE_MAGIC):
-        raise ValueError("not a GWF1 or GWF2 sample dump")
+    """Inverse of ``dump_samples``."""
+    if len(blob) < 32 or blob[:4] != SAMPLE_MAGIC:
+        raise ValueError("not a GWF2 sample dump")
     _, dim, n, length, code = struct.unpack(_SAMPLE_HEADER, blob[:32])
-    if magic == b"GWF1":
-        dtype, kind = "<c8", "function"
-    elif code < len(KINDS):
-        dtype, kind = "<c16", KINDS[code]
-    else:
+    if code >= len(KINDS):
         raise ValueError(f"unknown sample kind code {code}")
     grid = Grid(int(dim), int(n), length / 2.0)
     count = n**dim
-    if len(blob) != 32 + count * np.dtype(dtype).itemsize:
-        raise ValueError(f"sample dump of {len(blob)} bytes does not hold {count} {dtype} samples")
-    vals = np.frombuffer(blob, dtype=dtype, count=count, offset=32).astype(np.complex128)
-    return SampledDistribution(grid, vals.reshape(grid.shape), kind=kind)
+    if len(blob) != 32 + count * 16:
+        raise ValueError(f"sample dump of {len(blob)} bytes does not hold {count} complex128 samples")
+    vals = np.frombuffer(blob, dtype="<c16", count=count, offset=32).astype(np.complex128)
+    return SampledDistribution(grid, vals.reshape(grid.shape), kind=KINDS[code])

@@ -17,13 +17,12 @@ separately.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .signal import SLICE_CHUNKS, SampledDistribution, Grid, _as_readonly, chunk_points, nudft
+from .signal import SLICE_POINTS, SampledDistribution, Grid, _as_readonly, _json_num, nudft
 from .stft import Window, stft_points, STFT_FLOOR
 
 DEFAULT_N_THRESH = 2.5
@@ -392,7 +391,7 @@ def _ladder_index(offsets: np.ndarray) -> np.ndarray:
     return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
-def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, chunk: int, pos_cap: float = np.inf):
+def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = np.inf):
     """Take ``|evaluate(points)|`` at every usable (radius, direction) point;
     returns the ``(P, 2)`` (radius, |V|) samples and the ray offsets into
     them, one more than there are directions.
@@ -404,9 +403,9 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, chunk: int, pos_ca
     direction equal to them at 12 decimals: mirror images such as
     cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit only.
     Points are evaluated radius by radius, equal pairs side by side, as the
-    kernel shares a first-axis row only between the pairs of one chunk of
-    ``chunk`` points.  One call evaluates ``SLICE_CHUNKS`` chunks, which
-    hold the points of one unsliced call and so give the same bits.
+    kernel shares a first-axis row only between the pairs of one of its
+    chunks.  One call evaluates ``SLICE_POINTS`` points, which every kernel
+    chunk divides, so the slices give the bits of one unsliced call.
     """
     d, w = grid.dim, sampling.directions
     with np.errstate(divide="ignore"):
@@ -427,8 +426,8 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, chunk: int, pos_ca
     order = np.lexsort((np.repeat(leader, counts), rung))
     del rung
     values = np.empty(len(r))
-    for lo in range(0, len(r), SLICE_CHUNKS * chunk):
-        at = order[lo : lo + SLICE_CHUNKS * chunk]
+    for lo in range(0, len(r), SLICE_POINTS):
+        at = order[lo : lo + SLICE_POINTS]
         points = w[np.searchsorted(offsets, at, side="right") - 1]
         points *= r[at][:, None]
         values[at] = np.abs(evaluate(points))
@@ -474,8 +473,7 @@ def estimate_gabor_wf(
     window.validate_for(u.grid)
     compact = u.central_mass_fraction() >= 0.999
     pos_cap = position_cap(u.grid, window.lam, compact)
-    chunk = chunk_points(u.grid, window.lam)
-    evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), chunk, pos_cap)
+    evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
     return WavefrontReport("gabor", sampling, *evidence, n_thresh, window.lam)
 
 
@@ -498,7 +496,7 @@ def estimate_sigma(
             "the frequency cone of a non compactly supported input is not defined",
             stacklevel=2,
         )
-    evidence = _sample_rays(sampling, u.grid, lambda p: nudft(u, p), chunk_points(u.grid))
+    evidence = _sample_rays(sampling, u.grid, lambda p: nudft(u, p))
     return WavefrontReport("sigma", sampling, *evidence, n_thresh, None)
 
 
@@ -531,7 +529,7 @@ def estimate_classical_wf(
         phase_pts = np.hstack([np.tile(x0, (len(freq_pts), 1)), freq_pts])
         return stft_points(u, window, phase_pts)
 
-    evidence = _sample_rays(sampling, u.grid, evaluate, chunk_points(u.grid, window.lam))
+    evidence = _sample_rays(sampling, u.grid, evaluate)
     return WavefrontReport("classical", sampling, *evidence, n_thresh, window.lam, tuple(x0))
 
 
@@ -617,14 +615,6 @@ def schwartz_direction_test(report: WavefrontReport, ang_tol: float | None = Non
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def _json_num(x: float):
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return float(x)
-
 
 def report_to_json(report: WavefrontReport) -> dict:
     params = {k: _json_num(v) if isinstance(v, float) else v for k, v in report.params.items()}

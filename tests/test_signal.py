@@ -15,7 +15,6 @@ from gaborwf.signal import (
     catalog_entry,
     catalog_entry_json,
     catalog_names,
-    chunk_points,
     dump_samples,
     fourier_transform,
     load_samples,
@@ -315,7 +314,7 @@ class TestFourierTransform:
         sampling = frequency_rays(grid2)
         raw = (sampling.radii[:, None, None] * sampling.directions).reshape(-1, 2)
         captured = []
-        _sample_rays(sampling, grid2, lambda p: captured.append(p) or np.zeros(len(p)), chunk_points(grid2))
+        _sample_rays(sampling, grid2, lambda p: captured.append(p) or np.zeros(len(p)))
         snapped = np.concatenate(captured)
         assert len(np.unique(snapped[:, 0])) < len(np.unique(raw[:, 0]))
         x = grid2.axis()
@@ -371,13 +370,12 @@ class TestSerialization:
             assert back.kind == u.kind
             assert np.array_equal(back.samples, u.samples), name
 
-    def test_gwf1_dumps_still_load(self, grid1):
-        # the earlier format: complex64 samples and no kind
+    def test_gwf1_dumps_are_rejected(self, grid1):
+        # the earlier format, complex64 samples and no kind, is not read
         u, _ = catalog_entry("dirac", None, grid1)
         header = struct.pack("<4sII d 12x", b"GWF1", 1, grid1.n, grid1.length)
-        back = load_samples(header + u.samples.astype("<c8").tobytes())
-        assert back.grid == grid1 and back.kind == "function"
-        assert np.array_equal(back.samples, u.samples.astype(np.complex64))
+        with pytest.raises(ValueError, match="not a GWF2 sample dump"):
+            load_samples(header + u.samples.astype("<c8").tobytes())
 
     def test_sample_dump_rejects_garbage(self, grid1):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gaborwf.signal import (
+    MAX_GRID_SAMPLES,
+    SLICE_POINTS,
     SPLIT_EXPONENT_BOUND,
     WINDOW_REACH,
     SampledDistribution,
@@ -241,7 +243,7 @@ def ray_major_points(grid, rho):
     """The phase-space ray points that the sampler evaluates on ``grid``, in
     ray order: every radius of direction 0, then of direction 1, ..."""
     captured = []
-    samples, _ = _sample_rays(phase_space_rays(grid, rho=rho), grid, running_index(captured), chunk_points(grid))
+    samples, _ = _sample_rays(phase_space_rays(grid, rho=rho), grid, running_index(captured))
     return np.concatenate(captured)[samples[:, 1].astype(int)]
 
 
@@ -326,7 +328,7 @@ class TestSharedFactorTables:
         # the 106,592 radius-major points that the default 2-D detection
         # evaluates, in 4 slices, and the samples of box2d, which fill the grid
         g, captured = grid2, []
-        _sample_rays(phase_space_rays(g), g, running_index(captured), chunk_points(g, 1.0), position_cap(g))
+        _sample_rays(phase_space_rays(g), g, running_index(captured), position_cap(g))
         assert len(captured) == 4
         return catalog_entry("box2d", None, g)[0], np.concatenate(captured)
 
@@ -345,7 +347,7 @@ class TestSharedFactorTables:
         assert np.all(np.abs(snapped - sampling.directions) <= 8 * np.finfo(float).eps)
         # each evaluated point's value is its index in the concatenated slices
         evaluate = running_index([])
-        evidence, offsets = _sample_rays(sampling, grid2, evaluate, chunk_points(grid2, 1.0), position_cap(grid2))
+        evidence, offsets = _sample_rays(sampling, grid2, evaluate, position_cap(grid2))
         radii, at = evidence.T
         assert np.array_equal(pts[at.astype(int)], radii[:, None] * np.repeat(snapped, np.diff(offsets), axis=0))
         samples, rows = logging_rows(u.samples)
@@ -476,6 +478,51 @@ class TestAxisSplit:
             coupling = dim * np.abs(np.multiply.outer(centers, offsets)).max() / lam**2
             assert max(fine, coupling) <= SPLIT_EXPONENT_BOUND, lam
         assert axis_split(g) == 2 ** ((n.bit_length() - 1) // 2)
+
+    @staticmethod
+    def split_widths(g):
+        """The admitted window widths 4h and L/8 and, at every width where
+        ``axis_split`` halves m, the adjacent floats on either side."""
+        lo, hi = 4 * g.spacing, g.length / 8
+        widths = [lo, hi]
+        while axis_split(g, lo) < axis_split(g, hi):
+            a, b = lo, hi  # axis_split(g, a) < axis_split(g, b)
+            while np.nextafter(a, b) < b:
+                mid = max(a + (b - a) / 2, np.nextafter(a, b))
+                if axis_split(g, mid) == axis_split(g, lo):
+                    a = mid
+                else:
+                    b = mid
+            widths += [a, b]
+            lo = b
+        return widths
+
+    def test_chunk_divides_the_slice(self):
+        # every admitted grid, with the Fourier sum and every split of the
+        # window widths: a power of two of at least one point, dividing
+        # SLICE_POINTS, so sliced calls give the bits of one call
+        for dim in (1, 2):
+            n = 16
+            while n**dim <= MAX_GRID_SAMPLES:
+                g = make_grid(dim, n, 20.0)
+                for lam in [None, *self.split_widths(g)]:
+                    chunk = chunk_points(g, lam)
+                    assert chunk >= 1 and chunk & (chunk - 1) == 0, (dim, n, lam)
+                    assert SLICE_POINTS % chunk == 0, (dim, n, lam)
+                n *= 2
+
+    def test_finest_1d_grid_narrowest_window(self, rng):
+        # n = 2**18 at lam = 0.001 splits into m = 1: 2**18 coarse entries per
+        # point, more than a chunk's factor entries, so the chunk is one point
+        g = make_grid(1, 2**18, 20.0)
+        lam = 0.001
+        assert axis_split(g, lam) == 1 and chunk_points(g, lam) == 1
+        u = SampledDistribution(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        w = Window(lam)
+        pts = np.column_stack([rng.uniform(-1, 1, 3), rng.uniform(-1000, 1000, 3)])
+        scale = dense_stft(SampledDistribution(g, np.abs(u.samples)), w, pts * [1, 0]).real
+        err = np.abs(stft_points(u, w, pts) - dense_stft(u, w, pts))
+        assert np.all(err <= kernel_tolerance(g) * scale)
 
 
 class TestKernelErrorContract:

@@ -11,7 +11,6 @@ from gaborwf.signal import (
     SampledDistribution,
     catalog_entry,
     catalog_names,
-    chunk_points,
     fourier_transform,
     make_grid,
 )
@@ -143,7 +142,7 @@ class TestRayLayout:
         ):
             d, radii = grid.dim, sampling.radii
             pos_cap = position_cap(grid, 1.0, compact=False)
-            samples, offsets = _sample_rays(sampling, grid, lambda p: np.ones(len(p)), chunk_points(grid), pos_cap)
+            samples, offsets = _sample_rays(sampling, grid, lambda p: np.ones(len(p)), pos_cap)
             assert offsets[0] == 0 and offsets[-1] == len(samples)
             for i, w in enumerate(sampling.directions):
                 nx, nxi = np.linalg.norm(w[:-d]), np.linalg.norm(w[-d:])
@@ -168,40 +167,38 @@ class TestRayLayout:
 
 
 class TestSlicedSampling:
-    """The sampler evaluates its radius-major points in slices of whole
-    kernel chunks: the values are those of one call over the same points,
-    bit for bit, and the detection never holds all points at once."""
+    """The sampler evaluates its radius-major points in slices of
+    ``SLICE_POINTS``, which every kernel chunk divides: the values are those
+    of one call over the same points, bit for bit, and the detection never
+    holds all points at once."""
 
     @staticmethod
     def sliced_and_whole(u, window, sampling, pos_cap):
         """The number of slices, the sampled |V| in ray order, and |V| of one
         call over the concatenated slices, in the same order."""
-        chunk, captured, sizes = chunk_points(u.grid, window.lam), [], []
+        captured, sizes = [], []
 
         def running_index(points):
             sizes.append(len(points))
             return np.arange(sum(sizes) - len(points), sum(sizes))
 
-        samples, _ = _sample_rays(
-            sampling, u.grid, lambda p: captured.append(p) or stft_points(u, window, p), chunk, pos_cap
-        )
-        at = _sample_rays(sampling, u.grid, running_index, chunk, pos_cap)[0][:, 1].astype(int)
+        samples, _ = _sample_rays(sampling, u.grid, lambda p: captured.append(p) or stft_points(u, window, p), pos_cap)
+        at = _sample_rays(sampling, u.grid, running_index, pos_cap)[0][:, 1].astype(int)
         whole = np.abs(stft_points(u, window, np.concatenate(captured)))
         return len(captured), samples[:, 1], whole[at]
 
     def test_box2d_default_sampling(self, grid2):
         u, _ = catalog_entry("box2d", None, grid2)
         calls, sliced, whole = self.sliced_and_whole(u, Window(1.0), phase_space_rays(grid2), position_cap(grid2))
-        assert calls == 4
+        assert calls > 1
         assert sliced.tobytes() == whole.tobytes()
 
-    def test_1d_chunk_not_a_power_of_two(self):
-        # n = 512 splits into m = 16: 2**18 // 48 = 5,461 points per chunk
+    def test_1d_box_at_n_512(self):
+        # n = 512 splits into m = 16, n / m = 32
         g = make_grid(1, 512, 10.0)
-        assert chunk_points(g, 1.0) == 5461
         u, _ = catalog_entry("box", None, g)
         calls, sliced, whole = self.sliced_and_whole(u, Window(1.0), phase_space_rays(g, 16384), position_cap(g))
-        assert calls == 2
+        assert calls > 1
         assert sliced.tobytes() == whole.tobytes()
 
     def test_detection_memory_peak(self, grid2):
