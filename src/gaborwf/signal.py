@@ -238,7 +238,8 @@ def synthesize_from_spectrum(grid: Grid, spectrum: Callable[..., np.ndarray]) ->
 
 # factor entries per chunk of points, taken in call order: 1,024 points at
 # n = 256 in 2-D, with at most as many first-axis rows, shared only within
-# the chunk, and 4,096 points in 1-D at n = 1,024 (see chunk_points)
+# the chunk, and a quarter of them in 1-D, 1,024 points at n = 1,024 (see
+# chunk_points)
 SUM_CHUNK_ELEMENTS = 2**18
 # points per call of a caller that slices its points, as the ray sampler
 # does: every chunk divides it, so the slices give the bits of one call.
@@ -280,13 +281,30 @@ def axis_split(grid: Grid, lam: float | None = None) -> int:
 
 def chunk_points(grid: Grid, lam: float | None = None) -> int:
     """Points per chunk of ``separable_sum`` with a Gaussian of width ``lam``
-    (None: a Fourier sum): ``SUM_CHUNK_ELEMENTS`` factor entries, ``n`` per
-    point in 2-D and ``2 max(n / m, m)``, the ``n / m + m`` of 1-D rounded up
-    to a power of two, but at least one point.  A power of two at most
-    ``SLICE_POINTS``, so calls split at multiples of ``SLICE_POINTS`` give
-    the bits of one call: every chunk holds the same points."""
+    (None: a Fourier sum), at least one: ``SUM_CHUNK_ELEMENTS`` factor entries
+    at ``n`` per point in 2-D, and a quarter of them at ``2 max(n / m, m)``
+    per point in 1-D (``n / m + m`` rounded up to a power of two), 1,024
+    points at n = 1,024, whose 512 KB tables stay in cache.  A power of two
+    at most ``SLICE_POINTS``, so calls split at multiples of ``SLICE_POINTS``
+    give the bits of one call: every chunk holds the same points."""
     m = axis_split(grid, lam)
-    return max(SUM_CHUNK_ELEMENTS // (grid.n if grid.dim == 2 else 2 * max(grid.n // m, m)), 1)
+    return max(SUM_CHUNK_ELEMENTS // (grid.n if grid.dim == 2 else 8 * max(grid.n // m, m)), 1)
+
+
+def mirror_index(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(distinct |y|, the index of each |y| among them, the sign bits of
+    y)``: the table that ``phase_table`` reads."""
+    mags, at = np.unique(np.abs(y), return_inverse=True)
+    return mags, at, np.signbit(y)
+
+
+def phase_table(xi: np.ndarray, mirror: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """``np.exp(-1j * np.multiply.outer(xi, y))`` bit for bit, for ``mirror =
+    mirror_index(y)``: exponentials of ``xi |y|`` only, conjugated where the
+    sign bit of ``y`` is set, since negating ``y`` negates ``xi y`` exactly."""
+    mags, at, negative = mirror
+    table = np.take(np.exp(-1j * np.multiply.outer(xi, mags)), at, axis=1)
+    return np.conjugate(table, out=table, where=negative)
 
 
 def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: float | None = None) -> np.ndarray:
@@ -312,7 +330,8 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     samples give exact zeros.  ``C`` is built over the kept block centers
     only.  The Gaussian parts are real exponentials built once per distinct
     ``x_k`` of a chunk, the phase parts once per distinct ``xi_k``, at most
-    ``n / m + m`` entries each.  ``x`` is clipped to
+    ``n / m + m`` entries each, with the phases mirrored (``phase_table``)
+    from index tables built once per call.  ``x`` is clipped to
     ``±(L/2 + WINDOW_REACH lam)``, where every window value is already 0.
     Evaluation is chunked in call order, ``chunk_points`` points per chunk,
     which divides ``SLICE_POINTS``: calls split at its multiples give the
@@ -340,17 +359,6 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
         coupling = (np.pi * lam**2) ** -0.25 * np.exp(-np.multiply.outer(centers, offsets) / lam**2)
         samples = samples * outer_per_axis((coupling.ravel(),) * d)
 
-    def factors(x, xi, kept):
-        ys = centers[kept]
-        xis, ixi = np.unique(xi, return_inverse=True)
-        coarse = np.exp(-1j * np.multiply.outer(xis, ys))[ixi]
-        fine = np.exp(-1j * np.multiply.outer(xis, offsets))[ixi]
-        if lam is not None:
-            xs, ix = np.unique(x, return_inverse=True)
-            coarse *= np.exp(-((ys - xs[:, None]) ** 2) / (2 * lam**2))[ix]
-            fine *= np.exp((np.multiply.outer(xs, offsets) - offsets**2 / 2) / lam**2)[ix]
-        return coarse, fine
-
     # axis k's blocks that hold a nonzero sample: any over every other axis
     samples = samples.reshape((g.n // m, m) * d)
     keep = [np.flatnonzero((samples != 0).any(axis=tuple(np.delete(range(2 * d), 2 * k)))) for k in range(d)]
@@ -360,20 +368,34 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     if d == 2:
         samples = samples[:, :, keep[1]] if len(keep[1]) < g.n // m else samples
         samples = samples.reshape(len(keep[0]) * m, len(keep[1]) * m)
+    kept_centers = [centers[kept] for kept in keep]
+    center_mirrors, offset_mirror = [mirror_index(ys) for ys in kept_centers], mirror_index(offsets)
+
+    def factors(x, xi, k):
+        ys = kept_centers[k]
+        xis, ixi = np.unique(xi, return_inverse=True)
+        coarse = phase_table(xis, center_mirrors[k])[ixi]
+        fine = phase_table(xis, offset_mirror)[ixi]
+        if lam is not None:
+            xs, ix = np.unique(x, return_inverse=True)
+            coarse *= np.exp(-((ys - xs[:, None]) ** 2) / (2 * lam**2))[ix]
+            fine *= np.exp((np.multiply.outer(xs, offsets) - offsets**2 / 2) / lam**2)[ix]
+        return coarse, fine
+
     chunk = chunk_points(g, lam)
     step = SUM_GATHER_ELEMENTS // max(len(keep[-1]) * m, 1)  # all-zero samples keep no block
     out = np.empty(len(points), dtype=np.complex128)
     for lo in range(0, len(points), chunk):
         block = points[lo : lo + chunk].copy()
         np.clip(block[:, :d], -reach, reach, out=block[:, :d])
-        coarse, fine = factors(block[:, d - 1], block[:, -1], keep[-1])
+        coarse, fine = factors(block[:, d - 1], block[:, -1], d - 1)
         if d == 1:
             # the kept samples are every point's (blocks, m) block: one matmul
             part = coarse @ samples
         else:
             # one first-axis row per bit-distinct pair of the chunk, at that pair
             pairs, index = np.unique(block[:, 0] + 1j * block[:, d], return_inverse=True)
-            coarse_0, fine_0 = factors(pairs.real, pairs.imag, keep[0])
+            coarse_0, fine_0 = factors(pairs.real, pairs.imag, 0)
             rows = (coarse_0[:, :, None] * fine_0[:, None, :]).reshape(len(pairs), len(samples))
             t = (rows @ samples).reshape(len(pairs), len(keep[1]), m)
             blocks = range(0, len(block), step)
@@ -388,8 +410,8 @@ def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     interpolation.
 
     The ``separable_sum`` kernel without a window: the coarse factor
-    ``exp(-i xi Y_a)`` and the fine factor ``exp(-i xi d_b)``, ``n / m + m``
-    exponentials per distinct ``xi_k`` instead of ``n``.  In 2-D, bit-equal
+    ``exp(-i xi Y_a)`` and the fine factor ``exp(-i xi d_b)``, about
+    ``(n / m + m) / 2`` exponentials per distinct ``xi_k`` instead of ``n``.  In 2-D, bit-equal
     first-axis frequencies of one chunk share one row, so a caller passes
     them side by side.
     """

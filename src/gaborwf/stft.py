@@ -93,7 +93,8 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
     ``exp(-(Y_a - x)^2 / (2 lam^2) - i xi Y_a)`` over the ``n / m`` block
     centers and a fine factor ``exp((x d_b - d_b^2 / 2) / lam^2 - i xi d_b)``
     over the ``m`` offsets within a block, with the coupling
-    ``exp(-Y_a d_b / lam^2)`` folded into the samples once per call.  Rounding
+    ``exp(-Y_a d_b / lam^2)`` folded into the samples once per call, and
+    the phases mirrored (``phase_table``).  Rounding
     the exponents moves a value by a few 1e-14 of ``sum_j |u_j psi_j| h^d``
     from the dense sum of ``psi(y_j - x) exp(-i xi y_j)``.  In 2-D, points
     of one chunk with a bit-equal ``(x_0, xi_0)`` share one first-axis row,

@@ -575,7 +575,7 @@ def check_main_theorem(
         )
     if sigma_report.kind != "sigma":
         raise ValueError("second report must be a frequency-cone detection")
-    require_positive("ang_tol", ang_tol)
+    ang_tol = angular_tolerance(gabor_report.sampling, ang_tol)
     x, xi = np.hsplit(gabor_report.singular_dirs, 2)
     max_x = float(_norms(x).max(initial=0.0))
     xi_norm = _norms(xi)
@@ -595,11 +595,13 @@ def frequency_gap(dirs: np.ndarray) -> float:
 
 def angular_tolerance(sampling: RaySampling, ang_tol: float | None = None) -> float:
     """``ang_tol``, by default two angular steps of ``sampling``: a detected
-    direction is resolved to about one step either way.  It must be finite and
-    positive."""
+    direction is resolved to about one step either way.  It must lie in
+    (0, pi/2), beyond which no ``frequency_gap`` exceeds it and the theorem
+    check's ``sin(ang_tol)`` shrinks again."""
     if ang_tol is None:
         ang_tol = 2 * sampling.angular_step
-    require_positive("ang_tol", ang_tol)
+    if not 0 < ang_tol < np.pi / 2:
+        raise ValueError(f"ang_tol must lie in (0, pi/2), got {ang_tol}")
     return ang_tol
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -315,6 +316,23 @@ def test_bad_values_are_config_errors(tmp_path, capsys, argv, named):
     assert "Traceback" not in err
     if named is not None:
         assert named in err
+
+
+@pytest.mark.parametrize("ang_tol", [repr(math.pi / 2), "3.0", "4.712", "7.0", "1e308"])
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "box"), ("propagate", "dirac", "--t", "0.3927")],
+    ids=["analyze", "propagate"],
+)
+def test_ang_tol_of_a_right_angle_is_a_config_error(tmp_path, capsys, argv, ang_tol):
+    # no frequency gap exceeds pi/2, and sin(ang_tol) shrinks again beyond
+    # it: box printed a FAIL verdict at 4.712 and PASS at 3.0 and 7.0
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--n", "256", "--L", "20", "--ang-tol", ang_tol, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("configuration error:") and "ang_tol" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,9 @@ from gaborwf.signal import (
     chunk_points,
     make_grid,
     nudft,
+    mirror_index,
     outer_per_axis,
+    phase_table,
     separable_sum,
 )
 from gaborwf.stft import Window, moyal_reconstruct, stft_at, stft_points, stft_slice
@@ -384,6 +386,22 @@ class TestSharedFactorTables:
             tracemalloc.stop()
         assert peak < 9e6
 
+    def test_1d_memory_peak_bounded(self, grid1):
+        # the default 1-D detection of box: 6,078 points in one slice.  The
+        # tracemalloc peak of the call is 3.3 MB with 1,024-point chunks,
+        # 9.5 MB with chunks of 4 times the points
+        g, captured = grid1, []
+        _sample_rays(phase_space_rays(g), g, running_index(captured), position_cap(g))
+        assert len(captured) == 1
+        u = catalog_entry("box", None, g)[0]
+        tracemalloc.start()
+        try:
+            stft_points(u, Window(1.0), captured[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
 
 @st.composite
 def kernel_cases(draw):
@@ -523,6 +541,47 @@ class TestAxisSplit:
         scale = dense_stft(SampledDistribution(g, np.abs(u.samples)), w, pts * [1, 0]).real
         err = np.abs(stft_points(u, w, pts) - dense_stft(u, w, pts))
         assert np.all(err <= kernel_tolerance(g) * scale)
+
+
+SPECIAL_FREQUENCIES = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1040, -(2.0**-1040), 1e300, -1e300)
+
+
+class TestMirroredPhaseTables:
+    """``phase_table`` builds ``exp(-i xi |y|)`` and conjugates it where ``y``
+    is negative; its bits are those of the direct table, for the block
+    centers and fine offsets of every split the kernel reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_n=st.integers(4, 18),
+        half_width=st.floats(0.5, 100.0),
+        log_m=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_the_direct_table(self, log_n, half_width, log_m, seed):
+        g = make_grid(1, 2**log_n, half_width)
+        m = 2 ** min(log_m, log_n)
+        rng = np.random.default_rng(seed)
+        y = g.axis()
+        centers, offsets = y[m // 2 :: m], (np.arange(m) - m // 2) * g.spacing
+        # the full centers, an asymmetric kept subset of them, and the fine
+        # offsets, whose most negative -m/2 h has no positive twin
+        kept = centers[np.sort(rng.choice(len(centers), size=rng.integers(1, len(centers) + 1), replace=False))]
+        band = np.pi / g.spacing
+        xi = np.concatenate([SPECIAL_FREQUENCIES, rng.uniform(-band, band, 40), rng.uniform(-1e300, 1e300, 4)])
+        for ys in (centers, kept, offsets):
+            direct = np.exp(-1j * np.multiply.outer(xi, ys))
+            assert phase_table(xi, mirror_index(ys)).tobytes() == direct.tobytes()
+
+    def test_one_exponential_per_magnitude(self):
+        # the default 1-D split, n = 1,024 and m = 32: 16 distinct |Y_a| of
+        # the 32 centers and 17 |d_b| of the 32 offsets, 33 exponentials per
+        # frequency instead of 64; m = 1 pairs every center but -L/2
+        g = make_grid(1, 1024, 20.0)
+        y, m = g.axis(), 32
+        assert len(mirror_index(y[m // 2 :: m])[0]) == 16
+        assert len(mirror_index((np.arange(m) - m // 2) * g.spacing)[0]) == 17
+        assert len(mirror_index(y)[0]) == 513
 
 
 class TestKernelErrorContract:

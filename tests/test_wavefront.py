@@ -23,6 +23,7 @@ from gaborwf.wavefront import (
     _components,
     _fit_rays,
     _sample_rays,
+    angular_tolerance,
     check_main_theorem,
     directed_hausdorff_angle,
     estimate_classical_wf,
@@ -354,6 +355,18 @@ class TestMainTheorem:
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="ang_tol"):
                 check_main_theorem(reports("dirac", 0.5), sigma, bad)
+
+    def test_tolerance_below_a_right_angle(self, reports):
+        # max |x| <= sin(ang_tol) is not monotone beyond pi/2, where the
+        # check is vacuous anyway: 4.712 failed box, 3.0 and 7.0 passed it
+        gabor, sigma = reports("box", 0.5), reports("box", kind="sigma")
+        for bad in (np.pi / 2, 3.0, 4.712, 7.0, 1e308):
+            with pytest.raises(ValueError, match=r"ang_tol must lie in \(0, pi/2\)"):
+                check_main_theorem(gabor, sigma, bad)
+            with pytest.raises(ValueError, match="ang_tol"):
+                angular_tolerance(gabor.sampling, bad)
+        widest = np.nextafter(np.pi / 2, 0)
+        assert check_main_theorem(gabor, sigma, widest).ang_tol == widest
 
 
 class TestSchwartzDirectionTest:

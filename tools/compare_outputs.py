@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 92 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 94 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -39,7 +39,8 @@ otherwise.  The invocations:
   tilt angles (multiples of 22.5 degrees) are not angles of its circles,
   and ``line_delta_2d --rho 1.15``;
 * ``analyze`` on grids other than the default, whose kernel chunks and
-  slices hold other point counts: ``box --n 512`` and ``box2d --n 128``;
+  slices hold other point counts: ``box --n 512``, ``box --n 4096``,
+  ``bump --n 16384`` and ``box2d --n 128``;
 * ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, on dirac
   and box at t = 1.6008 and 3.1716 (0.03 past pi/2 and pi, where the
   forecast lies just outside ``ang_tol`` of the frequency axis but its
@@ -121,7 +122,8 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs += [["analyze", name, "--n-thresh", t] for t in ("1.5", "0.75") for name in ENTRIES_1D]
     runs += [["analyze", name, "--n-thresh", "1.5"] for name in ENTRIES_2D]
     runs += [["analyze", "box2d", "--n-dirs", "36"], ["analyze", "line_delta_2d", "--rho", "1.15"]]
-    runs += [["analyze", "box", "--n", "512"], ["analyze", "box2d", "--n", "128"]]
+    runs += [["analyze", "box", "--n", n] for n in ("512", "4096")]
+    runs += [["analyze", "bump", "--n", "16384"], ["analyze", "box2d", "--n", "128"]]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
     runs += [["propagate", name, "--t", t] for name in NEAR_LATTICE for t in TIMES_NEAR_LATTICE]
     runs += [["propagate", name, "--t", t] for name in ENTRIES_2D for t in TIMES_2D]
