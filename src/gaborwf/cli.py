@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -26,7 +27,7 @@ from .symplectic import (
     poisson_bracket_vanishes,
     singular_space,
 )
-from .propagator import HermiteBasis, verify_propagation
+from .propagator import verify_propagation
 from .wavefront import (
     DEFAULT_N_THRESH,
     angular_tolerance,
@@ -43,19 +44,25 @@ from .wavefront import (
 GRID_DEFAULTS = {1: (1024, 40.0), 2: (256, 20.0)}
 # options out of range, unknown entries, detector errors (a threshold out of
 # range, too few radii for a fit) and an --out that is no directory (OSError
-# from mkdir, before any output is written) all come from the command line
+# from mkdir, before any output) come from the command line; a closed stdout does not
 CONFIGURATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError, OSError)
+
+
+def _say(*lines: str):
+    """Print ``lines`` to stdout, flushed; once its reader is gone, send the rest to
+    ``os.devnull``, so that the command still writes its files and returns its verdict."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_json(path: Path, payload: dict):
     with path.open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_csv(path: Path, report):
-    with path.open("w") as fh:
-        profiles_to_csv(report, fh)
 
 
 def _fmt_dirs(dirs) -> str:
@@ -96,20 +103,20 @@ def cmd_catalog(args) -> int:
         rows = [(name, *_entry_defaults(name)) for name in sig.catalog_names()]
         if args.json:
             payload = [sig.catalog_entry_json(n, p, g, t) for n, p, g, t in rows]
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _say(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"{'name':<18} {'dim':<4} {'params':<18} {'support':<9} {'schwartz':<9} singular dirs")
+            _say(f"{'name':<18} {'dim':<4} {'params':<18} {'support':<9} {'schwartz':<9} singular dirs")
             for name, params, grid, truth in rows:
                 sup = "inf" if truth.support_radius == np.inf else f"{truth.support_radius:g}"
                 dirs = f"{len(truth.gabor_wf_dirs)} generators" if len(truth.gabor_wf_dirs) else "empty"
-                print(f"{name:<18} {grid.dim:<4} {json.dumps(params):<18} {sup:<9} {str(truth.is_schwartz):<9} {dirs}")
+                _say(f"{name:<18} {grid.dim:<4} {json.dumps(params):<18} {sup:<9} {str(truth.is_schwartz):<9} {dirs}")
         return 0
     name = args.name
     if name not in sig.catalog_names():
         print(f"unknown catalog entry {name!r}", file=sys.stderr)
         return 2
     payload = sig.catalog_entry_json(name, *_entry_defaults(name))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _say(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -127,18 +134,20 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / f"{args.name}_gabor.json", report_to_json(gabor))
-    _write_csv(out / f"{args.name}_gabor_profiles.csv", gabor)
-    print(f"{args.name}: gabor singular dirs: {_fmt_dirs(gabor.singular_dirs)}")
+    with (out / f"{args.name}_gabor_profiles.csv").open("w") as fh:
+        profiles_to_csv(gabor, fh)
+    _say(f"{args.name}: gabor singular dirs: {_fmt_dirs(gabor.singular_dirs)}")
 
     failed = False
     found = {"gabor": (truth.gabor_wf_dirs, gabor.singular_dirs)}
     if truth.theorem_applicable:
         _write_json(out / f"{args.name}_sigma.json", report_to_json(sigma))
-        _write_csv(out / f"{args.name}_sigma_profiles.csv", sigma)
-        print(f"{args.name}: frequency-cone singular dirs: {_fmt_dirs(sigma.singular_dirs)}")
+        with (out / f"{args.name}_sigma_profiles.csv").open("w") as fh:
+            profiles_to_csv(sigma, fh)
+        _say(f"{args.name}: frequency-cone singular dirs: {_fmt_dirs(sigma.singular_dirs)}")
         result = check_main_theorem(gabor, sigma, ang_tol)
         verdict = "PASS" if result.passed else "FAIL"
-        print(
+        _say(
             f"{args.name}: main theorem check: {verdict} "
             f"(max |x| = {result.max_x_component:.6f}, hausdorff = "
             f"{result.dist_gabor_to_sigma:.6f}/{result.dist_sigma_to_gabor:.6f}, tol = {ang_tol:.6f})"
@@ -146,14 +155,14 @@ def cmd_analyze(args) -> int:
         failed = failed or not result.passed
         found["sigma"] = (truth.sigma_dirs, sigma.singular_dirs)
     else:
-        print(f"{args.name}: not compactly supported: theorem check skipped")
+        _say(f"{args.name}: not compactly supported: theorem check skipped")
 
     # every analytic generator must be found; extra arcs are judged by the
     # theorem check above, not here
     for kind, (expected, detected) in found.items():
         miss = directed_hausdorff_angle(expected, detected)
         if miss > ang_tol:
-            print(f"{args.name}: {kind} detection missed ground-truth directions (gap {miss:.4f})")
+            _say(f"{args.name}: {kind} detection missed ground-truth directions (gap {miss:.4f})")
             failed = True
 
     if args.dump_samples:
@@ -163,21 +172,18 @@ def cmd_analyze(args) -> int:
 
 def cmd_propagate(args) -> int:
     u, truth, window = _entry_and_window(args)
-    basis = HermiteBasis.build(u.grid, args.n_max)
-    report = verify_propagation(
-        u, truth, args.t, window=window, n_thresh=args.n_thresh, ang_tol=args.ang_tol, basis=basis
-    )
+    report = verify_propagation(u, truth, args.t, window=window, n_thresh=args.n_thresh, ang_tol=args.ang_tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / f"{args.name}_propagation_t{args.t:.10g}.json", report.to_json())
     verdict = "PASS" if report.passed else "FAIL"
-    print(
+    _say(
         f"{args.name} t={args.t:.10g}: {verdict} hausdorff={report.hausdorff_angle:.6f} "
         f"smooth expected/detected: {report.smooth_expected}/{report.smooth_detected} "
-        f"truncation_error={report.truncation_error:.4f}"
+        f"truncation_error={report.truncation_error:.4f}",
+        f"predicted: {_fmt_dirs(report.predicted_dirs)}",
+        f"detected:  {_fmt_dirs(report.detected_dirs)}",
     )
-    print(f"predicted: {_fmt_dirs(report.predicted_dirs)}")
-    print(f"detected:  {_fmt_dirs(report.detected_dirs)}")
     return 0 if report.passed else 1
 
 
@@ -206,7 +212,7 @@ def cmd_singular_space(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     target = out / (Path(args.q_file).stem + "_singular_space.json")
     _write_json(target, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _say(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -244,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     prop = sub.add_parser("propagate", help="oscillator evolution + propagation check")
     add_common(prop)
     prop.add_argument("--t", type=float, required=True, help="evolution time")
-    prop.add_argument("--n-max", type=int, default=None, help="highest retained order")
     prop.set_defaults(func=cmd_propagate)
 
     ss = sub.add_parser("singular-space", help="singular space of a quadratic Hamiltonian")

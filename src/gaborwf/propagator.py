@@ -20,18 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal import Grid, SampledDistribution, GroundTruth, _hermite_values, apply_per_axis, outer_per_axis
-from .signal import _as_readonly, _json_num, grid_norm
+from .signal import _as_readonly, _json_num, grid_norm, nudft
 from .stft import Window, _plateau
 from .symplectic import QuadraticHamiltonian, propagate_wf_set
 from .wavefront import (
     DEFAULT_N_THRESH,
     angular_tolerance,
     estimate_gabor_wf,
-    frequency_cap,
     frequency_gap,
     hausdorff_angle,
     phase_space_rays,
-    position_cap,
     schwartz_direction_test,
     _angles,
 )
@@ -170,27 +168,18 @@ def _reflect(samples: np.ndarray) -> np.ndarray:
     return np.roll(np.flip(samples, axes), 1, axes)
 
 
-def _fourier_on_same_grid(u: SampledDistribution) -> np.ndarray:
-    """uhat evaluated at the position grid points (not the dual grid), by
-    direct separable sums; needed to compose Fourier-type operators with
-    position-side states."""
-    g = u.grid
-    x = g.axis()
-    D = np.exp(-1j * np.outer(x, x)) * g.spacing
-    return apply_per_axis(D, u.samples)
-
-
 def special_time_operator(u: SampledDistribution, k: int = 1, quarter: bool = False) -> SampledDistribution:
     """Exact evolution at lattice times.
 
     Half periods (t = pi k / 2, ``quarter=False``): the reflection
     ``u(x) -> u((-1)^k x)``.  Quarter times (t in pi(1 + 2Z)/4,
     ``quarter=True``): the scaled Fourier transform ``(2 pi)^{-d/2} F u``,
-    evaluated back on the original grid.
+    evaluated back on the original grid: ``nudft`` at the position grid
+    points, not the dual grid.
     """
     if quarter:
-        vals = (2 * np.pi) ** (-u.grid.dim / 2) * _fourier_on_same_grid(u)
-        return SampledDistribution(u.grid, vals)
+        xi = np.column_stack([m.ravel() for m in u.grid.meshes()])
+        return SampledDistribution(u.grid, (2 * np.pi) ** (-u.grid.dim / 2) * nudft(u, xi).reshape(u.grid.shape))
     if k % 2 == 0:
         return u
     return SampledDistribution(u.grid, _reflect(u.samples), kind=u.kind)
@@ -231,7 +220,6 @@ def verify_propagation(
     window: Window | None = None,
     n_thresh: float = DEFAULT_N_THRESH,
     ang_tol: float | None = None,
-    basis: HermiteBasis | None = None,
 ) -> VerificationReport:
     """Evolve, detect, and compare against the flow forecast.
 
@@ -243,17 +231,15 @@ def verify_propagation(
     forecast from the sampled direction nearest each forecast generator; the
     Hausdorff check keeps the exact forecast.
     """
+    basis = HermiteBasis.build(u0.grid)
     if not np.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
     d = u0.grid.dim
-    if basis is None:
-        basis = HermiteBasis.build(u0.grid)
     if window is None:
         window = Window(0.5)
-    # stay inside the phase-space disk retained below the spectral taper
+    # inside the disk kept below the spectral taper, so below the sampler's cap
     kept = np.sqrt(2 * TAPER_ONSET * basis.n_max + d)
-    grid_cap = max(position_cap(u0.grid), frequency_cap(u0.grid))
-    sampling = phase_space_rays(u0.grid, r_max=min(0.8 * kept, grid_cap))
+    sampling = phase_space_rays(u0.grid, r_max=0.8 * kept)
     ang_tol = angular_tolerance(sampling, ang_tol)
 
     # the evolution and the flow are 2 pi periodic: one reduced angle (exact,

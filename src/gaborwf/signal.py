@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -405,6 +406,21 @@ def separable_sum(samples: np.ndarray, grid: Grid, points: np.ndarray, lam: floa
     return out
 
 
+def kernel_points(grid: Grid, points, what: str) -> np.ndarray:
+    """``what`` ("phase" or "frequency") points as a float (P, k) array whose
+    last ``dim`` columns are frequencies, admitted in one vectorized test:
+    finite, with ``|xi| L/2 <= sys.float_info.max``, past which a phase
+    ``xi y`` of the grid overflows and the kernel returns NaN."""
+    pts, width = np.atleast_2d(np.asarray(points, dtype=float)), (2 if what == "phase" else 1) * grid.dim
+    if pts.shape[1] != width:
+        raise ValueError(f"expected {what} points of dim {width}")
+    reach = np.repeat([1.0, grid.half_width], [width - grid.dim, grid.dim])
+    with np.errstate(over="ignore"):
+        if not np.all(np.abs(pts) * reach <= sys.float_info.max):
+            raise ValueError(f"{what} point components must be finite, with |xi| L/2 at most {sys.float_info.max:g}")
+    return pts
+
+
 def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     """``uhat`` at arbitrary frequency points, shape (P, dim): direct sums, no
     interpolation.
@@ -416,11 +432,7 @@ def nudft(u: SampledDistribution, xi_points: np.ndarray) -> np.ndarray:
     them side by side.
     """
     g = u.grid
-    pts = np.atleast_2d(np.asarray(xi_points, dtype=float))
-    if pts.shape[1] != g.dim:
-        raise ValueError(f"expected frequency points of dim {g.dim}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("frequency point components must be finite")
+    pts = kernel_points(g, xi_points, "frequency")
     return separable_sum(u.samples, g, np.hstack([np.zeros_like(pts), pts]))
 
 

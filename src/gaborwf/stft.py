@@ -17,6 +17,7 @@ from .signal import (
     Grid,
     SampledDistribution,
     _centered_fft,
+    kernel_points,
     outer_per_axis,
     separable_sum,
 )
@@ -106,12 +107,8 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
     to contract.
     """
     g = u.grid
+    pts = kernel_points(g, points, "phase")
     window.validate_for(g)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 2 * g.dim:
-        raise ValueError(f"expected phase points of dim {2 * g.dim}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("phase point components must be finite")
     if window.cutoff is None:
         return separable_sum(u.samples, g, pts, window.lam)
     y, (flat, support), scale = g.axis(), window.cutoff, window.axis_norm(g)
@@ -126,8 +123,7 @@ def stft_points(u: SampledDistribution, window: Window, points: np.ndarray) -> n
 
 def stft_at(u: SampledDistribution, window: Window, z) -> complex:
     """``V_psi u(z)`` for a single phase point given as a flat sequence (x, xi)."""
-    flat = np.asarray(z, dtype=float).ravel()
-    return complex(stft_points(u, window, flat[None, :])[0])
+    return complex(stft_points(u, window, np.ravel(z))[0])
 
 
 def stft_slice(u: SampledDistribution, window: Window, x) -> np.ndarray:

@@ -32,10 +32,10 @@ ARC_COLLAPSE_ANGLE = np.pi / 3  # arcs wider than this are true cones, not smear
 TILT_LEVELS = 5  # tilt levels of the 2-D phase-space sampling, both fibers included
 FREQUENCY_DIRS_2D = 32  # directions on the 2-D frequency circle
 _EXTENT_SIZE_CAP = 64
-# radii times directions of one sampling: the (P, 2d) points and (P, 2)
-# samples of that many ray points take 200 MB in 2-D, and the 2-D kernel
-# needs about 40 s for them; the default samplings hold 6,656 (1-D) and
-# 119,168 (2-D)
+# radii times directions of one sampling: points are built a slice at a time,
+# but the report's (P, 2) samples and the sampler's per-point radius, order and
+# value arrays take about 200 MB at that many, and the 2-D kernel about 40 s;
+# the default samplings hold 6,656 (1-D) and 119,168 (2-D)
 MAX_RAY_POINTS = 2**22
 
 

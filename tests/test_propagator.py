@@ -6,6 +6,8 @@ import pytest
 
 from gaborwf.signal import SampledDistribution, catalog_entry, fourier_transform, make_grid
 from gaborwf.stft import Window
+from gaborwf import propagator
+from gaborwf.wavefront import frequency_cap, phase_space_rays, position_cap
 from gaborwf.propagator import (
     HermiteBasis,
     PropagatedState,
@@ -204,17 +206,16 @@ class TestSpecialTimeOperator:
         # self-dual up to the stated constant: (2 pi)^{-1/2} * sqrt(2 pi) = 1
         assert np.max(np.abs(q.samples - u.samples)) < 1e-8
 
-    def test_quarter_equals_scaled_transform_on_dual_grid(self, grid1):
-        u, _ = catalog_entry("bump", None, grid1)
-        q = special_time_operator(u, quarter=True)
-        uh = fourier_transform(u)
-        # compare at common frequencies: position grid points are a subset of
-        # neither grid, so check against a direct sum instead
-        from gaborwf.signal import nudft
-
-        pts = grid1.axis()[300:310][:, None]
-        expect = (2 * np.pi) ** -0.5 * nudft(u, pts)
-        assert np.max(np.abs(q.samples[300:310] - expect)) < 1e-12
+    def test_quarter_equals_scaled_transform_on_dual_grid(self):
+        # on a balanced grid, L = sqrt(2 pi n), the dual grid is the position
+        # grid, so the FFT gives the operator's values independently of nudft
+        for dim, n, name in ((1, 256, "bump"), (1, 1024, "bump"), (2, 64, "box2d")):
+            g = make_grid(dim, n, np.sqrt(2 * np.pi * n) / 2)
+            assert np.allclose(g.dual().axis(), g.axis(), rtol=0, atol=1e-13)
+            u, _ = catalog_entry(name, None, g)
+            q = special_time_operator(u, quarter=True)
+            expect = (2 * np.pi) ** (-dim / 2) * fourier_transform(u).samples
+            assert np.max(np.abs(q.samples - expect)) < 1e-13, (dim, n)
 
 
 class TestTaper:
@@ -313,6 +314,30 @@ class TestVerifyPropagation:
         assert report.passed
         assert report.detected_dirs.shape == (0, 2)
         assert report.smooth_expected and report.smooth_detected
+
+    @pytest.mark.parametrize(
+        "dim, n, length", [(1, 256, 20.0), (2, 256, 20.0), (1, 4096, 40.0), (1, 2048, 160.0)]
+    )
+    def test_sampling_stays_inside_the_kept_disk(self, monkeypatch, dim, n, length):
+        # r_max = 0.8 sqrt(1.4 n_max + d), below the sampler's own cap on
+        # admitted grids at both ends: n_max <= n/4 leaves it no room to bind
+        g = make_grid(dim, n, length / 2)
+        u, truth = catalog_entry("gaussian", None, g)
+        seen = []
+
+        class Sampled(Exception):
+            pass
+
+        def sampled(grid, **kwargs):
+            seen.append(phase_space_rays(grid, **kwargs))
+            raise Sampled  # the detection that follows is not needed here
+
+        monkeypatch.setattr(propagator, "phase_space_rays", sampled)
+        with pytest.raises(Sampled):
+            verify_propagation(u, truth, 0.3)
+        n_max = HermiteBasis.build(g).n_max
+        assert seen[0].r_max == pytest.approx(0.8 * np.sqrt(1.4 * n_max + dim), rel=1e-15)
+        assert seen[0].r_max < max(position_cap(g), frequency_cap(g))
 
     def test_report_serializes(self, grid1):
         import json

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 94 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 96 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -46,6 +46,9 @@ otherwise.  The invocations:
   forecast lies just outside ``ang_tol`` of the frequency axis but its
   nearest sampled direction lies inside), and on the two 2-D entries at
   t = 0.3 and pi/2;
+* ``propagate`` on grids whose sampler caps differ from the default, so the
+  propagation ladder runs to another radius: ``dirac --t 0.3927 --n 256
+  --L 20`` and ``bump --t 0.7 --n 2048 --L 160``;
 * ``catalog list``, ``catalog list --json`` and ``catalog show`` on every entry;
 * ``singular-space`` on Q = iI in 1-D and 2-D.
 
@@ -127,6 +130,8 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
     runs += [["propagate", name, "--t", t] for name in NEAR_LATTICE for t in TIMES_NEAR_LATTICE]
     runs += [["propagate", name, "--t", t] for name in ENTRIES_2D for t in TIMES_2D]
+    runs += [["propagate", "dirac", "--t", "0.3927", "--n", "256", "--L", "20"]]
+    runs += [["propagate", "bump", "--t", "0.7", "--n", "2048", "--L", "160"]]
     runs += [["catalog", "list"], ["catalog", "list", "--json"]]
     runs += [["catalog", "show", name] for name in ENTRIES_1D + ENTRIES_2D]
     runs += [["singular-space", str(q)] for q in q_files]
