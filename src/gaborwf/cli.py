@@ -125,42 +125,38 @@ def cmd_analyze(args) -> int:
     phase = phase_space_rays(u.grid, args.n_dirs, args.r_min, args.r_max, args.rho)
     freq = frequency_rays(u.grid, args.r_min, args.r_max, args.rho)
     ang_tol = angular_tolerance(phase, args.ang_tol)
-    gabor = estimate_gabor_wf(u, window, phase, args.n_thresh)
+    # kind: (label, ground-truth directions, report), written and checked in turn
+    reports = {"gabor": ("gabor", truth.gabor_wf_dirs, estimate_gabor_wf(u, window, phase, args.n_thresh))}
     if truth.theorem_applicable:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sigma = estimate_sigma(u, freq, args.n_thresh)
+            reports["sigma"] = ("frequency-cone", truth.sigma_dirs, estimate_sigma(u, freq, args.n_thresh))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / f"{args.name}_gabor.json", report_to_json(gabor))
-    with (out / f"{args.name}_gabor_profiles.csv").open("w") as fh:
-        profiles_to_csv(gabor, fh)
-    _say(f"{args.name}: gabor singular dirs: {_fmt_dirs(gabor.singular_dirs)}")
+    for kind, (label, _, report) in reports.items():
+        _write_json(out / f"{args.name}_{kind}.json", report_to_json(report))
+        with (out / f"{args.name}_{kind}_profiles.csv").open("w") as fh:
+            profiles_to_csv(report, fh)
+        _say(f"{args.name}: {label} singular dirs: {_fmt_dirs(report.singular_dirs)}")
 
     failed = False
-    found = {"gabor": (truth.gabor_wf_dirs, gabor.singular_dirs)}
     if truth.theorem_applicable:
-        _write_json(out / f"{args.name}_sigma.json", report_to_json(sigma))
-        with (out / f"{args.name}_sigma_profiles.csv").open("w") as fh:
-            profiles_to_csv(sigma, fh)
-        _say(f"{args.name}: frequency-cone singular dirs: {_fmt_dirs(sigma.singular_dirs)}")
-        result = check_main_theorem(gabor, sigma, ang_tol)
+        result = check_main_theorem(reports["gabor"][2], reports["sigma"][2], ang_tol)
         verdict = "PASS" if result.passed else "FAIL"
         _say(
             f"{args.name}: main theorem check: {verdict} "
             f"(max |x| = {result.max_x_component:.6f}, hausdorff = "
             f"{result.dist_gabor_to_sigma:.6f}/{result.dist_sigma_to_gabor:.6f}, tol = {ang_tol:.6f})"
         )
-        failed = failed or not result.passed
-        found["sigma"] = (truth.sigma_dirs, sigma.singular_dirs)
+        failed = not result.passed
     else:
         _say(f"{args.name}: not compactly supported: theorem check skipped")
 
     # every analytic generator must be found; extra arcs are judged by the
     # theorem check above, not here
-    for kind, (expected, detected) in found.items():
-        miss = directed_hausdorff_angle(expected, detected)
+    for kind, (_, expected, report) in reports.items():
+        miss = directed_hausdorff_angle(expected, report.singular_dirs)
         if miss > ang_tol:
             _say(f"{args.name}: {kind} detection missed ground-truth directions (gap {miss:.4f})")
             failed = True

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -200,17 +200,13 @@ class VerificationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "predicted_dirs": self.predicted_dirs.tolist(),
-            "detected_dirs": self.detected_dirs.tolist(),
-            "hausdorff_angle": _json_num(self.hausdorff_angle),
-            "smooth_expected": self.smooth_expected,
-            "smooth_detected": self.smooth_detected,
-            "truncation_error": self.truncation_error,
-            "ang_tol": self.ang_tol,
-            "passed": self.passed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            predicted_dirs=self.predicted_dirs.tolist(),
+            detected_dirs=self.detected_dirs.tolist(),
+            hausdorff_angle=_json_num(self.hausdorff_angle),
+        )
+        return out
 
 
 def verify_propagation(
@@ -224,23 +220,21 @@ def verify_propagation(
     """Evolve, detect, and compare against the flow forecast.
 
     The forecast rotates the ground-truth generators with the oscillator's
-    phase-space flow; detection radii stay inside the phase-space disk the
-    truncated basis can represent.  Away from half-period lattice times the
-    forecast avoids the pure-frequency sphere and the detection must report a
-    smooth state.  The detector reports sampled directions, so smoothness is
-    forecast from the sampled direction nearest each forecast generator; the
-    Hausdorff check keeps the exact forecast.
+    phase-space flow.  At half-period lattice times the evolution is the exact
+    identity or reflection and detection runs on the grid's own ladder; at
+    any other time the state is evolved in the tapered Hermite basis, built
+    only there, and detection radii stay inside the phase-space disk that
+    basis keeps.  Away from lattice times the forecast avoids the
+    pure-frequency sphere and the detection must report a smooth state.  The
+    detector reports sampled directions, so smoothness is forecast from the
+    sampled direction nearest each forecast generator; the Hausdorff check
+    keeps the exact forecast.
     """
-    basis = HermiteBasis.build(u0.grid)
     if not np.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
     d = u0.grid.dim
     if window is None:
         window = Window(0.5)
-    # inside the disk kept below the spectral taper, so below the sampler's cap
-    kept = np.sqrt(2 * TAPER_ONSET * basis.n_max + d)
-    sampling = phase_space_rays(u0.grid, r_max=0.8 * kept)
-    ang_tol = angular_tolerance(sampling, ang_tol)
 
     # the evolution and the flow are 2 pi periodic: one reduced angle (exact,
     # and t itself when |t| < 2 pi) serves the lattice test, the evolution and
@@ -248,14 +242,17 @@ def verify_propagation(
     angle = math.fmod(t, 2 * np.pi)
     half_periods = angle / (np.pi / 2)
     if abs(half_periods - round(half_periods)) < 1e-9:
-        # at lattice times the evolution is exactly the identity/reflection;
-        # using it sidesteps the truncated spike's basis artifacts entirely
         moved, trunc = special_time_operator(u0, k=int(round(half_periods))), 0.0
+        sampling = phase_space_rays(u0.grid)
     else:
+        basis = HermiteBasis.build(u0.grid)
+        # inside the disk kept below the spectral taper, so below the sampler's cap
+        sampling = phase_space_rays(u0.grid, r_max=0.8 * np.sqrt(2 * TAPER_ONSET * basis.n_max + d))
         # the tapered state lies in the basis span, so evolving it truncates
         # nothing more and ``harmonic_propagate`` does not warn
         smoothed = taper_expansion(u0, basis)
         moved, trunc = harmonic_propagate(smoothed.state, angle, basis).state, smoothed.truncation_error
+    ang_tol = angular_tolerance(sampling, ang_tol)
     oscillator = QuadraticHamiltonian(d, 1j * np.eye(2 * d))
     predicted = _as_readonly(propagate_wf_set(oscillator, angle, ground_truth.gabor_wf_dirs))
 

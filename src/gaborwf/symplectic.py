@@ -80,9 +80,7 @@ class QuadraticHamiltonian:
 class SingularSpace:
     """Orthonormal real basis of S; an empty basis means S = {0}."""
 
-    dim: int
     basis: np.ndarray  # shape (2d, k), columns orthonormal
-    tol: float
 
     @property
     def subspace_dim(self) -> int:
@@ -128,8 +126,7 @@ def singular_space(q: QuadraticHamiltonian, tol: float = 1e-10) -> SingularSpace
     for _ in range(d2):
         rows.append(F.real @ power)
         power = F.imag @ power
-    basis = _real_kernel(rows, tol, d2)
-    return SingularSpace(q.dim, basis, tol)
+    return SingularSpace(_real_kernel(rows, tol, d2))
 
 
 def ker_re_f(q: QuadraticHamiltonian, tol: float = 1e-10) -> SingularSpace:
@@ -140,8 +137,7 @@ def ker_re_f(q: QuadraticHamiltonian, tol: float = 1e-10) -> SingularSpace:
     ``poisson_bracket_vanishes`` first (a mismatch is not an error here).
     """
     F = hamilton_map(q)
-    basis = _real_kernel([F.real.astype(np.complex128)], tol, 2 * q.dim)
-    return SingularSpace(q.dim, basis, tol)
+    return SingularSpace(_real_kernel([F.real.astype(np.complex128)], tol, 2 * q.dim))
 
 
 def poisson_bracket_form(q: QuadraticHamiltonian) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .signal import SLICE_POINTS, SampledDistribution, Grid, _as_readonly, _json_num, nudft
+from .signal import SLICE_POINTS, SampledDistribution, Grid, _as_readonly, _json_num, _scaled_abs, nudft
 from .stft import Window, stft_points, STFT_FLOOR
 
 DEFAULT_N_THRESH = 2.5
@@ -365,22 +365,20 @@ def _component_axis(members: list[int], report: WavefrontReport) -> int:
     jitter and asymmetric arc boundaries.
     """
     dirs, offsets = report.sampling.directions[members], report.offsets
+    # _fit_rays gave every ray the 7 radii of a 4-radius window, so the shortest fits too
     common = int(np.diff(offsets)[members].min())
-    if common // 2 >= 4:
-        rows = (offsets[members][:, None] + np.arange(common)).ravel()
-        scores = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1))[0]
-    else:
-        scores = np.zeros(len(members))
+    rows = (offsets[members][:, None] + np.arange(common)).ravel()
+    scores = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1))[0]
     s_min = scores.min()
     margin = 0.25 * max(report.n_thresh - s_min, 1e-6)
     core = scores <= s_min + margin
-    # rows are added in member order: a matrix product may round differently
-    # and move the snap below
-    axis = np.sum((s_min + margin - scores[core] + 1e-12)[:, None] * dirs[core], axis=0)
-    norm = np.linalg.norm(axis)
-    if norm < 1e-12:
-        return members[len(members) // 2]
-    axis /= norm
+    # weights scaled by a power of two, which keeps the axis's bits and its
+    # norm finite at any n_thresh; rows are added in member order: a matrix
+    # product may round differently and move the snap below
+    weights = _scaled_abs(s_min + margin - scores[core] + 1e-12)[0]
+    axis = np.sum(weights[:, None] * dirs[core], axis=0)
+    # members lie within ARC_COLLAPSE_ANGLE of each other, so the norm is positive
+    axis /= np.linalg.norm(axis)
     # members ascend, so the first of equally near members is the smallest
     angles = _angles(dirs, axis[None])[:, 0].tolist()
     return members[int(np.argmin([round(a, 12) for a in angles]))]
@@ -470,7 +468,6 @@ def estimate_gabor_wf(
         sampling = phase_space_rays(u.grid)
     if sampling.space != "phase":
         raise ValueError("estimate_gabor_wf needs a phase-space sampling")
-    window.validate_for(u.grid)
     compact = u.central_mass_fraction() >= 0.999
     pos_cap = position_cap(u.grid, window.lam, compact)
     evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
@@ -520,7 +517,6 @@ def estimate_classical_wf(
         sampling = frequency_rays(u.grid)
     if sampling.space != "frequency":
         raise ValueError("estimate_classical_wf needs a frequency sampling")
-    window.validate_for(u.grid)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if len(x0) != u.grid.dim:
         raise ValueError("base point dimension mismatch")

@@ -315,13 +315,20 @@ class TestVerifyPropagation:
         assert report.detected_dirs.shape == (0, 2)
         assert report.smooth_expected and report.smooth_detected
 
-    @pytest.mark.parametrize(
-        "dim, n, length", [(1, 256, 20.0), (2, 256, 20.0), (1, 4096, 40.0), (1, 2048, 160.0)]
-    )
-    def test_sampling_stays_inside_the_kept_disk(self, monkeypatch, dim, n, length):
-        # r_max = 0.8 sqrt(1.4 n_max + d), below the sampler's own cap on
-        # admitted grids at both ends: n_max <= n/4 leaves it no room to bind
-        g = make_grid(dim, n, length / 2)
+    @pytest.mark.parametrize("name, t", [("box2d", 0.0), ("line_delta_2d", 3 * np.pi / 2)])
+    def test_2d_lattice_times_pass(self, grid2, name, t):
+        # the exact evolution is detected on the grid's own ladder; on the
+        # ladder capped inside the tapered basis's disk, r_max 4.68 against
+        # the grid's 18.1, both failed with hausdorff 0.859
+        u, truth = catalog_entry(name, None, grid2)
+        report = verify_propagation(u, truth, t, Window(1.0))
+        assert report.passed and report.hausdorff_angle == 0.0
+        assert report.truncation_error == 0.0
+
+    @staticmethod
+    def sampling_of(monkeypatch, g, t):
+        """The ray sampling ``verify_propagation`` detects on at time t, for
+        the gaussian on the grid g."""
         u, truth = catalog_entry("gaussian", None, g)
         seen = []
 
@@ -334,10 +341,37 @@ class TestVerifyPropagation:
 
         monkeypatch.setattr(propagator, "phase_space_rays", sampled)
         with pytest.raises(Sampled):
-            verify_propagation(u, truth, 0.3)
+            verify_propagation(u, truth, t)
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "dim, n, length", [(1, 256, 20.0), (2, 256, 20.0), (1, 4096, 40.0), (1, 2048, 160.0)]
+    )
+    def test_sampling_stays_inside_the_kept_disk(self, monkeypatch, dim, n, length):
+        # r_max = 0.8 sqrt(1.4 n_max + d), below the sampler's own cap on
+        # admitted grids at both ends: n_max <= n/4 leaves it no room to bind
+        g = make_grid(dim, n, length / 2)
+        sampling = self.sampling_of(monkeypatch, g, 0.3)
         n_max = HermiteBasis.build(g).n_max
-        assert seen[0].r_max == pytest.approx(0.8 * np.sqrt(1.4 * n_max + dim), rel=1e-15)
-        assert seen[0].r_max < max(position_cap(g), frequency_cap(g))
+        assert sampling.r_max == pytest.approx(0.8 * np.sqrt(1.4 * n_max + dim), rel=1e-15)
+        assert sampling.r_max < max(position_cap(g), frequency_cap(g))
+
+    @pytest.mark.parametrize(
+        "dim, n, length",
+        [(1, 256, 20.0), (2, 256, 20.0), (1, 4096, 40.0), (1, 2048, 160.0), (1, 32768, 40.0)],
+    )
+    @pytest.mark.parametrize("t", [0.0, np.pi / 2, -np.pi])
+    def test_lattice_sampling_runs_to_the_sampler_cap(self, monkeypatch, dim, n, length, t):
+        # the evolution is exact at lattice times, so no Hermite basis is
+        # built, not even on n = 32768, whose table would exceed
+        # MAX_HERMITE_ENTRIES, and rays run to the grid's own cap
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("Hermite basis built at a lattice time")
+
+        monkeypatch.setattr(HermiteBasis, "build", unbuilt)
+        g = make_grid(dim, n, length / 2)
+        sampling = self.sampling_of(monkeypatch, g, t)
+        assert sampling.r_max == max(position_cap(g), frequency_cap(g))
 
     def test_report_serializes(self, grid1):
         import json

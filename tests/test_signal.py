@@ -12,6 +12,7 @@ from gaborwf.signal import (
     Grid,
     GroundTruth,
     SampledDistribution,
+    _json_num,
     catalog_entry,
     catalog_entry_json,
     catalog_names,
@@ -188,12 +189,14 @@ class TestCatalog:
         pairing = np.sum(dirac.samples.real * f) * grid1.spacing
         assert np.isclose(pairing, np.exp(-0.25), atol=1e-12)
 
-    def test_derivative_spike_pairs_like_minus_derivative(self, grid1):
-        ddir, _ = catalog_entry("dirac_derivative", None, grid1)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_derivative_spike_pairs_like_signed_derivative(self, grid1, k):
+        # (-1)^k f^(k)(0) with O(h^2) stencils, k = 2 the convolved one; the
+        # k-th derivative of sin(1.3 x + 0.4) is 1.3^k sin(1.3 x + 0.4 + k pi/2)
+        ddir, _ = catalog_entry("dirac_derivative", {"k": k}, grid1)
         x = grid1.axis()
-        f = np.sin(1.3 * x)
-        pairing = np.sum(ddir.samples.real * f) * grid1.spacing
-        assert np.isclose(pairing, -1.3, atol=1e-3)  # -f'(0), O(h^2) stencil
+        pairing = np.sum(ddir.samples.real * np.sin(1.3 * x + 0.4)) * grid1.spacing
+        assert np.isclose(pairing, (-1.3) ** k * np.sin(0.4 + k * np.pi / 2), atol=1e-3)
 
     def test_non_finite_samples_rejected(self, grid1):
         with pytest.raises(ValueError, match="finite"):
@@ -395,6 +398,14 @@ class TestSerialization:
         assert back["grid"] == {"dim": 1, "n": 1024, "half_width": 20.0}
         assert back["ground_truth"]["sigma_dirs"] == [[1.0], [-1.0]]
         assert back["ground_truth"]["support_radius"] == 0.0
+
+    @pytest.mark.parametrize(
+        "x, encoded", [(np.inf, "inf"), (-np.inf, "-inf"), (np.float64(0.25), 0.25), (-0.0, -0.0)]
+    )
+    def test_json_num_writes_infinities_as_strings(self, x, encoded):
+        got = _json_num(x)
+        assert got == encoded and type(got) is type(encoded)
+        assert json.loads(json.dumps(got)) == encoded
 
     def test_catalog_json_handles_infinite_support(self, grid1):
         _, truth = catalog_entry("chirp", None, grid1)

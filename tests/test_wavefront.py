@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +520,18 @@ class TestRethreshold:
             assert report_to_json(again) == report_to_json(fresh), (name, kind)
             assert csv_text(again) == csv_text(fresh), (name, kind)
 
+
+    @pytest.mark.parametrize("thresh", [1e200, 1e308])
+    def test_huge_threshold_keeps_the_arc_axis(self, reports, thresh):
+        # every ray that does not hit the floor is flagged alike at 1e20 and
+        # beyond; the arc-axis weights, each about n_thresh / 4, overflowed
+        # their norm and gave the pole arcs a tilted axis from NaN angles
+        rep = reports("dirac", 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = rethreshold(rep, thresh)
+        assert np.array_equal(huge.singular_dirs, rethreshold(rep, 1e20).singular_dirs)
+        assert np.array_equal(huge.singular_dirs, rep.singular_dirs)  # the two poles
 
 class TestReportProfiles:
     @pytest.mark.parametrize("name, kind", [("dirac", "gabor"), ("box", "sigma")])

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 96 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 101 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -41,11 +41,18 @@ otherwise.  The invocations:
 * ``analyze`` on grids other than the default, whose kernel chunks and
   slices hold other point counts: ``box --n 512``, ``box --n 4096``,
   ``bump --n 16384`` and ``box2d --n 128``;
+* ``analyze dirac_derivative --params '{"k": 2}'``, the convolved stencil,
+  and ``analyze dirac --n-thresh 1e308``, where every ray short of the floor
+  is flagged and the arc-axis weights are about 2.5e307 each;
 * ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, on dirac
   and box at t = 1.6008 and 3.1716 (0.03 past pi/2 and pi, where the
   forecast lies just outside ``ang_tol`` of the frequency axis but its
   nearest sampled direction lies inside), and on the two 2-D entries at
   t = 0.3 and pi/2;
+* ``propagate`` at the lattice times 0 (box2d) and 3 pi/2 (line_delta_2d),
+  where the exact evolution is detected on the grid's own ladder, and
+  ``dirac --t 0 --n 32768``, a grid too fine for the Hermite table that a
+  lattice time does not build;
 * ``propagate`` on grids whose sampler caps differ from the default, so the
   propagation ladder runs to another radius: ``dirac --t 0.3927 --n 256
   --L 20`` and ``bump --t 0.7 --n 2048 --L 160``;
@@ -127,9 +134,12 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs += [["analyze", "box2d", "--n-dirs", "36"], ["analyze", "line_delta_2d", "--rho", "1.15"]]
     runs += [["analyze", "box", "--n", n] for n in ("512", "4096")]
     runs += [["analyze", "bump", "--n", "16384"], ["analyze", "box2d", "--n", "128"]]
+    runs += [["analyze", "dirac_derivative", "--params", '{"k": 2}'], ["analyze", "dirac", "--n-thresh", "1e308"]]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
     runs += [["propagate", name, "--t", t] for name in NEAR_LATTICE for t in TIMES_NEAR_LATTICE]
     runs += [["propagate", name, "--t", t] for name in ENTRIES_2D for t in TIMES_2D]
+    runs += [["propagate", "box2d", "--t", "0"], ["propagate", "line_delta_2d", "--t", repr(3 * math.pi / 2)]]
+    runs += [["propagate", "dirac", "--t", "0", "--n", "32768"]]
     runs += [["propagate", "dirac", "--t", "0.3927", "--n", "256", "--L", "20"]]
     runs += [["propagate", "bump", "--t", "0.7", "--n", "2048", "--L", "160"]]
     runs += [["catalog", "list"], ["catalog", "list", "--json"]]
