@@ -122,8 +122,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_analyze(args) -> int:
     u, truth, window = _entry_and_window(args)
-    phase = phase_space_rays(u.grid, args.n_dirs, args.r_min, args.r_max, args.rho)
-    freq = frequency_rays(u.grid, args.r_min, args.r_max, args.rho)
+    phase = phase_space_rays(u.grid, args.n_dirs, args.r_max, args.rho)
+    freq = frequency_rays(u.grid, args.r_max, args.rho)
     ang_tol = angular_tolerance(phase, args.ang_tol)
     # kind: (label, ground-truth directions, report), written and checked in turn
     reports = {"gabor": ("gabor", truth.gabor_wf_dirs, estimate_gabor_wf(u, window, phase, args.n_thresh))}
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="wavefront detection + main-theorem check")
     add_common(ana)
     ana.add_argument("--n-dirs", type=int, default=None)
-    ana.add_argument("--r-min", type=float, default=1.0)
     ana.add_argument("--r-max", type=float, default=None)
     ana.add_argument("--rho", type=float, default=None)
     ana.add_argument("--dump-samples", action="store_true")

@@ -75,7 +75,6 @@ class RaySampling:
     neighbors: np.ndarray
     space: str
     n_dirs: int
-    r_min: float
     r_max: float
     rho: float
 
@@ -91,9 +90,9 @@ class RaySampling:
         return 2 * np.pi / self.n_dirs
 
 
-def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str, n_dirs: int, directions: int):
-    """Geometric radii ``r_min * rho**k`` up to ``r_max`` (default ``cap``)
-    for ``directions`` rays; returns the radii with the resolved ``r_max`` and
+def _radius_ladder(grid: Grid, cap: float, r_max, rho, what: str, n_dirs: int, directions: int):
+    """Geometric radii ``rho**k`` from 1 up to ``r_max`` (default ``cap``) for
+    ``directions`` rays; returns the radii with the resolved ``r_max`` and
     ``rho``."""
     rho = (DEFAULT_RHO if grid.dim == 1 else DEFAULT_RHO_2D) if rho is None else rho
     if r_max is None:
@@ -101,19 +100,17 @@ def _radius_ladder(grid: Grid, cap: float, r_min: float, r_max, rho, what: str, 
     elif r_max > cap + 1e-9:
         raise ValueError(f"r_max {r_max} exceeds the {what} {cap}")
     # chained comparisons so that NaN fails each check by name
-    if not 1.0 <= r_min < np.inf:
-        raise ValueError(f"r_min must be finite and at least 1, got {r_min}")
     if not 1.0 < rho < np.inf:
         raise ValueError(f"rho must be finite and exceed 1, got {rho}")
-    if not r_max > r_min:
-        raise ValueError(f"r_max must exceed r_min = {r_min}, got {r_max}")
-    count = int(np.floor(np.log(r_max / r_min) / np.log(rho))) + 1
+    if not r_max > 1.0:
+        raise ValueError(f"r_max must exceed the first radius 1, got {r_max}")
+    count = int(np.floor(np.log(r_max) / np.log(rho))) + 1
     if count * directions > MAX_RAY_POINTS:
         raise ValueError(
             f"rho = {rho} gives {count} radii and n_dirs = {n_dirs} gives {directions} directions: "
             f"more than {MAX_RAY_POINTS} ray points"
         )
-    return r_min * rho ** np.arange(count), float(r_max), rho
+    return rho ** np.arange(count), float(r_max), rho
 
 
 def _circle(n: int) -> np.ndarray:
@@ -130,15 +127,13 @@ def _adjacency(*pairs) -> np.ndarray:
     """Sorted ``(E, 2)`` edge array from pairs of equally shaped index arrays."""
     a = np.concatenate([np.ravel(p) for p, _ in pairs])
     b = np.concatenate([np.ravel(q) for _, q in pairs])
-    return np.unique(np.sort(np.column_stack([a, b]), axis=1), axis=0)
+    # one int64 key per edge sorts like its (min, max) row
+    n = max(a.max(), b.max()) + 1
+    return np.column_stack(np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n))
 
 
 def phase_space_rays(
-    grid: Grid,
-    n_dirs: int | None = None,
-    r_min: float = 1.0,
-    r_max: float | None = None,
-    rho: float | None = None,
+    grid: Grid, n_dirs: int | None = None, r_max: float | None = None, rho: float | None = None
 ) -> RaySampling:
     """Directions on the phase-space sphere S^{2d-1}.
 
@@ -160,10 +155,10 @@ def phase_space_rays(
         directions = 2 * n_dirs + (TILT_LEVELS - 2) * n_dirs**2
     cap = max(position_cap(grid), frequency_cap(grid))
     what = "resolvable phase-space radius"
-    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, what, n_dirs, directions)
+    radii, r_max, rho = _radius_ladder(grid, cap, r_max, rho, what, n_dirs, directions)
     if grid.dim == 1:
         neighbors = _adjacency(_ring(n_dirs))
-        return RaySampling(_circle(n_dirs), radii, neighbors, "phase", n_dirs, r_min, r_max, rho)
+        return RaySampling(_circle(n_dirs), radii, neighbors, "phase", n_dirs, r_max, rho)
     n = n_dirs
     circ = _circle(n)
     zeros = np.zeros_like(circ)
@@ -185,20 +180,18 @@ def phase_space_rays(
         (np.repeat(k, n), mid[0]),  # position point i to every (i, j) of the first torus
         (mid[-1], np.tile(last, n)),  # every (i, j) of the last torus to frequency point j
     )
-    return RaySampling(dirs, radii, neighbors, "phase", n_dirs, r_min, r_max, rho)
+    return RaySampling(dirs, radii, neighbors, "phase", n_dirs, r_max, rho)
 
 
-def frequency_rays(
-    grid: Grid, r_min: float = 1.0, r_max: float | None = None, rho: float | None = None
-) -> RaySampling:
+def frequency_rays(grid: Grid, r_max: float | None = None, rho: float | None = None) -> RaySampling:
     """Directions on the frequency sphere S^{d-1}: the pair {-1, +1} in 1-D,
     ``FREQUENCY_DIRS_2D`` points on the circle in 2-D."""
     n = 2 if grid.dim == 1 else FREQUENCY_DIRS_2D
     cap = frequency_cap(grid)
-    radii, r_max, rho = _radius_ladder(grid, cap, r_min, r_max, rho, "alias-free frequency radius", n, n)
+    radii, r_max, rho = _radius_ladder(grid, cap, r_max, rho, "alias-free frequency radius", n, n)
     if grid.dim == 1:
-        return RaySampling(np.array([[1.0], [-1.0]]), radii, (), "frequency", n, r_min, r_max, rho)
-    return RaySampling(_circle(n), radii, _adjacency(_ring(n)), "frequency", n, r_min, r_max, rho)
+        return RaySampling(np.array([[1.0], [-1.0]]), radii, (), "frequency", n, r_max, rho)
+    return RaySampling(_circle(n), radii, _adjacency(_ring(n)), "frequency", n, r_max, rho)
 
 
 def _flags(profiles: np.recarray, n_thresh: float) -> np.ndarray:
@@ -256,7 +249,7 @@ class WavefrontReport:
         s = self.sampling
         return {
             "n_dirs": s.n_dirs,
-            "r_min": s.r_min,
+            "r_min": float(s.radii[0]),
             "r_max": s.r_max,
             "rho": s.rho,
             "n_thresh": float(self.n_thresh),
@@ -329,29 +322,29 @@ def _fit_rays(samples: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.
 
 def _components(flagged: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
     """Connected flagged directions, each component ascending, components in
-    order of their smallest member."""
-    parent = list(range(len(flagged)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in neighbors[flagged[neighbors].all(axis=1)].tolist():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for i in np.flatnonzero(flagged).tolist():
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    order of their smallest member: labels start at each index and fall to
+    the smallest across flagged edges until they settle on that member."""
+    a, b = neighbors[flagged[neighbors].all(axis=1)].T
+    label, before = np.arange(len(flagged)), None
+    while not np.array_equal(label, before):
+        before = label.copy()
+        np.minimum.at(label, a, label[b])
+        np.minimum.at(label, b, label[a])
+        label = label[label]
+    members = np.flatnonzero(flagged)
+    members = members[np.argsort(label[members], kind="stable")]
+    cuts = np.flatnonzero(np.diff(label[members])) + 1
+    return [c.tolist() for c in np.split(members, cuts)] if len(members) else []
 
 
-def _component_extent(members: list[int], dirs: np.ndarray) -> float:
+def _collapses(members: list[int], dirs: np.ndarray) -> bool:
+    """Whether a component is one generator's smear: no two members are more
+    than ``ARC_COLLAPSE_ANGLE`` apart.  Pairs exactly that far apart, such as
+    30,720 of the default 2-D sampling, compute on either side of it by the
+    last bit; the 1e-9 leeway collapses all of them."""
     if len(members) > _EXTENT_SIZE_CAP:
-        return np.pi
-    return float(np.triu(_angles(dirs[members], dirs[members]), 1).max())
+        return False
+    return float(np.triu(_angles(dirs[members], dirs[members]), 1).max()) <= ARC_COLLAPSE_ANGLE + 1e-9
 
 
 def _component_axis(members: list[int], report: WavefrontReport) -> int:
@@ -448,7 +441,7 @@ def _merge(report: WavefrontReport) -> tuple[np.ndarray, np.ndarray]:
             # sharply resolved generator
             jitter = slope[comp[0]] > 0.75 * n_thresh
             (isolated if jitter else singular).append(comp[0])
-        elif _component_extent(comp, dirs) <= ARC_COLLAPSE_ANGLE:
+        elif _collapses(comp, dirs):
             singular.append(_component_axis(comp, report))
         else:
             singular.extend(comp)
@@ -637,14 +630,18 @@ def report_to_json(report: WavefrontReport) -> dict:
 def profiles_to_csv(report: WavefrontReport, out) -> None:
     """Write the report's samples to the text stream ``out`` as CSV: a
     ``dir_index,r,abs_V`` header, then one row per sample, ray by ray."""
-    # a row's radius is its ray's ladder rung: format the ladder once
-    radii = [repr(r) for r in report.sampling.radii.tolist()]
-    index = np.repeat(np.arange(len(report.profiles)), np.diff(report.offsets))
-    rung = _ladder_index(report.offsets)
+    # ray heads "i,", ladder rungs "r," and a slice's distinct |V| are each
+    # formatted once and joined as a (rows, 3) object array, no string per row
+    heads = np.array([f"{i}," for i in range(len(report.profiles))], dtype=object)
+    heads = np.repeat(heads, np.diff(report.offsets))
+    radii = np.array([f"{r!r}," for r in report.sampling.radii.tolist()], dtype=object)
+    radii = radii[_ladder_index(report.offsets)]
     values = report.samples[:, 1]
-    # rows are formatted and written 8,192 at a time: only one slice's row
-    # strings and lists are alive at once, not one string for the whole file
+    # rows are written 8,192 at a time: only one slice's text is alive at
+    # once, not one string for the whole file
     out.write("dir_index,r,abs_V\n")
     for lo in range(0, len(values), 8192):
-        rows = zip(*(a[lo : lo + 8192].tolist() for a in (index, rung, values)))
-        out.write("".join(f"{i},{radii[k]},{v!r}\n" for i, k, v in rows))
+        distinct, which = np.unique(values[lo : lo + 8192], return_inverse=True)
+        reprs = np.array([f"{v!r}\n" for v in distinct.tolist()], dtype=object)
+        pieces = np.column_stack([heads[lo : lo + 8192], radii[lo : lo + 8192], reprs[which]])
+        out.write("".join(pieces.ravel()))

@@ -252,6 +252,15 @@ def test_n_max_is_an_unknown_option(capsys):
     assert "unrecognized arguments: --n-max 8" in capsys.readouterr().err
 
 
+def test_r_min_is_an_unknown_option(tmp_path, capsys):
+    # every radius ladder starts at 1
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "dirac", "--r-min", "2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --r-min 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class ClosedStdout:
     """A stdout whose reader is gone: every write and flush raises."""
 
@@ -326,7 +335,6 @@ def test_closed_pipe_keeps_files_and_exit_code(tmp_path, argv, code, files):
         (("analyze", "hermite", "--params", '{"n": 1.5}'), None),
         (("analyze", "box", "--params", '{"a": -1}'), None),
         (("analyze", "box", "--params", '{"a": "1"}'), None),
-        (("analyze", "dirac", "--r-min", "nan"), "r_min"),
         (("analyze", "dirac", "--r-max", "nan"), "r_max"),
         (("analyze", "dirac", "--rho", "nan"), "rho"),
         (("analyze", "dirac", "--rho", "inf"), "rho"),
@@ -355,7 +363,6 @@ def test_closed_pipe_keeps_files_and_exit_code(tmp_path, argv, code, files):
         "params-non-integral-order",
         "params-negative-support",
         "params-string-value",
-        "nan-r-min",
         "nan-r-max",
         "nan-rho",
         "inf-rho",
@@ -439,7 +446,6 @@ PLAIN = {
     "--ang-tol": ("0.1", "0.5", "1e-9", "3.2"),
     "--params": ("{}", '{"a": 1.0}', '{"k": 2}', '{"n": 3.0}', '{"sigma": 0.5}', '{"width": 2}'),
     "--n-dirs": ("64", "128", "32", "66", "-4"),
-    "--r-min": ("1", "2", "0.5"),
     "--r-max": ("3", "5", "1"),
     "--rho": ("1.15", "1.5", "1", "0.5"),
     "--t": ("0.3", "1.5707963267948966", "0.7", "-0.3", "1e300"),
@@ -449,7 +455,7 @@ ODD_PARAMS = (
     '{"width": "x"}', '{"width": 1e-320}',
     '{"foo": 1}', "[1]", "null", '"a"', "{bad"
 )
-ANALYZE_ONLY = ("--n-dirs", "--r-min", "--r-max", "--rho")
+ANALYZE_ONLY = ("--n-dirs", "--r-max", "--rho")
 PROPAGATE_ONLY = ("--t",)
 
 

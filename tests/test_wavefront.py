@@ -21,6 +21,7 @@ from gaborwf.wavefront import (
     TILT_LEVELS,
     WavefrontReport,
     _angles,
+    _collapses,
     _components,
     _fit_rays,
     _sample_rays,
@@ -79,8 +80,8 @@ def reports(grid1):
 
 class TestSamplingValidation:
     def test_radius_bounds(self, grid1):
-        with pytest.raises(ValueError, match="r_min"):
-            phase_space_rays(grid1, r_min=0.5)
+        with pytest.raises(ValueError, match="r_max must exceed the first radius 1"):
+            phase_space_rays(grid1, r_max=1.0)
         with pytest.raises(ValueError, match="rho"):
             phase_space_rays(grid1, rho=0.99)
         with pytest.raises(ValueError, match="exceeds"):
@@ -117,7 +118,7 @@ class TestSamplingValidation:
 
     def test_degenerate_fit_rejected(self, grid1):
         u, _ = catalog_entry("dirac", None, grid1)
-        tight = phase_space_rays(grid1, r_min=1.0, r_max=1.8)
+        tight = phase_space_rays(grid1, r_max=1.8)
         with pytest.raises(ValueError, match="degenerate fit"):
             estimate_gabor_wf(u, Window(0.5), tight)
 
@@ -569,13 +570,19 @@ class TestReportSerialization:
         payload = report_to_json(rep)
         assert payload["base_point"] == [1.0]
 
-    def test_csv_profile_dump(self, reports):
-        text = csv_text(reports("dirac", 0.5))
-        lines = text.strip().split("\n")
-        assert lines[0] == "dir_index,r,abs_V"
-        idx, r, v = lines[1].split(",")
-        assert idx == "0"
-        float(r), float(v)
+    def test_csv_profile_dump(self, reports, grid2):
+        # one row per sample, ray by ray, every number as its repr: dirac's
+        # 6,078 rows repeat 764 |V| values, and the synthetic 2-D report's
+        # r**-5 on every ray fills several 8,192-row slices with repeats
+        sampling = phase_space_rays(grid2)
+        synthetic = synthetic_report(sampling, [(5.0, None)] * len(sampling.directions))
+        for rep in (reports("dirac", 0.5), synthetic):
+            rows = [
+                f"{i},{r!r},{v!r}"
+                for i in range(len(rep.profiles))
+                for r, v in rep.samples[rep.offsets[i] : rep.offsets[i + 1]].tolist()
+            ]
+            assert csv_text(rep) == "\n".join(["dir_index,r,abs_V", *rows]) + "\n", rep.kind
 
 
 class TestHausdorffHelpers:
@@ -718,7 +725,60 @@ MERGE_TABLE = {
 }
 
 
+def bfs_components(flagged, neighbors):
+    """Oracle: the flagged directions reached breadth first from each
+    unreached flagged direction in ascending order, members ascending."""
+    adjacent = [[] for _ in flagged]
+    for a, b in neighbors.tolist():
+        if flagged[a] and flagged[b]:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    reached, components = set(), []
+    for start in np.flatnonzero(flagged).tolist():
+        if start in reached:
+            continue
+        reached.add(start)
+        queue = [start]
+        for i in queue:
+            for j in adjacent[i]:
+                if j not in reached:
+                    reached.add(j)
+                    queue.append(j)
+        components.append(sorted(queue))
+    return components
+
+
+def pi_third_partners(dirs):
+    """partners[i]: the later rows of ``dirs`` at cosine 0.5 from row i,
+    pi / 3 from it in exact arithmetic."""
+    return [i + 1 + np.flatnonzero(np.abs(dirs[i + 1 :] @ w - 0.5) < 1e-9) for i, w in enumerate(dirs)]
+
+
 class TestMergeRules:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.sampled_from(("phase", "phase-2d", "frequency-2d")),
+        st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_components_match_breadth_first(self, grid1, grid2, space, density, seed):
+        # density 0 flags nothing and density 1 everything
+        sampling = {
+            "phase": lambda: phase_space_rays(grid1),
+            "phase-2d": lambda: phase_space_rays(grid2),
+            "frequency-2d": lambda: frequency_rays(grid2),
+        }[space]()
+        flagged = np.random.default_rng(seed).random(len(sampling.directions)) < density
+        assert _components(flagged, sampling.neighbors) == bfs_components(flagged, sampling.neighbors)
+
+    def test_exact_pi_third_pairs_collapse(self, grid2):
+        # rounding puts 10,428 of these pairs above ARC_COLLAPSE_ANGLE; the
+        # rule _merge applies takes each pair as one arc all the same
+        dirs = phase_space_rays(grid2).directions
+        pairs = [(i, j) for i, js in enumerate(pi_third_partners(dirs)) for j in js.tolist()]
+        assert len(pairs) == 30720
+        assert all(_collapses([i, j], dirs) for i, j in pairs)
+
     @pytest.mark.parametrize("row", MERGE_TABLE)
     def test_verdict(self, grid1, grid2, row):
         space, flagged, singular, isolated = MERGE_TABLE[row]
@@ -749,10 +809,7 @@ class TestAngles:
         # in exact arithmetic, so rounding alone places them on either side
         # of ARC_COLLAPSE_ANGLE
         dirs = phase_space_rays(grid2).directions
-        # partners[i]: the later directions at cosine 0.5 from direction i
-        partners = [
-            i + 1 + np.flatnonzero(np.abs(dirs[i + 1 :] @ w - 0.5) < 1e-9) for i, w in enumerate(dirs)
-        ]
+        partners = pi_third_partners(dirs)
         assert sum(map(len, partners)) == 30720
         got = np.concatenate([_angles(dirs[i : i + 1], dirs[js])[0] for i, js in enumerate(partners)])
         expected = [pair_angle(dirs[i], dirs[j]) for i, js in enumerate(partners) for j in js]

@@ -44,6 +44,7 @@ from gaborwf.wavefront import (  # noqa: E402
     estimate_sigma,
     frequency_rays,
     phase_space_rays,
+    profiles_to_csv,
     report_to_json,
 )
 
@@ -68,7 +69,8 @@ def stages(args, out: Path):
 
     def csv_write():
         for kind, report in state["reports"].items():
-            cli._write_csv(out / f"{args.name}_{kind}_profiles.csv", report)
+            with (out / f"{args.name}_{kind}_profiles.csv").open("w") as fh:
+                profiles_to_csv(report, fh)
 
     def json_write():
         for kind, report in state["reports"].items():
