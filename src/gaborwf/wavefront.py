@@ -7,6 +7,11 @@ usable radii, and flag a direction singular when the fitted order ``s`` stays
 at or below a threshold.  Values under ``1e-14`` are rounding noise and mark
 the direction regular instead of producing spurious slopes.
 
+The 2-D phase-space detector samples coarse to fine: it evaluates every
+other direction, then the directions near a coarse ray whose decay comes
+close to the threshold, then the neighbours of each flag until no flag is
+new, and so flags what the full sampling flags from fewer rays.
+
 Flagged directions are merged along the sampling adjacency: a narrow arc is
 the detector's smearing of a single conic generator and is reported by its
 central (medoid) axis, a component wider than the collapse angle is a genuine
@@ -31,7 +36,6 @@ DEFAULT_RHO_2D = 1.08
 ARC_COLLAPSE_ANGLE = np.pi / 3  # arcs wider than this are true cones, not smear
 TILT_LEVELS = 5  # tilt levels of the 2-D phase-space sampling, both fibers included
 FREQUENCY_DIRS_2D = 32  # directions on the 2-D frequency circle
-_EXTENT_SIZE_CAP = 64
 # radii times directions of one sampling: points are built a slice at a time,
 # but the report's (P, 2) samples and the sampler's per-point radius, order and
 # value arrays take about 200 MB at that many, and the 2-D kernel about 40 s;
@@ -123,6 +127,15 @@ def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
     return k, (k + 1) % n
 
 
+def _join_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the 2-D phase-space sampling of ``n`` directions per circle:
+    the position circle, the ``(t, i, j)`` torus points and the frequency
+    circle."""
+    k = np.arange(n)
+    mid = np.arange(n, n + (TILT_LEVELS - 2) * n * n).reshape(-1, n, n)
+    return k, mid, n + mid.size + k
+
+
 def _adjacency(*pairs) -> np.ndarray:
     """Sorted ``(E, 2)`` edge array from pairs of equally shaped index arrays."""
     a = np.concatenate([np.ravel(p) for p, _ in pairs])
@@ -168,9 +181,8 @@ def phase_space_rays(
         np.broadcast_arrays(np.cos(inner) * circ[:, None], np.sin(inner) * circ[None, :]), axis=-1
     )
     dirs = np.vstack([np.hstack([circ, zeros]), torus.reshape(-1, 4), np.hstack([zeros, circ])])
-    k, k1 = _ring(n)
-    mid = np.arange(n, n + (TILT_LEVELS - 2) * n * n).reshape(-1, n, n)  # index of torus point [t, i, j]
-    last = n + mid.size + k
+    k, mid, last = _join_layout(n)
+    _, k1 = _ring(n)
     neighbors = _adjacency(
         (k, k1),  # position circle
         (last, last[k1]),  # frequency circle
@@ -194,6 +206,16 @@ def frequency_rays(grid: Grid, r_max: float | None = None, rho: float | None = N
     return RaySampling(_circle(n), radii, _adjacency(_ring(n)), "frequency", n, r_max, rho)
 
 
+def _coarse_rays(sampling: RaySampling) -> np.ndarray:
+    """The directions a detection evaluates first, ascending: on the 2-D
+    phase-space sphere the even indices of each circle and each torus, 800 of
+    the default 3,136 directions; every direction of every other sampling."""
+    if sampling.space != "phase" or sampling.directions.shape[1] == 2:
+        return np.arange(len(sampling.directions))
+    k, mid, last = _join_layout(sampling.n_dirs)
+    return np.concatenate([k[::2], mid[:, ::2, ::2].ravel(), last[::2]])
+
+
 def _flags(profiles: np.recarray, n_thresh: float) -> np.ndarray:
     return (profiles.slope <= n_thresh) & ~profiles.floor_hit
 
@@ -209,14 +231,17 @@ class WavefrontReport:
     """Per-ray evidence measured on ``sampling`` and the verdict it gives at
     ``n_thresh``.
 
-    Ray ``i`` of ``sampling`` is rows ``offsets[i]:offsets[i + 1]`` of the
-    ``(P, 2)`` (radius, |V|) ``samples``; both are stored read-only.  Derived
-    on construction, read-only: ``profiles``, record ``i`` the fit of ray
-    ``i`` (``slope`` s of ``log|V| ~ c - s log r`` over its top half, negative
-    for growth; ``residual``; ``floor_hit``: the window dipped under the
-    numeric floor, which forces the ray regular); ``singular_dirs``, the cone
-    generators (arc representatives or sampled members of extended cones),
-    and ``isolated``, the suspect single flags, both rows of
+    ``evaluated`` holds the ascending indices into ``sampling.directions`` of
+    the rays that were sampled, by default every ray; an omitted direction
+    is unflagged.  The ``k``-th evaluated ray is rows ``offsets[k]:offsets[k
+    + 1]`` of the ``(P, 2)`` (radius, |V|) ``samples``; all three are stored
+    read-only.  Derived on construction,
+    read-only: ``profiles``, record ``k`` the fit of that ray (``slope`` s
+    of ``log|V| ~ c - s log r`` over its top half, negative for growth;
+    ``residual``; ``floor_hit``: the window dipped under the numeric floor,
+    which forces the ray regular); ``singular_dirs``, the cone generators
+    (arc representatives or sampled members of extended cones), and
+    ``isolated``, the suspect single flags, both rows of
     ``sampling.directions``.
     """
 
@@ -227,17 +252,23 @@ class WavefrontReport:
     n_thresh: float
     lam: float | None
     base_point: tuple[float, ...] | None = None
+    evaluated: np.ndarray | None = None
     profiles: np.recarray = field(init=False)
     singular_dirs: np.ndarray = field(init=False)
     isolated: np.ndarray = field(init=False)
 
     def __post_init__(self):
         require_positive("n_thresh", self.n_thresh)
-        for name in ("samples", "offsets"):
+        evaluated = self.evaluated
+        evaluated = np.arange(len(self.sampling.directions)) if evaluated is None else np.asarray(evaluated, np.intp)
+        if len(self.offsets) != len(evaluated) + 1 or np.any(np.diff(evaluated) <= 0):
+            raise ValueError("evaluated must ascend and hold one ray index per ray of the offsets")
+        object.__setattr__(self, "evaluated", evaluated)
+        for name in ("samples", "offsets", "evaluated"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         # a recarray, whose records read as attributes; _as_readonly would
         # return a plain ndarray
-        profiles = np.rec.fromarrays(_fit_rays(self.samples, self.offsets), names="slope,residual,floor_hit")
+        profiles = _profiles(self.samples, self.offsets)
         profiles.flags.writeable = False
         object.__setattr__(self, "profiles", profiles)
         for name, dirs in zip(("singular_dirs", "isolated"), _merge(self)):
@@ -260,11 +291,12 @@ class WavefrontReport:
 
     @property
     def rays(self) -> tuple[np.ndarray, ...]:
-        """Per-ray ``(k, 2)`` views of ``samples``."""
+        """Per-ray ``(k, 2)`` views of ``samples``, one per evaluated ray."""
         return tuple(np.split(self.samples, self.offsets[1:-1]))
 
     def flagged_indices(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(_flags(self.profiles, self.n_thresh)).tolist())
+        """Indices into ``sampling.directions`` of the flagged rays."""
+        return tuple(self.evaluated[_flags(self.profiles, self.n_thresh)].tolist())
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -277,6 +309,13 @@ def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pairs exactly at ``ARC_COLLAPSE_ANGLE``."""
     cos = np.vecdot(a[:, None], b[None]) / (_norms(a)[:, None] * _norms(b))
     return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def _angle_blocks(a: np.ndarray, b: np.ndarray):
+    """``_angles(a, b)`` a block of rows at a time, each of at most 2**16
+    angles, with the same bits."""
+    rows = max(1, 2**16 // max(len(b), 1))
+    return (_angles(a[lo : lo + rows], b) for lo in range(0, len(a), rows))
 
 
 def directed_hausdorff_angle(a_set, b_set) -> float:
@@ -320,6 +359,12 @@ def _fit_rays(samples: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.
     return np.where(floor_hit, np.inf, -rate), np.where(floor_hit, 0.0, residual), floor_hit
 
 
+def _profiles(samples: np.ndarray, offsets: np.ndarray) -> np.recarray:
+    """``_fit_rays`` as a record array with fields ``slope``, ``residual``
+    and ``floor_hit``."""
+    return np.rec.fromarrays(_fit_rays(samples, offsets), names="slope,residual,floor_hit")
+
+
 def _components(flagged: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
     """Connected flagged directions, each component ascending, components in
     order of their smallest member: labels start at each index and fall to
@@ -339,12 +384,25 @@ def _components(flagged: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
 
 def _collapses(members: list[int], dirs: np.ndarray) -> bool:
     """Whether a component is one generator's smear: no two members are more
-    than ``ARC_COLLAPSE_ANGLE`` apart.  Pairs exactly that far apart, such as
+    than ``ARC_COLLAPSE_ANGLE`` apart, measured at any size in bounded
+    memory.  Members on a circle are compared at the two that border the
+    widest gap between them by polar angle: the farthest pair when that gap
+    is at least a half circle, and otherwise some pair is more than pi / 2
+    apart.  Other members are compared in blocks of rows, up to the first
+    pair too far apart.  Pairs exactly ``ARC_COLLAPSE_ANGLE`` apart, such as
     30,720 of the default 2-D sampling, compute on either side of it by the
     last bit; the 1e-9 leeway collapses all of them."""
-    if len(members) > _EXTENT_SIZE_CAP:
-        return False
-    return float(np.triu(_angles(dirs[members], dirs[members]), 1).max()) <= ARC_COLLAPSE_ANGLE + 1e-9
+    w, limit = dirs[members], ARC_COLLAPSE_ANGLE + 1e-9
+    if w.shape[1] == 2:
+        polar = np.arctan2(w[:, 1], w[:, 0])
+        order = np.argsort(polar)
+        gaps = np.diff(polar[order], append=polar[order[0]] + 2 * np.pi)
+        g = int(np.argmax(gaps))
+        if gaps[g] < np.pi:
+            return False
+        ends = w[order[[g, (g + 1) % len(w)]]]
+        return float(_angles(ends[:1], ends[1:])[0, 0]) <= limit
+    return all(angles.max() <= limit for angles in _angle_blocks(w, w))
 
 
 def _component_axis(members: list[int], report: WavefrontReport) -> int:
@@ -358,9 +416,10 @@ def _component_axis(members: list[int], report: WavefrontReport) -> int:
     jitter and asymmetric arc boundaries.
     """
     dirs, offsets = report.sampling.directions[members], report.offsets
+    at = np.searchsorted(report.evaluated, members)  # the members' rays in the report
     # _fit_rays gave every ray the 7 radii of a 4-radius window, so the shortest fits too
-    common = int(np.diff(offsets)[members].min())
-    rows = (offsets[members][:, None] + np.arange(common)).ravel()
+    common = int(np.diff(offsets)[at].min())
+    rows = (offsets[at][:, None] + np.arange(common)).ravel()
     scores = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1))[0]
     s_min = scores.min()
     margin = 0.25 * max(report.n_thresh - s_min, 1e-6)
@@ -382,17 +441,19 @@ def _ladder_index(offsets: np.ndarray) -> np.ndarray:
     return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
-def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = np.inf):
-    """Take ``|evaluate(points)|`` at every usable (radius, direction) point;
-    returns the ``(P, 2)`` (radius, |V|) samples and the ray offsets into
-    them, one more than there are directions.
+def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = np.inf, rays=None):
+    """Take ``|evaluate(points)|`` at every usable (radius, direction) point
+    of the directions ``rays`` (ascending indices, by default every
+    direction); returns the ``(P, 2)`` (radius, |V|) samples and the ray
+    offsets into them, one more than there are rays.
 
     A ray keeps the radii up to its cap: the frequency cap over the norm of
     the direction's frequency part and, in phase space, the position cap over
     the norm of its position part.  The components that enter the kernel's
     first-axis pair ``(x_0, xi_0)`` are then snapped to those of the first
-    direction equal to them at 12 decimals: mirror images such as
-    cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the last bit only.
+    direction of the whole sampling equal to them at 12 decimals: mirror
+    images such as cos(2 pi k/32) and cos(2 pi (32 - k)/32) differ in the
+    last bit only, and a ray's points do not depend on which rays are taken.
     Points are evaluated radius by radius, equal pairs side by side, as the
     kernel shares a first-axis row only between the pairs of one of its
     chunks.  One call evaluates ``SLICE_POINTS`` points, which every kernel
@@ -403,15 +464,17 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
         cap = frequency_cap(grid) / np.linalg.norm(w[:, -d:], axis=1)
         if sampling.space == "phase":
             cap = np.minimum(cap, pos_cap / np.linalg.norm(w[:, :d], axis=1))
-    counts = np.searchsorted(sampling.radii, cap + 1e-12, side="right")
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    rung = _ladder_index(offsets)
-    r = sampling.radii[rung]
     pair = [0, d] if sampling.space == "phase" else [0]
     _, first, index = np.unique(np.round(w[:, pair], 12), axis=0, return_index=True, return_inverse=True)
     leader = first[index.ravel()]
     w = w.copy()
     w[:, pair] = w[leader][:, pair]
+    rays = slice(None) if rays is None else rays
+    w, cap, leader = w[rays], cap[rays], leader[rays]
+    counts = np.searchsorted(sampling.radii, cap + 1e-12, side="right")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    rung = _ladder_index(offsets)
+    r = sampling.radii[rung]
     # points of one radius share most coordinates, which the kernel tabulates
     # once per chunk, and those of one pair share a first-axis row
     order = np.lexsort((np.repeat(leader, counts), rung))
@@ -428,9 +491,10 @@ def _sample_rays(sampling: RaySampling, grid: Grid, evaluate, pos_cap: float = n
 def _merge(report: WavefrontReport) -> tuple[np.ndarray, np.ndarray]:
     """Flag the fitted profiles at the report's threshold and merge the flags
     along the sampling adjacency into (singular, isolated) directions."""
-    sampling, slope, n_thresh = report.sampling, report.profiles.slope, report.n_thresh
+    sampling, n_thresh, evaluated = report.sampling, report.n_thresh, report.evaluated
     dirs = sampling.directions
-    flagged = _flags(report.profiles, n_thresh)
+    flagged = np.zeros(len(dirs), dtype=bool)
+    flagged[evaluated] = _flags(report.profiles, n_thresh)
     if not len(sampling.neighbors):
         # S^0: no angular smoothing possible, every flag stands by itself
         return dirs[flagged], dirs[:0]
@@ -439,7 +503,7 @@ def _merge(report: WavefrontReport) -> tuple[np.ndarray, np.ndarray]:
         if len(comp) == 1:
             # a lone flag near the threshold is jitter; one far below it is a
             # sharply resolved generator
-            jitter = slope[comp[0]] > 0.75 * n_thresh
+            jitter = report.profiles.slope[np.searchsorted(evaluated, comp[0])] > 0.75 * n_thresh
             (isolated if jitter else singular).append(comp[0])
         elif _collapses(comp, dirs):
             singular.append(_component_axis(comp, report))
@@ -455,7 +519,8 @@ def estimate_gabor_wf(
     n_thresh: float = DEFAULT_N_THRESH,
 ) -> WavefrontReport:
     """Phase-space wavefront detection: decay of ``|V_psi u|`` along rays of
-    S^{2d-1}."""
+    S^{2d-1}.  On the 2-D sphere the report evaluates only the rays its
+    flags need, which its ``evaluated`` lists."""
     require_positive("n_thresh", n_thresh)
     if sampling is None:
         sampling = phase_space_rays(u.grid)
@@ -463,8 +528,43 @@ def estimate_gabor_wf(
         raise ValueError("estimate_gabor_wf needs a phase-space sampling")
     compact = u.central_mass_fraction() >= 0.999
     pos_cap = position_cap(u.grid, window.lam, compact)
-    evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
-    return WavefrontReport("gabor", sampling, *evidence, n_thresh, window.lam)
+    dirs, edges = sampling.directions, sampling.neighbors
+
+    def evaluate(points):
+        return stft_points(u, window, points)
+
+    taken, flagged = np.zeros(len(dirs), dtype=bool), np.zeros(len(dirs), dtype=bool)
+    rays, blocks, counts = [], [], []
+    # coarse to fine: the coarse rays; then every direction within two steps
+    # of a coarse ray whose slope is within twice n_thresh; then, round by
+    # round, every neighbour of a flag, until no flag is new, so every
+    # flagged component is whole.  A ray keeps the points it has in the full
+    # sampling, which flags no ray these rounds leave out (a tier-1 property
+    # checks both).  Where every ray is coarse, one round and no fit
+    batch = _coarse_rays(sampling)
+    while len(batch):
+        samples, offsets = _sample_rays(sampling, u.grid, evaluate, pos_cap, batch)
+        rays.append(batch)
+        blocks.append(samples)
+        counts.append(np.diff(offsets))
+        taken[batch] = True
+        if taken.all():
+            break
+        fits = _profiles(samples, offsets)
+        flagged[batch] = _flags(fits, n_thresh)
+        near = np.zeros(len(dirs), dtype=bool)
+        if len(rays) == 1:
+            # a division, which no n_thresh overflows
+            for angles in _angle_blocks(dirs[batch[fits.slope / 2 <= n_thresh]], dirs):
+                near |= (angles <= 2 * sampling.angular_step + 1e-9).any(axis=0)
+        near[edges[flagged[edges].any(axis=1)]] = True
+        batch = np.flatnonzero(near & ~taken)
+    # the rounds' rays in ascending order, each ray's rows in ladder order
+    rays, counts = np.concatenate(rays), np.concatenate(counts)
+    order = np.argsort(rays)
+    samples = np.concatenate(blocks)[np.argsort(np.repeat(rays, counts), kind="stable")]
+    offsets = np.concatenate([[0], np.cumsum(counts[order])])
+    return WavefrontReport("gabor", sampling, samples, offsets, n_thresh, window.lam, evaluated=rays[order])
 
 
 def estimate_sigma(
@@ -524,7 +624,15 @@ def estimate_classical_wf(
 
 def rethreshold(report: WavefrontReport, n_thresh: float) -> WavefrontReport:
     """Re-flag an existing report at a different threshold.  The stored
-    samples are refitted: nothing is sampled again."""
+    samples are refitted: nothing is sampled again.  A report that omits
+    rays holds every ray its own threshold flags and their neighbours, and
+    so the evidence for any lower threshold, but not for a higher one,
+    which raises ``ValueError``."""
+    if n_thresh > report.n_thresh and len(report.evaluated) < len(report.sampling.directions):
+        raise ValueError(
+            f"n_thresh {n_thresh} exceeds the threshold {report.n_thresh} at which this report chose its "
+            f"{len(report.evaluated)} of {len(report.sampling.directions)} rays"
+        )
     return replace(report, n_thresh=n_thresh)
 
 
@@ -616,7 +724,10 @@ def report_to_json(report: WavefrontReport) -> dict:
         "profiles": [
             {"dir": w, "slope": _json_num(s), "residual": r, "floor_hit": f}
             for w, s, r, f in zip(
-                report.sampling.directions.tolist(), p.slope.tolist(), p.residual.tolist(), p.floor_hit.tolist()
+                report.sampling.directions[report.evaluated].tolist(),
+                p.slope.tolist(),
+                p.residual.tolist(),
+                p.floor_hit.tolist(),
             )
         ],
         "singular_dirs": report.singular_dirs.tolist(),
@@ -629,10 +740,11 @@ def report_to_json(report: WavefrontReport) -> dict:
 
 def profiles_to_csv(report: WavefrontReport, out) -> None:
     """Write the report's samples to the text stream ``out`` as CSV: a
-    ``dir_index,r,abs_V`` header, then one row per sample, ray by ray."""
+    ``dir_index,r,abs_V`` header, then one row per sample, evaluated ray by
+    ray, ``dir_index`` the ray's index in the sampling."""
     # ray heads "i,", ladder rungs "r," and a slice's distinct |V| are each
     # formatted once and joined as a (rows, 3) object array, no string per row
-    heads = np.array([f"{i}," for i in range(len(report.profiles))], dtype=object)
+    heads = np.array([f"{i}," for i in report.evaluated.tolist()], dtype=object)
     heads = np.repeat(heads, np.diff(report.offsets))
     radii = np.array([f"{r!r}," for r in report.sampling.radii.tolist()], dtype=object)
     radii = radii[_ladder_index(report.offsets)]

@@ -65,3 +65,23 @@ def test_traced_propagate_op(tmp_path, monkeypatch):
         "stft.stft_points",
     ):
         assert metrics[f"{span}.ms"] > 0, span
+
+
+def test_traced_multi_round_detection(tmp_path, monkeypatch):
+    # the 2-D detection evaluates its rays over several kernel calls and
+    # omits rays; the tracer's per-ray walk of WavefrontReport.rays must
+    # still count exactly the points the kernel evaluated
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        tracer.begin_op("analyze box2d")
+        code = cli.main(["analyze", "box2d", "--n", "128", "--out", str(tmp_path)])
+        op = tracer.end_op()
+    assert code == 0
+    metrics = tracing.op_metrics(op)
+    assert metrics["stft.stft_points.calls"] > 1
+    assert metrics["wavefront.points_evaluated"] == metrics["stft.stft_points.points"]
+    # the evaluated phase-space rays and the 32 frequency rays
+    assert metrics["wavefront.directions"] < 3136

@@ -103,6 +103,20 @@ class TestAnalyze:
         for name in ("box_gabor.json", "box_gabor_profiles.csv", "box_sigma.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_verdict_does_not_depend_on_n_dirs(self, tmp_path, capsys, name):
+        # the exit code and every stdout line but the detected directions,
+        # less the numbers in brackets; a finer sampling smears a generator
+        # over more members, whose arc must still collapse (box and
+        # dirac_derivative failed the theorem check at 2,048)
+        n_dirs = (256, 512, 1024, 2048) if CATALOG[name].dims[0] == 1 else (32, 48)
+        verdicts = set()
+        for k in n_dirs:
+            code, out, _ = run(capsys, "analyze", name, "--n-dirs", str(k), "--out", str(tmp_path / str(k)))
+            lines = [line.partition(" (")[0] for line in out.splitlines() if "singular dirs" not in line]
+            verdicts.add((code, tuple(lines)))
+        assert len(verdicts) == 1, verdicts
+
 
 class TestPropagate:
     def test_eighth_period(self, tmp_path, capsys):

@@ -1,11 +1,15 @@
 import io
 import json
+import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import gaborwf.wavefront
 
 from gaborwf.signal import (
     CATALOG,
@@ -18,12 +22,14 @@ from gaborwf.signal import (
 from gaborwf.stft import STFT_FLOOR, Window, stft_points
 from gaborwf.wavefront import (
     DEFAULT_N_THRESH,
+    MAX_RAY_POINTS,
     TILT_LEVELS,
     WavefrontReport,
     _angles,
     _collapses,
     _components,
     _fit_rays,
+    _merge,
     _sample_rays,
     angular_tolerance,
     check_main_theorem,
@@ -534,6 +540,101 @@ class TestRethreshold:
         assert np.array_equal(huge.singular_dirs, rethreshold(rep, 1e20).singular_dirs)
         assert np.array_equal(huge.singular_dirs, rep.singular_dirs)  # the two poles
 
+# admits window widths 4h = 0.5 to L/8 = 2
+GRID_2D_SMALL = make_grid(2, 128, 8.0)
+
+
+def generated_2d(kind, angle, shift, size):
+    """A 2-D input on ``GRID_2D_SMALL``: the box ``|p| <= size``, ``|q| <=
+    0.6 size`` or the disc ``p^2 + q^2 <= size^2`` plus a gaussian off its
+    centre, or a ridge two cells wide along ``q = 0`` under a gaussian
+    envelope; ``(p, q)`` are the coordinates rotated by ``angle`` about
+    ``shift``."""
+    grid = GRID_2D_SMALL
+    x, y = np.meshgrid(grid.axis() - shift[0], grid.axis() - shift[1], indexing="ij")
+    p, q = np.cos(angle) * x + np.sin(angle) * y, np.cos(angle) * y - np.sin(angle) * x
+    if kind == "rotated-box":
+        vals = (np.abs(p) <= size) & (np.abs(q) <= 0.6 * size)
+    elif kind == "disc":
+        vals = (p**2 + q**2 <= size**2) + 0.5 * np.exp(-((x - 1.0) ** 2 + (y + 0.5) ** 2) / 2)
+    else:
+        vals = np.exp(-((q / grid.spacing) ** 2) - (p / (2 * size)) ** 2)
+    return SampledDistribution(grid, vals.astype(complex))
+
+
+def full_report(u, window, n_thresh=DEFAULT_N_THRESH):
+    """Oracle: the phase-space report of every ray of the default sampling,
+    evaluated in one sampler pass at the position cap of the detection."""
+    sampling = phase_space_rays(u.grid)
+    pos_cap = position_cap(u.grid, window.lam, u.central_mass_fraction() >= 0.999)
+    evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
+    return WavefrontReport("gabor", sampling, *evidence, n_thresh, window.lam)
+
+
+class TestCoarseToFine:
+    """The 2-D phase-space detection evaluates the coarse rays, then the
+    rays near a coarse ray close to the threshold, then the neighbours of
+    every flag: its flags, singular directions and isolated flags are those
+    of the full sampling, from the same samples."""
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(
+        st.sampled_from(("box2d", "line_delta_2d", "rotated-box", "disc", "ridge")),
+        st.floats(0.0, np.pi / 2),
+        st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        st.floats(0.8, 2.5),
+        st.floats(0.5, 2.0),
+    )
+    def test_same_verdict_as_the_full_sampling(self, kind, angle, shift, size, lam):
+        if kind in CATALOG:
+            u = catalog_entry(kind, None, GRID_2D_SMALL)[0]
+        else:
+            u = generated_2d(kind, angle, shift, size)
+        window = Window(lam)
+        rep, full = estimate_gabor_wf(u, window), full_report(u, window)
+        assert rep.flagged_indices() == full.flagged_indices()
+        assert np.array_equal(rep.singular_dirs, full.singular_dirs)
+        assert np.array_equal(rep.isolated, full.isolated)
+        assert len(rep.evaluated) < len(full.evaluated)
+        rows = np.concatenate([np.arange(full.offsets[i], full.offsets[i + 1]) for i in rep.evaluated])
+        want, got = full.samples[rows], rep.samples
+        assert np.array_equal(got[:, 0], want[:, 0])
+        err = np.abs(got[:, 1] - want[:, 1])
+        assert np.all((err <= 1e-13) | (err <= 1e-12 * want[:, 1]))
+
+    def test_a_1d_detection_is_one_round(self, grid1, monkeypatch):
+        # every ray of the 1-D circle is coarse: one kernel call for its
+        # 6,078 points and one fit of the rays, the report's
+        u, _ = catalog_entry("box", None, grid1)
+        calls, fits = [], []
+        kernel, profiles = gaborwf.wavefront.stft_points, gaborwf.wavefront._profiles
+        monkeypatch.setattr(gaborwf.wavefront, "stft_points", lambda *a: calls.append(len(a[2])) or kernel(*a))
+        monkeypatch.setattr(gaborwf.wavefront, "_profiles", lambda *a: fits.append(1) or profiles(*a))
+        rep = estimate_gabor_wf(u, Window(0.5))
+        assert np.array_equal(rep.evaluated, np.arange(256))
+        assert calls == [len(rep.samples)] and fits == [1]
+
+    @pytest.fixture(scope="class")
+    def box2d_reports(self):
+        u, _ = catalog_entry("box2d", None, GRID_2D_SMALL)
+        return estimate_gabor_wf(u, Window(1.0)), full_report(u, Window(1.0))
+
+    @pytest.mark.parametrize("thresh", [2.5 + 1e-9, 1e308])
+    def test_rethreshold_above_the_report_raises(self, box2d_reports, thresh):
+        rep, _ = box2d_reports
+        with pytest.raises(ValueError, match=re.escape(f"n_thresh {thresh} exceeds the threshold 2.5")):
+            rethreshold(rep, thresh)
+
+    @pytest.mark.parametrize("thresh", [2.5, 2.0, 1.5, 0.75])
+    def test_rethreshold_below_the_report_is_exact(self, box2d_reports, thresh):
+        rep, full = box2d_reports
+        lowered, oracle = rethreshold(rep, thresh), rethreshold(full, thresh)
+        assert set(lowered.flagged_indices()) <= set(rep.flagged_indices())
+        assert lowered.flagged_indices() == oracle.flagged_indices()
+        assert np.array_equal(lowered.singular_dirs, oracle.singular_dirs)
+        assert np.array_equal(lowered.isolated, oracle.isolated)
+
+
 class TestReportProfiles:
     @pytest.mark.parametrize("name, kind", [("dirac", "gabor"), ("box", "sigma")])
     def test_profiles_are_the_read_only_fits_of_the_samples(self, reports, name, kind):
@@ -770,6 +871,28 @@ class TestMergeRules:
         }[space]()
         flagged = np.random.default_rng(seed).random(len(sampling.directions)) < density
         assert _components(flagged, sampling.neighbors) == bfs_components(flagged, sampling.neighbors)
+
+    def test_all_flagged_largest_1d_sampling_merges_in_bounded_memory(self, grid1):
+        # 599,184 directions of 7 radii, the most MAX_RAY_POINTS admits, all
+        # flagged: one component, the whole circle, an extended cone.  Its
+        # pairwise angle matrix would take 2.9 TB; the merge's tracemalloc
+        # peak is about 58 MB, mostly the component's labels, edges and lists
+        n = MAX_RAY_POINTS // 7 // 4 * 4
+        sampling = phase_space_rays(grid1, n, r_max=1.8, rho=1.1)
+        assert len(sampling.radii) == 7
+        with pytest.raises(ValueError, match="ray points"):
+            phase_space_rays(grid1, n + 4, r_max=1.8, rho=1.1)
+        fits = np.rec.fromarrays([np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)], names="slope,residual,floor_hit")
+        # the fields _merge reads; a real report would hold 4.2 M samples
+        report = types.SimpleNamespace(sampling=sampling, profiles=fits, n_thresh=2.5, evaluated=np.arange(n))
+        tracemalloc.start()
+        try:
+            singular, isolated = _merge(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(singular, sampling.directions) and not len(isolated)
+        assert peak < 80e6
 
     def test_exact_pi_third_pairs_collapse(self, grid2):
         # rounding puts 10,428 of these pairs above ARC_COLLAPSE_ANGLE; the

@@ -17,8 +17,11 @@ The op runs three times: once to warm up, once for the time of each stage
 and once under ``tracemalloc`` for its memory, which slows Python
 allocations down.  Per stage it prints the wall time, the tracemalloc peak
 above what was traced when the op began ("op peak"), the peak above what
-was traced when the stage began ("stage peak": what the stage itself adds)
-and what stays traced when it ends, above the op's start ("held").
+was traced when the stage began ("stage peak": what the stage itself adds),
+what stays traced when it ends, above the op's start ("held"), and for the
+detection and sigma stages the rays the report evaluated out of those of
+its sampling ("rays", such as 1328/3136: a 2-D phase-space detection
+evaluates only the rays its flags need).
 Standard library and numpy only.
 """
 
@@ -49,8 +52,13 @@ from gaborwf.wavefront import (  # noqa: E402
 )
 
 
+def _rays(report) -> str:
+    return f"{len(report.evaluated)}/{len(report.sampling.directions)}"
+
+
 def stages(args, out: Path):
-    """The op as (stage name, callable) pairs; each callable updates ``state``."""
+    """The op as (stage name, callable) pairs; each callable updates
+    ``state`` and returns the rays column of its row, if any."""
     state = {}
 
     def catalog():
@@ -60,12 +68,14 @@ def stages(args, out: Path):
     def detection():
         u = state["u"]
         state["reports"] = {"gabor": estimate_gabor_wf(u, Window(args.lam), phase_space_rays(u.grid))}
+        return _rays(state["reports"]["gabor"])
 
     def sigma():
         if state["truth"].theorem_applicable:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 state["reports"]["sigma"] = estimate_sigma(state["u"], frequency_rays(state["u"].grid))
+            return _rays(state["reports"]["sigma"])
 
     def csv_write():
         for kind, report in state["reports"].items():
@@ -80,9 +90,9 @@ def stages(args, out: Path):
             ("json write", json_write)]
 
 
-def run_op(args, traced: bool) -> list[tuple[str, float, float, float, float]]:
-    """(stage, ms, op peak, stage peak, held) per stage; the memory columns
-    in bytes, 0 when not traced."""
+def run_op(args, traced: bool) -> list[tuple[str, float, float, float, float, str]]:
+    """(stage, ms, op peak, stage peak, held, rays) per stage; the memory
+    columns in bytes, 0 when not traced."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         if traced:
@@ -94,10 +104,10 @@ def run_op(args, traced: bool) -> list[tuple[str, float, float, float, float]]:
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
             t0 = time.perf_counter()
-            stage()
+            rays = stage() or ""
             ms = (time.perf_counter() - t0) * 1e3
             held, peak = tracemalloc.get_traced_memory() if traced else (0, 0)
-            rows.append((name, ms, peak - base, peak - start, held - base))
+            rows.append((name, ms, peak - base, peak - start, held - base, rays))
         if traced:
             tracemalloc.stop()
     return rows
@@ -113,9 +123,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run_op(args, traced=False)
     timed, traced = run_op(args, traced=False), run_op(args, traced=True)
-    print(f"{'stage':<12} {'ms':>8} {'op peak MB':>11} {'stage peak MB':>14} {'held MB':>8}")
-    for (name, ms, *_), (_, _, op_peak, stage_peak, held) in zip(timed, traced):
-        print(f"{name:<12} {ms:8.1f} {op_peak / 1e6:11.2f} {stage_peak / 1e6:14.2f} {held / 1e6:8.2f}")
+    print(f"{'stage':<12} {'ms':>8} {'op peak MB':>11} {'stage peak MB':>14} {'held MB':>8} {'rays':>10}")
+    for (name, ms, *_), (_, _, op_peak, stage_peak, held, rays) in zip(timed, traced):
+        print(f"{name:<12} {ms:8.1f} {op_peak / 1e6:11.2f} {stage_peak / 1e6:14.2f} {held / 1e6:8.2f} {rays:>10}")
     return 0
 
 
