@@ -44,7 +44,7 @@ MAX_HERMITE_ENTRIES = 2**22
 def default_n_max(grid: Grid) -> int:
     """Largest order whose classical turning radius sqrt(2n+1) clears the box
     edge by enough Airy-decay lengths for grid orthonormality, capped by
-    frequency resolvability n/4."""
+    frequency resolvability n/4; at least min(8, n/4) >= 4."""
     edge = grid.half_width
     n = grid.n // 4
     while n > 8:
@@ -57,7 +57,7 @@ def default_n_max(grid: Grid) -> int:
 
 @dataclass(frozen=True)
 class HermiteBasis:
-    """Sampled L2-normalized Hermite functions h_0..h_n_max (per axis).
+    """Sampled L2-normalized Hermite functions h_0..h_n_max per axis, n_max = ``default_n_max(grid)``.
 
     2-D bases are tensor products of the same axis table; the total order is
     the sum of the axis orders.
@@ -71,13 +71,8 @@ class HermiteBasis:
         object.__setattr__(self, "values", _as_readonly(self.values))
 
     @classmethod
-    def build(cls, grid: Grid, n_max: int | None = None) -> "HermiteBasis":
-        if n_max is None:
-            n_max = default_n_max(grid)
-        if n_max < 0:
-            raise ValueError(f"n_max must be non-negative, got {n_max}")
-        if n_max > grid.n // 4:
-            raise ValueError(f"n_max {n_max} exceeds the resolvable bound n/4 = {grid.n // 4}")
+    def build(cls, grid: Grid) -> "HermiteBasis":
+        n_max = default_n_max(grid)
         if grid.n * (n_max + 1) > MAX_HERMITE_ENTRIES:
             raise ValueError(
                 f"n_max {n_max} on n = {grid.n} needs {grid.n * (n_max + 1)} Hermite table entries, "
@@ -89,7 +84,7 @@ class HermiteBasis:
         if err > GRAM_TOL:
             raise ValueError(
                 f"basis not orthonormal on this grid (Gram error {err:.2e}): "
-                f"order {n_max} spills outside the box; lower n_max"
+                f"order {n_max} spills outside the box of half-width {grid.half_width:g}; a larger box helps"
             )
         return cls(grid, n_max, H)
 
@@ -123,13 +118,9 @@ def _synthesize(basis: HermiteBasis, coeffs: np.ndarray) -> SampledDistribution:
     return SampledDistribution(basis.grid, apply_per_axis(basis.values, coeffs))
 
 
-def harmonic_propagate(
-    u: SampledDistribution, t: float, basis: HermiteBasis | None = None
-) -> PropagatedState:
+def harmonic_propagate(u: SampledDistribution, t: float, basis: HermiteBasis) -> PropagatedState:
     """Evolve by the oscillator for time t via eigenphases
     ``exp(-i t (2|n| + d))``; unitary on the retained coefficients."""
-    if basis is None:
-        basis = HermiteBasis.build(u.grid)
     coeffs, trunc = hermite_coefficients(u, basis)
     if trunc > 0.01:
         warnings.warn(
@@ -156,7 +147,7 @@ def taper_expansion(u: SampledDistribution, basis: HermiteBasis) -> PropagatedSt
     relative to the original state.
     """
     coeffs, _ = hermite_coefficients(u, basis)
-    weight = _plateau(np.arange(basis.n_max + 1) / basis.n_max, TAPER_ONSET, 1.0) if basis.n_max > 0 else np.ones(1)
+    weight = _plateau(np.arange(basis.n_max + 1) / basis.n_max, TAPER_ONSET, 1.0)
     smooth = coeffs * outer_per_axis((weight,) * u.grid.dim)
     state = _synthesize(basis, smooth)
     return PropagatedState(state, _relative_error(u, state.samples))
@@ -213,7 +204,7 @@ def verify_propagation(
     u0: SampledDistribution,
     ground_truth: GroundTruth,
     t: float,
-    window: Window | None = None,
+    window: Window,
     n_thresh: float = DEFAULT_N_THRESH,
     ang_tol: float | None = None,
 ) -> VerificationReport:
@@ -233,8 +224,6 @@ def verify_propagation(
     if not np.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
     d = u0.grid.dim
-    if window is None:
-        window = Window(0.5)
 
     # the evolution and the flow are 2 pi periodic: one reduced angle (exact,
     # and t itself when |t| < 2 pi) serves the lattice test, the evolution and

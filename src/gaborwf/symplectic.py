@@ -89,8 +89,6 @@ class SingularSpace:
     def distance(self, v: np.ndarray) -> float:
         """Euclidean distance from v to S."""
         v = np.asarray(v, dtype=float)
-        if self.basis.shape[1] == 0:
-            return float(np.linalg.norm(v))
         return float(np.linalg.norm(v - self.basis @ (self.basis.T @ v)))
 
 

@@ -13,11 +13,11 @@ close to the threshold, then the neighbours of each flag until no flag is
 new, and so flags what the full sampling flags from fewer rays.
 
 Flagged directions are merged along the sampling adjacency: a narrow arc is
-the detector's smearing of a single conic generator and is reported by its
-central (medoid) axis, a component wider than the collapse angle is a genuine
-extended cone and is reported by all of its sampled generators, and an
-isolated single flag surrounded by regular directions is suspect and reported
-separately.
+the detector's smearing of a single conic generator and is reported by the
+member nearest the slope-weighted mean of its low-slope core, a component
+wider than the collapse angle is a genuine extended cone and is reported by
+all of its sampled generators, and an isolated single flag surrounded by
+regular directions is suspect and reported separately.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ FREQUENCY_DIRS_2D = 32  # directions on the 2-D frequency circle
 # value arrays take about 200 MB at that many, and the 2-D kernel about 40 s;
 # the default samplings hold 6,656 (1-D) and 119,168 (2-D)
 MAX_RAY_POINTS = 2**22
+# central-box mass of a compact input, 0.1% leeway: band-limited synthesis of
+# discontinuous entries rings at the 1e-6 mass level without making them non-compact
+COMPACT_MASS = 0.999
 
 
 def position_cap(grid: Grid, lam: float | None = None, compact: bool = True) -> float:
@@ -268,7 +271,7 @@ class WavefrontReport:
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         # a recarray, whose records read as attributes; _as_readonly would
         # return a plain ndarray
-        profiles = _profiles(self.samples, self.offsets)
+        profiles = _fit_rays(self.samples, self.offsets)
         profiles.flags.writeable = False
         object.__setattr__(self, "profiles", profiles)
         for name, dirs in zip(("singular_dirs", "isolated"), _merge(self)):
@@ -332,10 +335,11 @@ def hausdorff_angle(a_set, b_set) -> float:
     return max(directed_hausdorff_angle(a_set, b_set), directed_hausdorff_angle(b_set, a_set))
 
 
-def _fit_rays(samples: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_rays(samples: np.ndarray, offsets: np.ndarray) -> np.recarray:
     """Least-squares decay orders of every ray of ``(P, 2)`` (radius, |V|)
     ``samples``, ray ``i`` being rows ``offsets[i]:offsets[i + 1]``, in one
-    pass; the ``(slope, residual, floor_hit)`` arrays.
+    pass; a record array with fields ``slope``, ``residual`` and
+    ``floor_hit``.
 
     Each ray is fitted over its top half, ``log|V| ~ c - s log r`` in closed
     form (``cov / var`` about the window means, then the RMS residual).  A
@@ -356,13 +360,8 @@ def _fit_rays(samples: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.
         dy = y - np.repeat(np.add.reduceat(y, seg) / width, width)
         rate = np.add.reduceat(dx * dy, seg) / np.add.reduceat(dx * dx, seg)
         residual = np.sqrt(np.add.reduceat((dy - np.repeat(rate, width) * dx) ** 2, seg) / width)
-    return np.where(floor_hit, np.inf, -rate), np.where(floor_hit, 0.0, residual), floor_hit
-
-
-def _profiles(samples: np.ndarray, offsets: np.ndarray) -> np.recarray:
-    """``_fit_rays`` as a record array with fields ``slope``, ``residual``
-    and ``floor_hit``."""
-    return np.rec.fromarrays(_fit_rays(samples, offsets), names="slope,residual,floor_hit")
+    fits = np.where(floor_hit, np.inf, -rate), np.where(floor_hit, 0.0, residual), floor_hit
+    return np.rec.fromarrays(fits, names="slope,residual,floor_hit")
 
 
 def _components(flagged: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
@@ -420,7 +419,7 @@ def _component_axis(members: list[int], report: WavefrontReport) -> int:
     # _fit_rays gave every ray the 7 radii of a 4-radius window, so the shortest fits too
     common = int(np.diff(offsets)[at].min())
     rows = (offsets[at][:, None] + np.arange(common)).ravel()
-    scores = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1))[0]
+    scores = _fit_rays(report.samples[rows], common * np.arange(len(members) + 1)).slope
     s_min = scores.min()
     margin = 0.25 * max(report.n_thresh - s_min, 1e-6)
     core = scores <= s_min + margin
@@ -526,7 +525,7 @@ def estimate_gabor_wf(
         sampling = phase_space_rays(u.grid)
     if sampling.space != "phase":
         raise ValueError("estimate_gabor_wf needs a phase-space sampling")
-    compact = u.central_mass_fraction() >= 0.999
+    compact = u.central_mass_fraction() >= COMPACT_MASS
     pos_cap = position_cap(u.grid, window.lam, compact)
     dirs, edges = sampling.directions, sampling.neighbors
 
@@ -550,7 +549,7 @@ def estimate_gabor_wf(
         taken[batch] = True
         if taken.all():
             break
-        fits = _profiles(samples, offsets)
+        fits = _fit_rays(samples, offsets)
         flagged[batch] = _flags(fits, n_thresh)
         near = np.zeros(len(dirs), dtype=bool)
         if len(rays) == 1:
@@ -578,9 +577,7 @@ def estimate_sigma(
         sampling = frequency_rays(u.grid)
     if sampling.space != "frequency":
         raise ValueError("estimate_sigma needs a frequency sampling")
-    # 0.1% leeway: band-limited synthesis of discontinuous entries rings at the
-    # 1e-6 mass level without making them non-compact
-    if u.central_mass_fraction() < 0.999:
+    if u.central_mass_fraction() < COMPACT_MASS:
         warnings.warn(
             "estimate_sigma: input is not concentrated in the central box; "
             "the frequency cone of a non compactly supported input is not defined",

@@ -89,7 +89,7 @@ def propagation_report(t):
     key = ("prop", round(t, 12))
     if key not in _cache:
         u, truth = entry("dirac")
-        _cache[key] = verify_propagation(u, truth, t)
+        _cache[key] = verify_propagation(u, truth, t, Window(0.5))
     return _cache[key]
 
 

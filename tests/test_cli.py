@@ -105,17 +105,31 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", list(CATALOG))
     def test_verdict_does_not_depend_on_n_dirs(self, tmp_path, capsys, name):
-        # the exit code and every stdout line but the detected directions,
-        # less the numbers in brackets; a finer sampling smears a generator
-        # over more members, whose arc must still collapse (box and
-        # dirac_derivative failed the theorem check at 2,048)
+        # the exit code and every stdout line, the detected directions
+        # included, less the numbers in brackets; a finer sampling smears a
+        # generator over more members, whose arc must still collapse to the
+        # same axis (box and dirac_derivative failed the theorem check at 2,048)
         n_dirs = (256, 512, 1024, 2048) if CATALOG[name].dims[0] == 1 else (32, 48)
         verdicts = set()
         for k in n_dirs:
             code, out, _ = run(capsys, "analyze", name, "--n-dirs", str(k), "--out", str(tmp_path / str(k)))
-            lines = [line.partition(" (")[0] for line in out.splitlines() if "singular dirs" not in line]
-            verdicts.add((code, tuple(lines)))
+            verdicts.add((code, tuple(line.partition(" (")[0] for line in out.splitlines())))
         assert len(verdicts) == 1, verdicts
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at 4,096 directions two members just under n_thresh form a component of their own, "
+        "which the jitter rule for lone flags does not cover, and are reported as a generator",
+    )
+    def test_chirp_directions_at_4096_match_256(self, tmp_path, capsys):
+        # today 4,096 adds (0.843208, 0.537587) and its mirror to the
+        # (0.707107, 0.707107) pair that 256 to 2,048 directions report
+        dirs = {}
+        for k in (256, 4096):
+            code, out, _ = run(capsys, "analyze", "chirp", "--n-dirs", str(k), "--out", str(tmp_path / str(k)))
+            assert code == 0
+            dirs[k] = [line for line in out.splitlines() if "singular dirs" in line]
+        assert dirs[4096] == dirs[256]
 
 
 class TestPropagate:
@@ -264,6 +278,16 @@ def test_n_max_is_an_unknown_option(capsys):
         main(["propagate", "dirac", "--t", "0.3", "--n-max", "8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --n-max 8" in capsys.readouterr().err
+
+
+def test_box_too_small_for_the_basis_is_a_config_error(tmp_path, capsys):
+    # the derived order 8 turns at 4.1, outside the box of half-width 2; the
+    # message named n_max, a setting propagate does not have
+    argv = ["propagate", "dirac", "--t", "0.3", "--n", "64", "--L", "4", "--out", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "n_max" not in err
+    assert "spills outside the box of half-width 2; a larger box helps" in err
 
 
 def test_r_min_is_an_unknown_option(tmp_path, capsys):

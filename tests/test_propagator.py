@@ -50,24 +50,17 @@ class TestBasis:
         assert basis.n_max <= grid1.n // 4
         assert np.sqrt(2 * basis.n_max + 1) < grid1.half_width
 
-    def test_rejects_order_beyond_band(self, grid1):
-        with pytest.raises(ValueError, match="n/4"):
-            HermiteBasis.build(grid1, 300)
-
-    def test_rejects_negative_order(self, grid1):
-        with pytest.raises(ValueError, match="non-negative"):
-            HermiteBasis.build(grid1, -1)
-
     def test_table_size_bounded(self):
-        # 65,536 x 65 entries, 34 MB if it were built
+        # the derived order 156: 65,536 x 157 entries, 82 MB if it were built
         g = make_grid(1, 2**16, 20.0)
-        with pytest.raises(ValueError, match="n_max 64 on n = 65536 needs 4259840 Hermite table entries"):
-            HermiteBasis.build(g, 64)
+        with pytest.raises(ValueError, match="n_max 156 on n = 65536 needs 10289152 Hermite table entries"):
+            HermiteBasis.build(g)
 
     def test_rejects_order_spilling_out_of_box(self):
-        g = make_grid(1, 1024, 10.0)  # box edge at 10: order 100 turns at 14.2
-        with pytest.raises(ValueError, match="orthonormal"):
-            HermiteBasis.build(g, 100)
+        # the derived order stops at its floor 8, which turns at 4.1, beyond the box edge 2
+        g = make_grid(1, 64, 2.0)
+        with pytest.raises(ValueError, match=r"Gram error 6\.82e-01\): order 8 spills outside the box of half-width 2;"):
+            HermiteBasis.build(g)
 
     def test_2d_gram(self, grid2):
         b = HermiteBasis.build(grid2)
@@ -249,7 +242,7 @@ class TestVerifyPropagation:
     )
     def test_spike_rotation(self, grid1, t):
         u, truth = catalog_entry("dirac", None, grid1)
-        report = verify_propagation(u, truth, t)
+        report = verify_propagation(u, truth, t, Window(0.5))
         assert report.passed
         assert report.hausdorff_angle <= report.ang_tol
 
@@ -259,8 +252,8 @@ class TestVerifyPropagation:
         # t = 1e300, t / (pi / 2) is a whole number in floating point though
         # t is no lattice time
         u, truth = catalog_entry("dirac", None, grid1)
-        report = verify_propagation(u, truth, t)
-        reduced = verify_propagation(u, truth, math.fmod(t, 2 * np.pi))
+        report = verify_propagation(u, truth, t, Window(0.5))
+        reduced = verify_propagation(u, truth, math.fmod(t, 2 * np.pi), Window(0.5))
         assert report.passed and reduced.passed
         assert report.t == t
         assert np.array_equal(report.predicted_dirs, reduced.predicted_dirs)
@@ -270,7 +263,7 @@ class TestVerifyPropagation:
         # two full phase-space revolutions per period pi
         u, truth = catalog_entry("dirac", None, grid1)
         for t in (0.0, np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4):
-            report = verify_propagation(u, truth, t)
+            report = verify_propagation(u, truth, t, Window(0.5))
             rotated_pole = np.array([np.sin(2 * t), np.cos(2 * t)])
             gap = min(
                 np.arccos(np.clip(np.dot(rotated_pole, z), -1, 1)) for z in report.detected_dirs
@@ -294,7 +287,7 @@ class TestVerifyPropagation:
         u, truth = catalog_entry(name, None, grid1 if name == "box" else grid2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = verify_propagation(u, truth, 0.3)
+            report = verify_propagation(u, truth, 0.3, Window(0.5))
         assert report.truncation_error > 0.1
 
     @pytest.mark.parametrize("name", ["dirac", "dirac_derivative", "box"])
@@ -310,7 +303,7 @@ class TestVerifyPropagation:
 
     def test_schwartz_input_stays_empty(self, grid1):
         u, truth = catalog_entry("gaussian", None, grid1)
-        report = verify_propagation(u, truth, 0.7)
+        report = verify_propagation(u, truth, 0.7, Window(0.5))
         assert report.passed
         assert report.detected_dirs.shape == (0, 2)
         assert report.smooth_expected and report.smooth_detected
@@ -341,7 +334,7 @@ class TestVerifyPropagation:
 
         monkeypatch.setattr(propagator, "phase_space_rays", sampled)
         with pytest.raises(Sampled):
-            verify_propagation(u, truth, t)
+            verify_propagation(u, truth, t, Window(0.5))
         return seen[0]
 
     @pytest.mark.parametrize(
@@ -377,7 +370,7 @@ class TestVerifyPropagation:
         import json
 
         u, truth = catalog_entry("dirac", None, grid1)
-        report = verify_propagation(u, truth, np.pi / 8)
+        report = verify_propagation(u, truth, np.pi / 8, Window(0.5))
         payload = report.to_json()
         json.dumps(payload)
         assert set(payload) >= {

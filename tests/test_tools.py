@@ -47,3 +47,12 @@ def test_compare_outputs_accepts_ray_subsets_that_keep_every_flag():
     assert problems([0, 2], [1, 2, 5])[0][0].startswith("direction [0.0, 1.0]: flagged in the old tree")
     assert problems([1], [3])[0] == ["dir_index 1: 1 rows, 2 in the old tree"]
     assert "not in the old tree after line" in problems([1], [4, 3])[0][-1]
+
+
+def test_compare_outputs_fails_a_traceback_on_either_tree():
+    tool = _compare_outputs()
+    clean = {"code": 0, "stdout": b"PASS\n", "files": {}, "stderr": b"a warning\n"}
+    crash = dict(clean, stderr=b'Traceback (most recent call last):\n  File "cli.py", line 1\nValueError: x\n')
+    assert tool.compare(clean, clean, tool.Worst(), "run") == (True, [], [])
+    for old, new, side in ((crash, clean, "old"), (clean, crash, "new")):
+        assert tool.compare(old, new, tool.Worst(), "run") == (False, [f"{side} stderr holds a Python traceback"], [])

@@ -21,6 +21,7 @@ from gaborwf.signal import (
 )
 from gaborwf.stft import STFT_FLOOR, Window, stft_points
 from gaborwf.wavefront import (
+    COMPACT_MASS,
     DEFAULT_N_THRESH,
     MAX_RAY_POINTS,
     TILT_LEVELS,
@@ -566,7 +567,7 @@ def full_report(u, window, n_thresh=DEFAULT_N_THRESH):
     """Oracle: the phase-space report of every ray of the default sampling,
     evaluated in one sampler pass at the position cap of the detection."""
     sampling = phase_space_rays(u.grid)
-    pos_cap = position_cap(u.grid, window.lam, u.central_mass_fraction() >= 0.999)
+    pos_cap = position_cap(u.grid, window.lam, u.central_mass_fraction() >= COMPACT_MASS)
     evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
     return WavefrontReport("gabor", sampling, *evidence, n_thresh, window.lam)
 
@@ -604,15 +605,16 @@ class TestCoarseToFine:
 
     def test_a_1d_detection_is_one_round(self, grid1, monkeypatch):
         # every ray of the 1-D circle is coarse: one kernel call for its
-        # 6,078 points and one fit of the rays, the report's
+        # 6,078 points and one fit of all 256 rays, the report's; the arc
+        # axes refit only their own members
         u, _ = catalog_entry("box", None, grid1)
         calls, fits = [], []
-        kernel, profiles = gaborwf.wavefront.stft_points, gaborwf.wavefront._profiles
+        kernel, fit_rays = gaborwf.wavefront.stft_points, gaborwf.wavefront._fit_rays
         monkeypatch.setattr(gaborwf.wavefront, "stft_points", lambda *a: calls.append(len(a[2])) or kernel(*a))
-        monkeypatch.setattr(gaborwf.wavefront, "_profiles", lambda *a: fits.append(1) or profiles(*a))
+        monkeypatch.setattr(gaborwf.wavefront, "_fit_rays", lambda *a: fits.append(len(a[1]) - 1) or fit_rays(*a))
         rep = estimate_gabor_wf(u, Window(0.5))
         assert np.array_equal(rep.evaluated, np.arange(256))
-        assert calls == [len(rep.samples)] and fits == [1]
+        assert calls == [len(rep.samples)] and fits.count(256) == 1
 
     @pytest.fixture(scope="class")
     def box2d_reports(self):
@@ -640,10 +642,10 @@ class TestReportProfiles:
     def test_profiles_are_the_read_only_fits_of_the_samples(self, reports, name, kind):
         rep = reports(name, 0.5, kind)
         fits = _fit_rays(rep.samples, rep.offsets)
-        for field, column in zip(("slope", "residual", "floor_hit"), fits):
-            assert np.array_equal(rep.profiles[field], column), field
+        for field in ("slope", "residual", "floor_hit"):
+            assert np.array_equal(rep.profiles[field], fits[field]), field
         # records read as attributes, as the benchmark's tracer reads them
-        assert [p.floor_hit for p in rep.profiles] == fits[2].tolist()
+        assert [p.floor_hit for p in rep.profiles] == fits.floor_hit.tolist()
         for array in (rep.profiles, rep.profiles.slope, rep.samples, rep.offsets):
             assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -733,7 +735,8 @@ class TestFitRays:
     @given(st.lists(RAY, min_size=1, max_size=12))
     def test_matches_per_ray_lstsq(self, rays):
         samples, offsets = ray_layout(rays)
-        slope, residual, floor_hit = _fit_rays(samples, offsets)
+        fits = _fit_rays(samples, offsets)
+        slope, residual, floor_hit = fits.slope, fits.residual, fits.floor_hit
         for i in range(len(rays)):
             s, res, hit = lstsq_fit(samples[offsets[i] : offsets[i + 1]])
             assert floor_hit[i] == hit, i

@@ -6,7 +6,8 @@ Runs the same 101 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
-* the exit code and the stdout must be identical;
+* the exit code and the stdout must be identical, and neither tree's stderr
+  may hold a Python traceback: the CLI's exit-code contract allows none;
 * every file but the detector reports and profile CSVs must be
   byte-identical;
 * in a report (``*_gabor.json``, ``*_sigma.json``) every key but
@@ -96,6 +97,7 @@ PROFILES = "_profiles.csv"
 V_ABS, V_REL = 1e-13, 1e-12  # |V| agrees within either
 FIT_TOL = 1e-10  # slope and residual of rays with slope <= 2 n_thresh
 MAX_SHOWN = 5  # violations printed per file
+TRACEBACK = b"Traceback (most recent call last):"
 
 
 class Worst:
@@ -250,6 +252,9 @@ def compare(old: dict, new: dict, worst: Worst, label: str) -> tuple[bool, list[
         problems.append(f"exit code {old['code']} != {new['code']}")
     if old["stdout"] != new["stdout"]:
         problems.append("stdout differs")
+    for side, res in (("old", old), ("new", new)):
+        if TRACEBACK in res["stderr"]:
+            problems.append(f"{side} stderr holds a Python traceback")
     identical = not problems
     for name in sorted(set(old["files"]) | set(new["files"])):
         a, b = (None if f is None else f.read_bytes() for f in (old["files"].get(name), new["files"].get(name)))
@@ -318,7 +323,7 @@ def main(argv=None) -> int:
                 for problem in problems:
                     print(f"  {problem}")
                 for side, res in enumerate((old, new)):
-                    if res["code"] not in (0, 1) and res["stderr"]:
+                    if (res["code"] not in (0, 1) or TRACEBACK in res["stderr"]) and res["stderr"]:
                         tail = res["stderr"].decode(errors="replace").strip().splitlines()[-1]
                         print(f"  {('old', 'new')[side]} stderr: {tail}")
     print("largest deviation per field:")
