@@ -17,8 +17,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import signal as sig
 from .stft import Window
 from .symplectic import (
@@ -41,11 +39,10 @@ from .wavefront import (
     report_to_json,
 )
 
-GRID_DEFAULTS = {1: (1024, 40.0), 2: (256, 20.0)}
-# options out of range, unknown entries, detector errors (a threshold out of
-# range, too few radii for a fit) and an --out that is no directory (OSError
-# from mkdir, before any output) come from the command line; a closed stdout does not
-CONFIGURATION_ERRORS = (ValueError, KeyError, json.JSONDecodeError, OSError)
+# bad options, catalog names, parameters and --params JSON, detector errors (a
+# threshold out of range, too few radii for a fit) and an --out that is no
+# directory (OSError from mkdir, before any output) come from the command line; a closed stdout does not
+CONFIGURATION_ERRORS = (ValueError, OSError)
 
 
 def _say(*lines: str):
@@ -69,54 +66,35 @@ def _fmt_dirs(dirs) -> str:
     return str([[round(float(c), 6) for c in d] for d in dirs])
 
 
-def _default_grid(name: str, n: int | None = None, length: float | None = None) -> sig.Grid:
-    dim = sig.CATALOG[name].dims[0]
-    default_n, default_length = GRID_DEFAULTS[dim]
-    return sig.make_grid(dim, default_n if n is None else n, (default_length if length is None else length) / 2.0)
-
-
-def _entry_params(args) -> dict | None:
-    if args.params is None:
-        return None
-    params = json.loads(args.params)
-    if not isinstance(params, dict):
-        raise ValueError(f"--params must be a JSON object, got {args.params}")
-    return params
-
-
 def _entry_and_window(args):
     """Samples, ground truth and window of an ``analyze`` or ``propagate`` run."""
-    grid = _default_grid(args.name, args.n, args.length)
-    u, truth = sig.catalog_entry(args.name, _entry_params(args), grid)
+    grid = sig.default_grid(args.name, args.n, args.length)
+    params = None if args.params is None else json.loads(args.params)
+    u, truth = sig.catalog_entry(args.name, params, grid)
     return u, truth, Window(args.lam)
 
 
-def _entry_defaults(name: str):
-    """Default parameters, default grid and ground truth of a catalog entry."""
-    grid = _default_grid(name)
+def _default_record(name: str) -> dict:
+    """The ``catalog_entry_json`` record of an entry at its defaults."""
+    grid = sig.default_grid(name)
     _, truth = sig.catalog_entry(name, None, grid)
-    return sig.CATALOG[name].defaults, grid, truth
+    return sig.catalog_entry_json(name, sig.CATALOG[name].defaults, grid, truth)
 
 
 def cmd_catalog(args) -> int:
-    if args.action == "list":
-        rows = [(name, *_entry_defaults(name)) for name in sig.catalog_names()]
-        if args.json:
-            payload = [sig.catalog_entry_json(n, p, g, t) for n, p, g, t in rows]
-            _say(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            _say(f"{'name':<18} {'dim':<4} {'params':<18} {'support':<9} {'schwartz':<9} singular dirs")
-            for name, params, grid, truth in rows:
-                sup = "inf" if truth.support_radius == np.inf else f"{truth.support_radius:g}"
-                dirs = f"{len(truth.gabor_wf_dirs)} generators" if len(truth.gabor_wf_dirs) else "empty"
-                _say(f"{name:<18} {grid.dim:<4} {json.dumps(params):<18} {sup:<9} {str(truth.is_schwartz):<9} {dirs}")
+    if args.action == "show":
+        _say(json.dumps(_default_record(args.name), indent=2, sort_keys=True))
         return 0
-    name = args.name
-    if name not in sig.catalog_names():
-        print(f"unknown catalog entry {name!r}", file=sys.stderr)
-        return 2
-    payload = sig.catalog_entry_json(name, *_entry_defaults(name))
-    _say(json.dumps(payload, indent=2, sort_keys=True))
+    records = [_default_record(name) for name in sig.catalog_names()]
+    if args.json:
+        _say(json.dumps(records, indent=2, sort_keys=True))
+        return 0
+    _say(f"{'name':<18} {'dim':<4} {'params':<18} {'support':<9} {'schwartz':<9} singular dirs")
+    for rec in records:
+        truth, params = rec["ground_truth"], json.dumps(rec["params"])
+        sup = float(truth["support_radius"])  # "inf" reads as inf
+        dirs = f"{len(truth['gabor_wf_dirs'])} generators" if truth["gabor_wf_dirs"] else "empty"
+        _say(f"{rec['name']:<18} {rec['grid']['dim']:<4} {params:<18} {sup:<9g} {str(truth['is_schwartz']):<9} {dirs}")
     return 0
 
 
@@ -186,7 +164,7 @@ def cmd_propagate(args) -> int:
 def cmd_singular_space(args) -> int:
     try:
         q = QuadraticHamiltonian.from_json(Path(args.q_file).read_text())
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid Hamiltonian file {args.q_file}: {exc}", file=sys.stderr)
         return 2
     space = singular_space(q, args.tol)

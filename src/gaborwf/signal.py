@@ -17,6 +17,7 @@ import functools
 import math
 import struct
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,6 +32,8 @@ KINDS = ("function", "singular-spike")
 # temporaries take a few times that, and every kernel value sums over all of
 # them; the default grids hold 1,024 (1-D) and 65,536 (2-D)
 MAX_GRID_SAMPLES = 2**20
+# the smallest |V| the detectors read; catalog entries fall below it at their grid's edges
+STFT_FLOOR = 1e-14
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -522,10 +525,14 @@ def _entry_dirac_derivative(params: dict, grid: Grid):
 
 
 def _entry_gaussian(params: dict, grid: Grid):
-    sigma = params["sigma"]
-    if sigma <= 0:
-        raise ValueError("gaussian requires sigma > 0")
-    try:  # sigma**2 at 0 or beyond the float range, or r^2 / sigma^2 overflowing
+    # exp(-r^2 / 2) falls to STFT_FLOOR at r = reach: the spectrum must reach
+    # the floor inside the band pi/h, else it aliases, and the samples inside
+    # the box, else the grid's periodization puts a jump at its edge
+    sigma, reach = params["sigma"], math.sqrt(-2.0 * math.log(STFT_FLOOR))
+    low, high = reach * grid.spacing / np.pi, grid.half_width / reach
+    if not low <= sigma <= high:
+        raise ValueError(f"gaussian sigma {sigma!r} out of range: the grid resolves sigma in [{low:.6g}, {high:.6g}]")
+    try:  # sigma**2 beyond the float range on the widest grids
         with np.errstate(all="raise", under="ignore"):
             r2 = sum(m**2 for m in grid.meshes())
             vals = (np.pi * sigma**2) ** (-grid.dim / 4) * np.exp(-r2 / (2 * sigma**2))
@@ -621,19 +628,34 @@ CATALOG: dict[str, CatalogEntry] = {
     "line_delta_2d": CatalogEntry((2,), {"width": 3.0}, _entry_line_delta_2d),
     "box2d": CatalogEntry((2,), {"a": 0.5}, _entry_box2d),
 }
+# points per axis and box length L of the default grid of each dimension
+GRID_DEFAULTS = {1: (1024, 40.0), 2: (256, 20.0)}
 
 
 def catalog_names() -> tuple[str, ...]:
     return tuple(CATALOG)
 
 
-def catalog_entry(name: str, params: dict | None, grid: Grid) -> tuple[SampledDistribution, GroundTruth]:
-    """Samples of a named test distribution together with its ground truth."""
+def _catalog_row(name: str) -> CatalogEntry:
     if name not in CATALOG:
         raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG)}")
-    dims, defaults, build = CATALOG[name]
+    return CATALOG[name]
+
+
+def default_grid(name: str, n: int | None = None, length: float | None = None) -> Grid:
+    """``GRID_DEFAULTS`` of an entry's default dimension, with ``n`` or ``length`` where given."""
+    dim = _catalog_row(name).dims[0]
+    default_n, default_length = GRID_DEFAULTS[dim]
+    return make_grid(dim, default_n if n is None else n, (default_length if length is None else length) / 2.0)
+
+
+def catalog_entry(name: str, params: Mapping | None, grid: Grid) -> tuple[SampledDistribution, GroundTruth]:
+    """Samples and ground truth of a named test distribution, ``params`` (None: none) overriding its defaults."""
+    dims, defaults, build = _catalog_row(name)
     if grid.dim not in dims:
         raise ValueError(f"catalog entry {name!r} requires a {'/'.join(map(str, dims))}-D grid")
+    if params is not None and not isinstance(params, Mapping):
+        raise ValueError(f"catalog entry {name!r}: params must be a mapping, got {params!r}")
     merged = dict(defaults)
     for key, value in (params or {}).items():
         if key not in defaults:

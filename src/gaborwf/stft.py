@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import (
+from .signal import (  # STFT_FLOOR re-exported: the detectors read it from here
+    STFT_FLOOR,
     Grid,
     SampledDistribution,
     _centered_fft,
@@ -21,8 +22,6 @@ from .signal import (
     outer_per_axis,
     separable_sum,
 )
-
-STFT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)

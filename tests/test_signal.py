@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from gaborwf.signal import (
     CATALOG,
+    STFT_FLOOR,
     Grid,
     GroundTruth,
     SampledDistribution,
@@ -16,6 +17,7 @@ from gaborwf.signal import (
     catalog_entry,
     catalog_entry_json,
     catalog_names,
+    default_grid,
     dump_samples,
     fourier_transform,
     load_samples,
@@ -206,6 +208,55 @@ class TestCatalog:
         with pytest.raises(ValueError, match="finite"):
             SampledDistribution(grid1, vals)
 
+    @pytest.mark.parametrize("params", [[1], "a", 5])
+    def test_params_must_be_a_mapping(self, grid1, params):
+        with pytest.raises(ValueError, match="catalog entry 'box': params must be a mapping"):
+            catalog_entry("box", params, grid1)
+
+    def test_unknown_name_is_one_error(self, grid1):
+        known = ", ".join(CATALOG)
+        for call in (lambda: catalog_entry("foo", None, grid1), lambda: default_grid("foo")):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"unknown catalog entry 'foo'; known: {known}"
+
+    def test_default_grid_takes_n_and_length(self):
+        assert default_grid("box") == make_grid(1, 1024, 20.0)
+        assert default_grid("gaussian") == make_grid(1, 1024, 20.0)
+        assert default_grid("box2d", 128) == make_grid(2, 128, 10.0)
+        assert default_grid("box", length=80.0) == make_grid(1, 1024, 40.0)
+
+    @pytest.mark.parametrize(
+        "grid, edges",
+        [
+            (make_grid(1, 1024, 20.0), (0.085, 0.09, 0.0998, 0.1, 2.4, 2.5, 2.6, 5.0)),
+            (make_grid(2, 256, 10.0), (0.18, 0.19, 0.2, 1.2, 1.25, 1.5)),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_gaussian_width_must_reach_the_floor_inside_the_grid(self, grid, edges):
+        # admitted exactly where the spectrum at the band edge pi/h and the
+        # samples at the box edge L/2 lie at or below STFT_FLOOR: sigma in
+        # [0.09984, 2.4908] at n = 1,024, L = 40 and [0.1997, 1.2454] at n =
+        # 256, L = 20.  The edges were admitted before this rule; at n =
+        # 1,024 sigma = 0.085 printed singular directions, sigma = 5 failed
+        # the theorem check off the periodization's jump at the box edge
+        for sigma in [*np.geomspace(0.05, 5.0, 41).tolist(), *edges]:
+            band_edge = np.exp(-((sigma * np.pi / grid.spacing) ** 2) / 2)
+            box_edge = np.exp(-(grid.half_width**2) / (2 * sigma**2))
+            if max(band_edge, box_edge) <= STFT_FLOOR:
+                u, truth = catalog_entry("gaussian", {"sigma": sigma}, grid)
+                assert truth.is_schwartz and u.norm() == pytest.approx(1.0, rel=1e-9)
+            else:
+                with pytest.raises(ValueError, match=f"gaussian sigma {sigma!r} out of range"):
+                    catalog_entry("gaussian", {"sigma": sigma}, grid)
+
+    def test_admitted_gaussian_whose_samples_overflow(self):
+        # spacing 9.5e149 and L/2 = 1.25e155 admit sigma up to 1.56e154,
+        # whose square, like the squared sample positions, overflows
+        with pytest.raises(ValueError, match="gaussian sigma 1.5e\\+154 is out of range: its samples overflow"):
+            catalog_entry("gaussian", {"sigma": 1.5e154}, make_grid(1, 2**18, 1.25e155))
+
     def test_chirp_rate_guard(self, grid1):
         with pytest.raises(ValueError, match="unresolvable"):
             catalog_entry("chirp", {"a": 10.0}, grid1)
@@ -218,7 +269,9 @@ class TestNorms:
         # squares of samples beyond about 1.3e154 overflow and those below
         # about 1e-154 underflow; the norm still scales by 2**k and the mass
         # fraction stays put
-        u, _ = catalog_entry("gaussian", {"sigma": 8.0}, grid1)
+        # a gaussian of width 8, too wide for the catalog on this grid
+        x = grid1.axis()
+        u = SampledDistribution(grid1, (np.pi * 64.0) ** -0.25 * np.exp(-(x**2) / 128.0))
         v = SampledDistribution(grid1, u.samples * 2.0**k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

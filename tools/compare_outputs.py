@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 101 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 104 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -51,6 +51,10 @@ invocations:
 * ``analyze dirac_derivative --params '{"k": 2}'``, the convolved stencil,
   and ``analyze dirac --n-thresh 1e308``, where every ray short of the floor
   is flagged and the arc-axis weights are about 2.5e307 each;
+* ``analyze`` at the edges the catalog admits on the default grid: gaussian
+  widths ``sigma`` 0.1 and 2.4, just inside the widths whose spectrum and
+  samples fall below the STFT floor inside the band and the box, and
+  ``hermite`` order 156, the highest the grid's Hermite basis holds;
 * ``propagate`` on six 1-D entries at t = 0.3927, pi/2 and 1.2, on dirac
   and box at t = 1.6008 and 3.1716 (0.03 past pi/2 and pi, where the
   forecast lies just outside ``ang_tol`` of the frequency axis but its
@@ -144,6 +148,8 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs += [["analyze", "box", "--n", n] for n in ("512", "4096")]
     runs += [["analyze", "bump", "--n", "16384"], ["analyze", "box2d", "--n", "128"]]
     runs += [["analyze", "dirac_derivative", "--params", '{"k": 2}'], ["analyze", "dirac", "--n-thresh", "1e308"]]
+    runs += [["analyze", "gaussian", "--params", p] for p in ('{"sigma": 0.1}', '{"sigma": 2.4}')]
+    runs += [["analyze", "hermite", "--params", '{"n": 156}']]
     runs += [["propagate", name, "--t", t] for name in PROPAGATED for t in TIMES]
     runs += [["propagate", name, "--t", t] for name in NEAR_LATTICE for t in TIMES_NEAR_LATTICE]
     runs += [["propagate", name, "--t", t] for name in ENTRIES_2D for t in TIMES_2D]

@@ -62,7 +62,7 @@ def stages(args, out: Path):
     state = {}
 
     def catalog():
-        grid = cli._default_grid(args.name, args.n, args.length)
+        grid = sig.default_grid(args.name, args.n, args.length)
         state["u"], state["truth"] = sig.catalog_entry(args.name, args.params, grid)
 
     def detection():
