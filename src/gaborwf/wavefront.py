@@ -7,10 +7,13 @@ usable radii, and flag a direction singular when the fitted order ``s`` stays
 at or below a threshold.  Values under ``1e-14`` are rounding noise and mark
 the direction regular instead of producing spurious slopes.
 
-The 2-D phase-space detector samples coarse to fine: it evaluates every
-other direction, then the directions near a coarse ray whose decay comes
-close to the threshold, then the neighbours of each flag until no flag is
-new, and so flags what the full sampling flags from fewer rays.
+The 2-D phase-space detector descends through the strides 4, 2 and 1: it
+evaluates every fourth direction of each circle and torus, then the
+directions of each finer level within one of that level's steps of a ray
+whose decay comes close to the threshold, then the neighbours of each flag
+until no flag is new, and so flags what the full sampling flags from fewer
+rays: 616 of the 3,136 default rays for box2d and 352 for line_delta_2d,
+22,568 and 12,536 of the 106,592 points, in three rounds each.
 
 Flagged directions are merged along the sampling adjacency: a narrow arc is
 the detector's smearing of a single conic generator and is reported by the
@@ -33,6 +36,14 @@ from .stft import Window, stft_points, STFT_FLOOR
 DEFAULT_N_THRESH = 2.5
 DEFAULT_RHO = 1.15
 DEFAULT_RHO_2D = 1.08
+# strides of the levels a 2-D phase-space detection descends through,
+# coarse to fine
+DESCENT_STRIDES = (4, 2, 1)
+# how far above n_thresh the slope of a seed may lie after the round of each
+# stride but the finest.  Additive: the stride-4 rays nearest a flag read
+# about 5.76 at any threshold, where 2 and 3 n_thresh missed flags, and a
+# ridge's read 7.36 at n_thresh 1.5, where +5 missed them
+SEED_MARGINS = {4: 7.0, 2: 2.5}
 ARC_COLLAPSE_ANGLE = np.pi / 3  # arcs wider than this are true cones, not smear
 TILT_LEVELS = 5  # tilt levels of the 2-D phase-space sampling, both fibers included
 FREQUENCY_DIRS_2D = 32  # directions on the 2-D frequency circle
@@ -209,14 +220,19 @@ def frequency_rays(grid: Grid, r_max: float | None = None, rho: float | None = N
     return RaySampling(_circle(n), radii, _adjacency(_ring(n)), "frequency", n, r_max, rho)
 
 
-def _coarse_rays(sampling: RaySampling) -> np.ndarray:
-    """The directions a detection evaluates first, ascending: on the 2-D
-    phase-space sphere the even indices of each circle and each torus, 800 of
-    the default 3,136 directions; every direction of every other sampling."""
+def _level(sampling: RaySampling, stride: int) -> np.ndarray:
+    """The directions of a detection's level ``stride``, ascending: on the
+    2-D phase-space sphere every ``stride``-th index of each circle and each
+    torus, 208 of the default 3,136 directions at stride 4 and 800 at
+    stride 2; every direction of every other sampling, at any stride, which
+    a detection then evaluates in one round.  ``estimate_gabor_wf``
+    evaluates the level of stride 4 whole and of the finer levels only the
+    rays near a seed: box2d's three rounds take 208, 144 and 264 rays by
+    default, line_delta_2d's 208, 132 and 12."""
     if sampling.space != "phase" or sampling.directions.shape[1] == 2:
         return np.arange(len(sampling.directions))
     k, mid, last = _join_layout(sampling.n_dirs)
-    return np.concatenate([k[::2], mid[:, ::2, ::2].ravel(), last[::2]])
+    return np.concatenate([k[::stride], mid[:, ::stride, ::stride].ravel(), last[::stride]])
 
 
 def _flags(profiles: np.recarray, n_thresh: float) -> np.ndarray:
@@ -533,14 +549,18 @@ def estimate_gabor_wf(
         return stft_points(u, window, points)
 
     taken, flagged = np.zeros(len(dirs), dtype=bool), np.zeros(len(dirs), dtype=bool)
+    slope = np.full(len(dirs), np.inf)
     rays, blocks, counts = [], [], []
-    # coarse to fine: the coarse rays; then every direction within two steps
-    # of a coarse ray whose slope is within twice n_thresh; then, round by
-    # round, every neighbour of a flag, until no flag is new, so every
-    # flagged component is whole.  A ray keeps the points it has in the full
-    # sampling, which flags no ray these rounds leave out (a tier-1 property
-    # checks both).  Where every ray is coarse, one round and no fit
-    batch = _coarse_rays(sampling)
+    # coarse to fine: the rays of stride 4; then, after the round of each
+    # stride, the rays of the next finer level within one of its steps of a
+    # seed, any ray evaluated so far whose slope is at most n_thresh plus
+    # that stride's SEED_MARGINS; and in every round each neighbour of a
+    # flag, until no flag is new, so every flagged component is whole.  A
+    # ray keeps the points it has in the full sampling, which flags no ray
+    # these rounds leave out (a tier-1 property checks both).  Where the
+    # coarsest level holds every ray, one round and no fit
+    strides = list(DESCENT_STRIDES)
+    batch = _level(sampling, strides[0])
     while len(batch):
         samples, offsets = _sample_rays(sampling, u.grid, evaluate, pos_cap, batch)
         rays.append(batch)
@@ -550,12 +570,14 @@ def estimate_gabor_wf(
         if taken.all():
             break
         fits = _fit_rays(samples, offsets)
-        flagged[batch] = _flags(fits, n_thresh)
+        slope[batch], flagged[batch] = fits.slope, _flags(fits, n_thresh)
         near = np.zeros(len(dirs), dtype=bool)
-        if len(rays) == 1:
-            # a division, which no n_thresh overflows
-            for angles in _angle_blocks(dirs[batch[fits.slope / 2 <= n_thresh]], dirs):
-                near |= (angles <= 2 * sampling.angular_step + 1e-9).any(axis=0)
+        if len(strides) > 1:
+            seeds = dirs[slope <= n_thresh + SEED_MARGINS[strides.pop(0)]]
+            finer = _level(sampling, strides[0])
+            finer = finer[~taken[finer]]
+            for angles in _angle_blocks(seeds, dirs[finer]):
+                near[finer] |= (angles <= strides[0] * sampling.angular_step + 1e-9).any(axis=0)
         near[edges[flagged[edges].any(axis=1)]] = True
         batch = np.flatnonzero(near & ~taken)
     # the rounds' rays in ascending order, each ray's rows in ladder order

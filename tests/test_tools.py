@@ -13,6 +13,11 @@ def test_stage_peaks_reports_every_stage():
     header, *rows = proc.stdout.splitlines()
     assert header.split()[:2] == ["stage", "ms"]
     assert [row[:12].strip() for row in rows] == ["catalog", "detection", "sigma", "csv write", "json write"]
+    # the detection and sigma rows end with their rays and points
+    assert header.split()[-2:] == ["rays", "points"]
+    for row in rows[1:3]:
+        rays, points = row.split()[-2:]
+        assert rays.count("/") == 1 and int(points) > 0
 
 
 def _compare_outputs():

@@ -16,6 +16,7 @@ from gaborwf.signal import (
     SampledDistribution,
     catalog_entry,
     catalog_names,
+    default_grid,
     fourier_transform,
     make_grid,
 )
@@ -23,6 +24,7 @@ from gaborwf.stft import STFT_FLOOR, Window, stft_points
 from gaborwf.wavefront import (
     COMPACT_MASS,
     DEFAULT_N_THRESH,
+    FREQUENCY_DIRS_2D,
     MAX_RAY_POINTS,
     TILT_LEVELS,
     WavefrontReport,
@@ -563,20 +565,22 @@ def generated_2d(kind, angle, shift, size):
     return SampledDistribution(grid, vals.astype(complex))
 
 
-def full_report(u, window, n_thresh=DEFAULT_N_THRESH):
-    """Oracle: the phase-space report of every ray of the default sampling,
-    evaluated in one sampler pass at the position cap of the detection."""
-    sampling = phase_space_rays(u.grid)
+def full_report(u, window, n_thresh=DEFAULT_N_THRESH, sampling=None):
+    """Oracle: the phase-space report of every ray of ``sampling``, by
+    default the grid's default one, evaluated in one sampler pass at the
+    position cap of the detection."""
+    sampling = phase_space_rays(u.grid) if sampling is None else sampling
     pos_cap = position_cap(u.grid, window.lam, u.central_mass_fraction() >= COMPACT_MASS)
     evidence = _sample_rays(sampling, u.grid, lambda p: stft_points(u, window, p), pos_cap)
     return WavefrontReport("gabor", sampling, *evidence, n_thresh, window.lam)
 
 
 class TestCoarseToFine:
-    """The 2-D phase-space detection evaluates the coarse rays, then the
-    rays near a coarse ray close to the threshold, then the neighbours of
-    every flag: its flags, singular directions and isolated flags are those
-    of the full sampling, from the same samples."""
+    """The 2-D phase-space detection descends through the strides 4, 2 and
+    1, evaluating the rays of each finer level near a ray close to the
+    threshold, and the neighbours of every flag: its flags, singular
+    directions and isolated flags are those of the full sampling, from the
+    same samples."""
 
     @settings(max_examples=10, deadline=None, database=None)
     @given(
@@ -585,14 +589,15 @@ class TestCoarseToFine:
         st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
         st.floats(0.8, 2.5),
         st.floats(0.5, 2.0),
+        st.sampled_from((1.5, 2.5)),
     )
-    def test_same_verdict_as_the_full_sampling(self, kind, angle, shift, size, lam):
+    def test_same_verdict_as_the_full_sampling(self, kind, angle, shift, size, lam, n_thresh):
         if kind in CATALOG:
             u = catalog_entry(kind, None, GRID_2D_SMALL)[0]
         else:
             u = generated_2d(kind, angle, shift, size)
         window = Window(lam)
-        rep, full = estimate_gabor_wf(u, window), full_report(u, window)
+        rep, full = estimate_gabor_wf(u, window, n_thresh=n_thresh), full_report(u, window, n_thresh)
         assert rep.flagged_indices() == full.flagged_indices()
         assert np.array_equal(rep.singular_dirs, full.singular_dirs)
         assert np.array_equal(rep.isolated, full.isolated)
@@ -603,18 +608,63 @@ class TestCoarseToFine:
         err = np.abs(got[:, 1] - want[:, 1])
         assert np.all((err <= 1e-13) | (err <= 1e-12 * want[:, 1]))
 
-    def test_a_1d_detection_is_one_round(self, grid1, monkeypatch):
-        # every ray of the 1-D circle is coarse: one kernel call for its
-        # 6,078 points and one fit of all 256 rays, the report's; the arc
-        # axes refit only their own members
-        u, _ = catalog_entry("box", None, grid1)
+    @staticmethod
+    def kernel_calls_and_fits(monkeypatch, kernel, detect, *args):
+        """The report of ``detect(*args)`` with the point count of each call
+        of the kernel ``kernel`` and the ray count of each decay fit."""
         calls, fits = [], []
-        kernel, fit_rays = gaborwf.wavefront.stft_points, gaborwf.wavefront._fit_rays
-        monkeypatch.setattr(gaborwf.wavefront, "stft_points", lambda *a: calls.append(len(a[2])) or kernel(*a))
+        evaluate, fit_rays = getattr(gaborwf.wavefront, kernel), gaborwf.wavefront._fit_rays
+        monkeypatch.setattr(gaborwf.wavefront, kernel, lambda *a: calls.append(len(a[-1])) or evaluate(*a))
         monkeypatch.setattr(gaborwf.wavefront, "_fit_rays", lambda *a: fits.append(len(a[1]) - 1) or fit_rays(*a))
-        rep = estimate_gabor_wf(u, Window(0.5))
+        return detect(*args), calls, fits
+
+    def test_a_1d_detection_is_one_round(self, grid1, monkeypatch):
+        # every ray of the 1-D circle is on the coarsest level: one kernel
+        # call for its 6,078 points and one fit of all 256 rays, the
+        # report's; the arc axes refit only their own members
+        u, _ = catalog_entry("box", None, grid1)
+        rep, calls, fits = self.kernel_calls_and_fits(monkeypatch, "stft_points", estimate_gabor_wf, u, Window(0.5))
         assert np.array_equal(rep.evaluated, np.arange(256))
         assert calls == [len(rep.samples)] and fits.count(256) == 1
+
+    @pytest.mark.parametrize("name, rays", [("box", 2), ("box2d", FREQUENCY_DIRS_2D)])
+    def test_a_frequency_detection_is_one_round(self, grid1, grid2, monkeypatch, name, rays):
+        # the 1-D and 2-D frequency samplings are one level too: one NUDFT
+        # call and one fit of every ray
+        u, _ = catalog_entry(name, None, grid2 if name == "box2d" else grid1)
+        rep, calls, fits = self.kernel_calls_and_fits(monkeypatch, "nudft", estimate_sigma, u)
+        assert np.array_equal(rep.evaluated, np.arange(rays))
+        assert calls == [len(rep.samples)] and fits.count(rays) == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("ridge", 0.3511, (1.0989, 0.7206), 0.9306, 1.6774),
+            ("ridge", 0.4337, (-0.7751, 1.4079), 1.1142, 1.9185),
+            ("line_delta_2d",),
+        ],
+        ids=["ridge-5.77", "ridge-7.36", "line_delta_2d"],
+    )
+    def test_near_misses_of_a_narrower_margin(self, case):
+        # the stride-4 rays nearest a flag read a slope of about 5.76 at any
+        # threshold: after stride 4, seeds at 2 n_thresh miss the flags
+        # 3941-3943 of line_delta_2d on 36 directions per circle, seeds at
+        # 3 n_thresh the first ridge's, whose nearest stride-4 rays read
+        # 5.74-5.77 at n_thresh 1.5, and seeds at n_thresh + 5 the second
+        # ridge's, whose nearest read 7.36.  SEED_MARGINS finds all three
+        if case[0] == "ridge":
+            u, lam, n_thresh = generated_2d(*case[:4]), case[4], 1.5
+            sampling = phase_space_rays(u.grid)
+        else:
+            u, lam, n_thresh = catalog_entry(case[0], None, default_grid(case[0]))[0], 1.0, DEFAULT_N_THRESH
+            sampling = phase_space_rays(u.grid, 36)
+        window = Window(lam)
+        rep = estimate_gabor_wf(u, window, sampling, n_thresh)
+        full = full_report(u, window, n_thresh, sampling)
+        assert full.flagged_indices()
+        assert rep.flagged_indices() == full.flagged_indices()
+        assert np.array_equal(rep.singular_dirs, full.singular_dirs)
+        assert np.array_equal(rep.isolated, full.isolated)
 
     @pytest.fixture(scope="class")
     def box2d_reports(self):

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
-Runs the same 104 ``gaborwf`` invocations against each tree's ``src`` (one
+Runs the same 105 ``gaborwf`` invocations against each tree's ``src`` (one
 fresh output directory per invocation and tree) and checks that every verdict
 is unchanged.  Per invocation:
 
@@ -44,7 +44,9 @@ invocations:
 * ``analyze`` on 2-D samplings other than the default, whose directions
   share first-axis pairs in other patterns: ``box2d --n-dirs 36``, whose
   tilt angles (multiples of 22.5 degrees) are not angles of its circles,
-  and ``line_delta_2d --rho 1.15``;
+  ``line_delta_2d --n-dirs 36``, whose frequency generator at index 18 of
+  the circles lies between two rays of stride 4, and ``line_delta_2d
+  --rho 1.15``;
 * ``analyze`` on grids other than the default, whose kernel chunks and
   slices hold other point counts: ``box --n 512``, ``box --n 4096``,
   ``bump --n 16384`` and ``box2d --n 128``;
@@ -144,7 +146,8 @@ def invocations(q_files: list[Path]) -> list[list[str]]:
     runs += [["analyze", name, "--lam", lam] for lam in ("0.32", "2.5") for name in ENTRIES_2D]
     runs += [["analyze", name, "--n-thresh", t] for t in ("1.5", "0.75") for name in ENTRIES_1D]
     runs += [["analyze", name, "--n-thresh", "1.5"] for name in ENTRIES_2D]
-    runs += [["analyze", "box2d", "--n-dirs", "36"], ["analyze", "line_delta_2d", "--rho", "1.15"]]
+    runs += [["analyze", "box2d", "--n-dirs", "36"], ["analyze", "line_delta_2d", "--n-dirs", "36"]]
+    runs += [["analyze", "line_delta_2d", "--rho", "1.15"]]
     runs += [["analyze", "box", "--n", n] for n in ("512", "4096")]
     runs += [["analyze", "bump", "--n", "16384"], ["analyze", "box2d", "--n", "128"]]
     runs += [["analyze", "dirac_derivative", "--params", '{"k": 2}'], ["analyze", "dirac", "--n-thresh", "1e308"]]

@@ -20,8 +20,9 @@ above what was traced when the op began ("op peak"), the peak above what
 was traced when the stage began ("stage peak": what the stage itself adds),
 what stays traced when it ends, above the op's start ("held"), and for the
 detection and sigma stages the rays the report evaluated out of those of
-its sampling ("rays", such as 1328/3136: a 2-D phase-space detection
-evaluates only the rays its flags need).
+its sampling ("rays", such as 616/3136: a 2-D phase-space detection
+evaluates only the rays its flags need) and the points it evaluated
+("points", the report's samples, such as 22568).
 Standard library and numpy only.
 """
 
@@ -52,13 +53,13 @@ from gaborwf.wavefront import (  # noqa: E402
 )
 
 
-def _rays(report) -> str:
-    return f"{len(report.evaluated)}/{len(report.sampling.directions)}"
+def _counts(report) -> tuple[str, str]:
+    return f"{len(report.evaluated)}/{len(report.sampling.directions)}", str(len(report.samples))
 
 
 def stages(args, out: Path):
     """The op as (stage name, callable) pairs; each callable updates
-    ``state`` and returns the rays column of its row, if any."""
+    ``state`` and returns the rays and points columns of its row, if any."""
     state = {}
 
     def catalog():
@@ -68,14 +69,14 @@ def stages(args, out: Path):
     def detection():
         u = state["u"]
         state["reports"] = {"gabor": estimate_gabor_wf(u, Window(args.lam), phase_space_rays(u.grid))}
-        return _rays(state["reports"]["gabor"])
+        return _counts(state["reports"]["gabor"])
 
     def sigma():
         if state["truth"].theorem_applicable:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 state["reports"]["sigma"] = estimate_sigma(state["u"], frequency_rays(state["u"].grid))
-            return _rays(state["reports"]["sigma"])
+            return _counts(state["reports"]["sigma"])
 
     def csv_write():
         for kind, report in state["reports"].items():
@@ -90,9 +91,9 @@ def stages(args, out: Path):
             ("json write", json_write)]
 
 
-def run_op(args, traced: bool) -> list[tuple[str, float, float, float, float, str]]:
-    """(stage, ms, op peak, stage peak, held, rays) per stage; the memory
-    columns in bytes, 0 when not traced."""
+def run_op(args, traced: bool) -> list[tuple[str, float, float, float, float, str, str]]:
+    """(stage, ms, op peak, stage peak, held, rays, points) per stage; the
+    memory columns in bytes, 0 when not traced."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         if traced:
@@ -104,10 +105,10 @@ def run_op(args, traced: bool) -> list[tuple[str, float, float, float, float, st
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
             t0 = time.perf_counter()
-            rays = stage() or ""
+            counts = stage() or ("", "")
             ms = (time.perf_counter() - t0) * 1e3
             held, peak = tracemalloc.get_traced_memory() if traced else (0, 0)
-            rows.append((name, ms, peak - base, peak - start, held - base, rays))
+            rows.append((name, ms, peak - base, peak - start, held - base, *counts))
         if traced:
             tracemalloc.stop()
     return rows
@@ -123,9 +124,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run_op(args, traced=False)
     timed, traced = run_op(args, traced=False), run_op(args, traced=True)
-    print(f"{'stage':<12} {'ms':>8} {'op peak MB':>11} {'stage peak MB':>14} {'held MB':>8} {'rays':>10}")
-    for (name, ms, *_), (_, _, op_peak, stage_peak, held, rays) in zip(timed, traced):
-        print(f"{name:<12} {ms:8.1f} {op_peak / 1e6:11.2f} {stage_peak / 1e6:14.2f} {held / 1e6:8.2f} {rays:>10}")
+    print(f"{'stage':<12} {'ms':>8} {'op peak MB':>11} {'stage peak MB':>14} {'held MB':>8} {'rays':>10} {'points':>8}")
+    for (name, ms, *_), (_, _, op_peak, stage_peak, held, rays, points) in zip(timed, traced):
+        print(
+            f"{name:<12} {ms:8.1f} {op_peak / 1e6:11.2f} {stage_peak / 1e6:14.2f} {held / 1e6:8.2f} {rays:>10} "
+            f"{points:>8}"
+        )
     return 0
 
 
